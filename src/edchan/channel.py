@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, as_complex_matrix, devectorize, is_psd, vectorize
+from .matcore import (DEFAULT_TOL, as_complex_matrix, devectorize, freeze,
+                      hermiticity_deviation, is_psd, vectorize)
 
 # Condition-number threshold above which a block is treated as singular.
 COND_LIMIT = 1e12
@@ -72,9 +73,7 @@ class LinearMap:
         r, c = A.shape
         if math.isqrt(r) ** 2 != r or math.isqrt(c) ** 2 != c:
             raise ValueError(f"superoperator shape {A.shape} is not (d_out^2, d_in^2)")
-        A = A.copy()
-        A.flags.writeable = False
-        object.__setattr__(self, "mat", A)
+        freeze(self, "mat", A)
 
     @property
     def d_in(self) -> int:
@@ -198,9 +197,7 @@ class BlockOperator:
                 f"(d_e, d_g) = ({d_e}, {d_g})"
             )
         for name, A in (("ee", ee), ("eg", eg), ("ge", ge), ("gg", gg)):
-            A = A.copy()
-            A.flags.writeable = False
-            object.__setattr__(self, name, A)
+            freeze(self, name, A)
 
     @property
     def d_e(self) -> int:
@@ -235,8 +232,7 @@ class BlockOperator:
         return complex(np.trace(self.ee) + np.trace(self.gg))
 
     def is_hermitian(self, tol: float = DEFAULT_TOL) -> bool:
-        X = self.full()
-        return float(np.abs(X - X.conj().T).max(initial=0.0)) <= tol
+        return hermiticity_deviation(self.full()) <= tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,9 +259,7 @@ class EDMap:
         g = float(self.gamma)
         if not np.isfinite(g) or g < 0:
             raise ValueError(f"gamma must be a finite non-negative real, got {self.gamma}")
-        B = B.copy()
-        B.flags.writeable = False
-        object.__setattr__(self, "B", B)
+        freeze(self, "B", B)
         object.__setattr__(self, "gamma", g)
 
     @property

@@ -28,9 +28,11 @@ from .cpcheck import (
     is_positive_ed_dg1,
     is_trace_nonincreasing,
     kraus_from_choi,
+    min_full_choi_eigenvalue,
 )
 from .channel import is_trace_preserving
-from .dynamics import is_cp_divisible, semigroup_trajectory, build_td_trajectory
+from .dynamics import (build_td_trajectory, is_cp_divisible, semigroup_trajectory,
+                       trajectory_observables)
 from .jsonio import canonical_dumps
 
 DEFAULT_CLI_TOL = 1e-9
@@ -88,7 +90,6 @@ def _emit(text: str, output_path: str | None) -> None:
 def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
     report = is_cp_ed(m, tol)
     tp = is_trace_preserving(m, tol)
-    full_min = is_cp(m.to_linear_map(), tol).min_choi_eigenvalue
 
     ball = None
     phi_cp = is_cp(m.phi, tol)
@@ -117,7 +118,7 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
         "tp": tp,
         "trace_nonincreasing_phi": is_trace_nonincreasing(m.phi, tol),
         "positive": positive,
-        "min_choi_eigenvalue": full_min,
+        "min_choi_eigenvalue": min_full_choi_eigenvalue(m),
         "ball": ball,
         "witnesses": witnesses,
     }
@@ -193,8 +194,6 @@ def cmd_evolve(config: RunConfig, initial_state_path: str | None) -> int:
             raise ValueError("initial state dimensions do not match the trajectory")
     else:
         X0 = _default_initial_state(traj.d_e, traj.d_g)
-    from .dynamics import trajectory_observables
-
     rows = trajectory_observables(traj, X0)
     _emit(jsonio.observables_to_csv(rows), config.output_path)
     return 0

@@ -17,6 +17,16 @@ sqrt(gamma) spanned by the Kraus operators of phi: B = sum_mu beta_mu A_mu
 with sum |beta_mu|^2 <= gamma. Both routes are implemented; the block-level
 Choi test is the primary oracle and the ball decomposition is a diagnostic.
 
+The smallest eigenvalue of the full-space Choi matrix (hermitian part) is
+also read off the blocks: the full Choi matrix splits into the omega Choi
+block, zero blocks, and the (d_e^2 + 1)-square block
+
+    M1 = [[C_phi, sqrt(d_g) beta], [sqrt(d_g) beta†, gamma d_g]]
+
+with beta = B flattened row-major, which couples C_phi to the normalized
+maximally entangled vector of the ground sector. Hence
+min eig C_full = min(0, min eig C_omega, min eig M1).
+
 Positivity (as opposed to complete positivity) is decided exactly only where
 a criterion exists: for a one-dimensional ground sector the functional omega
 is positive iff its density W (with omega(X) = tr(WX)) is PSD, and the damped
@@ -31,11 +41,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import EDMap, LinearMap
+from .channel import BlockOperator, EDMap, LinearMap, apply
 from .matcore import (
     DEFAULT_TOL,
     as_complex_matrix,
     default_psd_tol,
+    freeze,
+    hermiticity_deviation,
     hermitian_part,
     is_psd,
     vectorize,
@@ -59,21 +71,15 @@ class ChoiMatrix:
         n = self.d_in * self.d_out
         if A.shape != (n, n):
             raise ValueError(f"Choi matrix shape {A.shape} does not match dims")
-        A = A.copy()
-        A.flags.writeable = False
-        object.__setattr__(self, "mat", A)
+        freeze(self, "mat", A)
 
 
 def choi(m: LinearMap) -> ChoiMatrix:
     """C = sum_{jk} map(E_jk) ⊗ E_jk with (out ⊗ in) index order."""
     d_in, d_out = m.d_in, m.d_out
-    C = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
-    for k in range(d_in):
-        for l in range(d_in):
-            # column of the superoperator at the matrix unit E_kl
-            col = m.mat[:, k + d_in * l]
-            M = col.reshape(d_out, d_out).T  # devectorize
-            C[k::d_in, l::d_in] = M
+    n = d_out * d_in
+    # mat[b*d_out + a, l*d_in + k] = <a| map(E_kl) |b> lands at C[a*d_in + k, b*d_in + l]
+    C = m.mat.reshape(d_out, d_out, d_in, d_in).transpose(1, 3, 0, 2).reshape(n, n)
     return ChoiMatrix(C, d_in=d_in, d_out=d_out)
 
 
@@ -89,12 +95,7 @@ class KrausSet:
             shape = ops[0].shape
             if any(A.shape != shape for A in ops):
                 raise ValueError("Kraus operators must share one shape")
-        frozen = []
-        for A in ops:
-            A = A.copy()
-            A.flags.writeable = False
-            frozen.append(A)
-        object.__setattr__(self, "operators", tuple(frozen))
+        freeze(self, "operators", ops)
 
     @property
     def count(self) -> int:
@@ -149,16 +150,14 @@ def is_cp(m: LinearMap, tol: float | None = None) -> CPVerdict:
     C = choi(m).mat
     t = default_psd_tol(C) if tol is None else float(tol)
     lo = float(np.linalg.eigvalsh(hermitian_part(C))[0]) if C.size else 0.0
-    dev = float(np.abs(C - C.conj().T).max(initial=0.0))
-    if dev > t:
+    if hermiticity_deviation(C) > t:
         return CPVerdict(False, lo)
     return CPVerdict(lo >= -t, lo)
 
 
 def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
     """True iff the Choi matrix is hermitian within ``tol``."""
-    C = choi(m).mat
-    return float(np.abs(C - C.conj().T).max(initial=0.0)) <= tol
+    return hermiticity_deviation(choi(m).mat) <= tol
 
 
 def damped_excited_map(m: EDMap) -> LinearMap:
@@ -191,26 +190,38 @@ def is_cp_ed(m: EDMap, tol: float | None = None) -> EDCPReport:
     t = DEFAULT_TOL if tol is None else float(tol)
     omega_verdict = is_cp(m.omega, tol)
     if m.gamma <= t:
-        b_zero = float(np.abs(m.B).max(initial=0.0)) <= t
-        phi_verdict = is_cp(m.phi, tol)
-        damped_ok = b_zero and phi_verdict.is_cp
-        return EDCPReport(
-            cp=omega_verdict.is_cp and damped_ok,
-            omega_cp=omega_verdict.is_cp,
-            damped_phi_cp=damped_ok,
-            branch="gamma_zero",
-            omega_min_eigenvalue=omega_verdict.min_choi_eigenvalue,
-            damped_min_eigenvalue=phi_verdict.min_choi_eigenvalue,
-        )
-    damped_verdict = is_cp(damped_excited_map(m), tol)
+        branch = "gamma_zero"
+        damped_verdict = is_cp(m.phi, tol)
+        damped_ok = damped_verdict.is_cp and float(np.abs(m.B).max(initial=0.0)) <= t
+    else:
+        branch = "gamma_positive"
+        damped_verdict = is_cp(damped_excited_map(m), tol)
+        damped_ok = damped_verdict.is_cp
     return EDCPReport(
-        cp=omega_verdict.is_cp and damped_verdict.is_cp,
+        cp=omega_verdict.is_cp and damped_ok,
         omega_cp=omega_verdict.is_cp,
-        damped_phi_cp=damped_verdict.is_cp,
-        branch="gamma_positive",
+        damped_phi_cp=damped_ok,
+        branch=branch,
         omega_min_eigenvalue=omega_verdict.min_choi_eigenvalue,
         damped_min_eigenvalue=damped_verdict.min_choi_eigenvalue,
     )
+
+
+def min_full_choi_eigenvalue(m: EDMap) -> float:
+    """Smallest eigenvalue of the full-space Choi matrix's hermitian part, from the blocks.
+
+    Equals ``is_cp(m.to_linear_map()).min_choi_eigenvalue`` (see the module
+    docstring) at the cost of a (d_e^2 + 1)- and a (d_e d_g)-square eigensolve.
+    """
+    n = m.d_e * m.d_e
+    beta = np.sqrt(m.d_g) * m.B.reshape(-1)
+    M1 = np.empty((n + 1, n + 1), dtype=complex)
+    M1[:n, :n] = hermitian_part(choi(m.phi).mat)
+    M1[:n, n] = beta
+    M1[n, :n] = beta.conj()
+    M1[n, n] = m.gamma * m.d_g
+    lo_omega = np.linalg.eigvalsh(hermitian_part(choi(m.omega).mat))[0]
+    return min(0.0, float(lo_omega), float(np.linalg.eigvalsh(M1)[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +238,7 @@ class BallDecomposition:
     member: bool
 
     def __post_init__(self):
-        b = np.asarray(self.beta, dtype=complex).reshape(-1).copy()
-        b.flags.writeable = False
-        object.__setattr__(self, "beta", b)
+        freeze(self, "beta", np.asarray(self.beta, dtype=complex).reshape(-1))
 
 
 def ball_decompose(B, kraus: KrausSet, gamma: float,
@@ -326,7 +335,7 @@ def is_trace_nonincreasing(phi: LinearMap, tol: float | None = None) -> bool:
     W = phi.trace_functional()
     T = np.eye(phi.d_in, dtype=complex) - W.T
     t = default_psd_tol(T) if tol is None else float(tol)
-    if float(np.abs(T - T.conj().T).max(initial=0.0)) > t:
+    if hermiticity_deviation(T) > t:
         return False  # not hermiticity-preserving, so certainly not a quantum operation
     return is_psd(T, t).is_psd
 
@@ -336,8 +345,14 @@ class PositivityVerdict:
     """Outcome of a positivity probe.
 
     ``witness`` is a state vector whose projector is mapped to an operator
-    with an eigenvalue below -tol, or None when no witness was found. Only a
-    witness is a certificate; absence of one proves nothing.
+    with a negative eigenvalue, or None when no witness was found. With a
+    witness, ``min_eigenvalue`` is that operator's smallest eigenvalue;
+    without one, the smallest eigenvalue seen. :func:`is_positive_sampled`
+    returns only witnesses below -tol. :func:`is_positive_ed_dg1` guarantees
+    -tol only for the block it probes (the density W or the damped excited
+    map); the full-space output of its witness, which it reports, can lie
+    above -tol. Only a witness is a certificate; absence of one proves
+    nothing.
     """
 
     witness: np.ndarray | None
@@ -346,9 +361,7 @@ class PositivityVerdict:
 
     def __post_init__(self):
         if self.witness is not None:
-            v = np.asarray(self.witness, dtype=complex).reshape(-1).copy()
-            v.flags.writeable = False
-            object.__setattr__(self, "witness", v)
+            freeze(self, "witness", np.asarray(self.witness, dtype=complex).reshape(-1))
 
     @property
     def not_positive(self) -> bool:
@@ -399,12 +412,11 @@ def is_positive_sampled(m: LinearMap, samples: int = 1000,
 
 
 def _min_output_eigenvalue(m: EDMap, chi: np.ndarray) -> float:
-    S = m.to_linear_map()
-    out = S(np.outer(chi, chi.conj()))
-    return float(np.linalg.eigvalsh(hermitian_part(out))[0])
+    X = BlockOperator.from_full(np.outer(chi, chi.conj()), m.d_e, m.d_g)
+    return float(np.linalg.eigvalsh(hermitian_part(apply(m, X).full()))[0])
 
 
-def _escalated_witness(m: EDMap, xi: np.ndarray, tol: float):
+def _escalated_witness(m: EDMap, xi: np.ndarray):
     """Full-space witness from an excited-sector direction.
 
     Appends a growing ground amplitude to ``xi``; for a map whose damped
@@ -431,7 +443,8 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     density W[j, l] = omega(E_lj), and omega is positive iff W is PSD. The
     remaining condition (positivity of phi - gamma^-1 B(.)B† for gamma > 0,
     or B = 0 with phi positive for gamma = 0) is probed with the Haar
-    sampler. The returned witness, when found, is a full-space state vector.
+    sampler. The returned witness, when found, is a full-space state vector
+    and ``min_eigenvalue`` is the smallest eigenvalue of its full-space output.
     """
     if m.d_g != 1:
         raise ValueError(f"exact omega criterion requires d_g = 1, got d_g = {m.d_g}")
@@ -441,23 +454,22 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
         _, vecs = np.linalg.eigh(hermitian_part(W))
         chi = np.concatenate([vecs[:, 0], [0.0]]).astype(complex)
         return PositivityVerdict(
-            witness=chi, min_eigenvalue=w_verdict.min_eigenvalue, samples_used=0
+            witness=chi, min_eigenvalue=_min_output_eigenvalue(m, chi), samples_used=0
         )
     if m.gamma <= tol:
         if float(np.abs(m.B).max(initial=0.0)) > tol:
             # any direction not annihilated by B blows up against the frozen gg block
             _, _, vh = np.linalg.svd(m.B)
-            chi, val = _escalated_witness(m, vh[0].conj(), tol)
+            chi, val = _escalated_witness(m, vh[0].conj())
             return PositivityVerdict(witness=chi, min_eigenvalue=val, samples_used=0)
         probe = m.phi
     else:
         probe = damped_excited_map(m)
     sampled = is_positive_sampled(probe, samples=samples, tol=tol, seed=seed)
     if sampled.not_positive:
-        chi, val = _escalated_witness(m, sampled.witness, tol)
+        chi, val = _escalated_witness(m, sampled.witness)
         return PositivityVerdict(
-            witness=chi, min_eigenvalue=min(val, sampled.min_eigenvalue),
-            samples_used=sampled.samples_used,
+            witness=chi, min_eigenvalue=val, samples_used=sampled.samples_used
         )
     return PositivityVerdict(
         witness=None, min_eigenvalue=sampled.min_eigenvalue,

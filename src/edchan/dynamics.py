@@ -40,13 +40,14 @@ from .channel import (
     apply,
     compose,
     invert,
-    _exceeds_condition,
 )
-from .cpcheck import choi, is_cp, is_cp_ed, EDCPReport
+from .cpcheck import choi, is_cp, is_cp_ed, min_full_choi_eigenvalue
 from .matcore import (
     DEFAULT_TOL,
     as_complex_matrix,
     default_psd_tol,
+    freeze,
+    hermiticity_deviation,
     hermitian_part,
     integral_of_exp,
     is_hermitian,
@@ -88,14 +89,9 @@ class GKLSGenerator:
             raise ValueError(
                 f"G must be PSD, smallest eigenvalue {verdict.min_eigenvalue:.3e}"
             )
-        frozen = []
-        for A in (H, G, *F):
-            A = A.copy()
-            A.flags.writeable = False
-            frozen.append(A)
-        object.__setattr__(self, "H", frozen[0])
-        object.__setattr__(self, "G", frozen[1])
-        object.__setattr__(self, "F", tuple(frozen[2:]))
+        freeze(self, "H", H)
+        freeze(self, "G", G)
+        freeze(self, "F", F)
 
     @property
     def d(self) -> int:
@@ -155,9 +151,7 @@ class SemigroupSpec:
                 f"psi must be completely positive, Choi eigenvalue "
                 f"{verdict.min_choi_eigenvalue:.3e}"
             )
-        c = c.copy()
-        c.flags.writeable = False
-        object.__setattr__(self, "c", c)
+        freeze(self, "c", c)
         object.__setattr__(self, "epsilon", float(self.epsilon))
         object.__setattr__(self, "kappa", float(self.kappa))
 
@@ -186,22 +180,25 @@ def K_from_spec(spec: SemigroupSpec) -> np.ndarray:
     return K
 
 
-def semigroup_at(spec: SemigroupSpec, t: float) -> EDMap:
-    """The semigroup member at time t >= 0.
+def _member(SL: np.ndarray, K: np.ndarray, psi: LinearMap, t: float) -> EDMap:
+    """The map (exp(t L), psi ∘ integral_0^t exp(tau L) dtau, exp(t K), 1) at t >= 0.
 
-    phi_t and B_t are exponentials; omega_t uses the exact augmented-block
-    integral of exp(tau L), valid also for singular L.
+    omega_t uses the exact augmented-block integral, valid also for singular L.
     """
     t = float(t)
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    SL = gkls_superop(spec.gen).mat
     return EDMap(
         phi=LinearMap(matexp(t * SL)),
-        omega=LinearMap(spec.psi.mat @ integral_of_exp(SL, t)),
-        B=matexp(t * K_from_spec(spec)),
+        omega=LinearMap(psi.mat @ integral_of_exp(SL, t)),
+        B=matexp(t * K),
         gamma=1.0,
     )
+
+
+def semigroup_at(spec: SemigroupSpec, t: float) -> EDMap:
+    """The semigroup member at time t >= 0."""
+    return _member(gkls_superop(spec.gen).mat, K_from_spec(spec), spec.psi, t)
 
 
 def check_tp_condition(spec: SemigroupSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -252,31 +249,15 @@ def wigner_weisskopf_at(H, G, eps: float, kappa: float,
     The excited block is conjugation by A_t = exp(-i H_eff t) with
     H_eff = H - (i/2) G, the coherence block is
     B_t = exp(-i eps t) exp(-kappa t / 2) A_t, and omega_t integrates psi
-    against the conjugation flow.
+    against the conjugation flow. This is the jumpless semigroup member, but
+    psi need not be completely positive.
     """
-    Hm = as_complex_matrix(H, "H")
-    Gm = as_complex_matrix(G, "G")
-    if not is_hermitian(Hm, _validation_tol(Hm)):
-        raise ValueError("H must be hermitian")
-    if not is_psd(Gm, max(_validation_tol(Gm), default_psd_tol(Gm))).is_psd:
-        raise ValueError("G must be PSD")
+    gen = GKLSGenerator(H, G)
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    d = Hm.shape[0]
-    Heff = Hm - 0.5j * Gm
-    A = matexp(-1j * t * Heff)
-    I = np.eye(d, dtype=complex)
-    # generator of X -> -i(H_eff X - X H_eff†), whose flow is A_t (.) A_t†
-    S = -1j * np.kron(I, Heff) + 1j * np.kron(Heff.conj(), I)
-    return EDMap(
-        phi=LinearMap(np.kron(A.conj(), A)),
-        omega=LinearMap(psi.mat @ integral_of_exp(S, t)),
-        B=np.exp(-1j * eps * t - kappa * t / 2) * A,
-        gamma=1.0,
-    )
+    # K of the semigroup with no jump operators: -i H_eff - (i eps + kappa/2) I
+    K = -1j * gen.H - 0.5 * gen.G - (1j * eps + kappa / 2) * np.eye(gen.d)
+    return _member(gkls_superop(gen).mat, K, psi, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,9 +290,7 @@ class ChannelTrajectory:
         )
         if dev > 1e-8:
             raise ValueError(f"maps[0] must be the identity channel (deviation {dev:.3e})")
-        grid = grid.copy()
-        grid.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
+        freeze(self, "grid", grid)
         object.__setattr__(self, "maps", maps)
 
     @property
@@ -341,13 +320,14 @@ class TimeLocalGenerators:
     psi: LinearMap
 
 
-def _check_invertible_at(m: EDMap, where: str) -> None:
-    if m.gamma <= 0.0:
-        raise NonInvertibleError("gamma_zero", f"gamma vanishes {where}")
-    if _exceeds_condition(m.phi.mat):
-        raise NonInvertibleError("phi_singular", f"phi is singular {where}")
-    if _exceeds_condition(m.B):
-        raise NonInvertibleError("B_singular", f"B is singular {where}")
+def _invert_at(traj: ChannelTrajectory, j: int) -> EDMap:
+    """The inverse of the map at grid index j; a failure names the grid point."""
+    try:
+        return invert(traj.maps[j])
+    except NonInvertibleError as exc:
+        raise NonInvertibleError(
+            exc.reason, f"{exc} at grid index {j} (t = {traj.grid[j]:.6g})"
+        ) from exc
 
 
 def time_local_generators(traj: ChannelTrajectory, i: int,
@@ -361,18 +341,16 @@ def time_local_generators(traj: ChannelTrajectory, i: int,
         raise ValueError(f"unsupported finite-difference scheme {scheme!r}")
     if not 0 < i < len(traj) - 1:
         raise ValueError(f"index {i} is not an interior grid point")
-    m = traj.maps[i]
-    _check_invertible_at(m, f"at grid index {i} (t = {traj.grid[i]:.6g})")
+    inv = _invert_at(traj, i)
     lo, hi = traj.maps[i - 1], traj.maps[i + 1]
     dt = traj.grid[i + 1] - traj.grid[i - 1]
-    phi_inv = np.linalg.inv(m.phi.mat)
     dphi = (hi.phi.mat - lo.phi.mat) / dt
     domega = (hi.omega.mat - lo.omega.mat) / dt
     dB = (hi.B - lo.B) / dt
     return TimeLocalGenerators(
-        L=LinearMap(dphi @ phi_inv),
-        K=dB @ np.linalg.inv(m.B),
-        psi=LinearMap(domega @ phi_inv),
+        L=LinearMap(dphi @ inv.phi.mat),
+        K=dB @ inv.B,
+        psi=LinearMap(domega @ inv.phi.mat),
     )
 
 
@@ -380,9 +358,14 @@ def propagator(traj: ChannelTrajectory, i: int, j: int) -> EDMap:
     """The two-time map Phi_{t_i} ∘ Phi_{t_j}^-1 for j <= i."""
     if not 0 <= j <= i < len(traj):
         raise ValueError(f"need 0 <= j <= i < {len(traj)}, got (i, j) = ({i}, {j})")
-    tail = traj.maps[j]
-    _check_invertible_at(tail, f"at grid index {j} (t = {traj.grid[j]:.6g})")
-    return compose(traj.maps[i], invert(tail))
+    return compose(traj.maps[i], _invert_at(traj, j))
+
+
+def _consecutive_steps(traj: ChannelTrajectory):
+    """Yield each propagator Phi_{t_{i+1}} ∘ Phi_{t_i}^-1 with its full-space Choi minimum."""
+    for i in range(len(traj) - 1):
+        step = propagator(traj, i + 1, i)
+        yield step, min_full_choi_eigenvalue(step)
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,9 +377,7 @@ class CPDivisibilityReport:
     step_reports: tuple = field(repr=False, default=())
 
     def __post_init__(self):
-        arr = np.asarray(self.step_min_eigenvalues, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "step_min_eigenvalues", arr)
+        freeze(self, "step_min_eigenvalues", np.asarray(self.step_min_eigenvalues, dtype=float))
 
 
 def is_cp_divisible(traj: ChannelTrajectory, tol: float | None = None) -> CPDivisibilityReport:
@@ -405,28 +386,18 @@ def is_cp_divisible(traj: ChannelTrajectory, tol: float | None = None) -> CPDivi
     Consecutive pairs suffice: closure under composition makes every
     Phi_{t_i} ∘ Phi_{t_j}^-1 a product of consecutive propagators. The
     reported eigenvalue is the smallest full-space Choi eigenvalue over all
-    steps; the verdict itself comes from the block-level CP criterion.
+    steps, computed from the blocks; the verdict itself comes from the
+    block-level CP criterion.
     """
-    mins = []
-    reports: list[EDCPReport] = []
-    worst_pair = (0, 0)
-    worst = np.inf
-    divisible = True
-    for i in range(len(traj) - 1):
-        step = propagator(traj, i + 1, i)
+    reports, mins = [], []
+    for step, lam in _consecutive_steps(traj):
         reports.append(is_cp_ed(step, tol))
-        lam = is_cp(step.to_linear_map(), tol).min_choi_eigenvalue
         mins.append(lam)
-        if lam < worst:
-            worst = lam
-            worst_pair = (i + 1, i)
-        divisible = divisible and reports[-1].cp
-    if not mins:
-        worst = 0.0
+    worst = int(np.argmin(mins)) if mins else None
     return CPDivisibilityReport(
-        cp_divisible=divisible,
-        worst_pair=worst_pair,
-        min_eigenvalue=float(worst),
+        cp_divisible=all(r.cp for r in reports),
+        worst_pair=(0, 0) if worst is None else (worst + 1, worst),
+        min_eigenvalue=0.0 if worst is None else float(mins[worst]),
         step_min_eigenvalues=np.asarray(mins, dtype=float),
         step_reports=tuple(reports),
     )
@@ -454,18 +425,14 @@ def is_gkls_generator(L: LinearMap, tol: float | None = None) -> GKLSValidityRep
     d = L.d_in
     C = choi(L).mat
     t = default_psd_tol(C) if tol is None else float(tol)
-    herm = float(np.abs(C - C.conj().T).max(initial=0.0)) <= t
+    herm = hermiticity_deviation(C) <= t
     psi_vec = np.zeros(d * d, dtype=complex)
     psi_vec[np.arange(d) * d + np.arange(d)] = 1.0
     P = np.outer(psi_vec, psi_vec.conj()) / d
     Q = np.eye(d * d) - P
     lam = float(np.linalg.eigvalsh(Q @ hermitian_part(C) @ Q)[0])
     ccp = lam >= -t
-    W = hermitian_part(L.trace_functional()) if herm else L.trace_functional()
-    if herm:
-        tni = float(np.linalg.eigvalsh(W)[-1]) <= t
-    else:
-        tni = False
+    tni = herm and float(np.linalg.eigvalsh(hermitian_part(L.trace_functional()))[-1]) <= t
     return GKLSValidityReport(
         valid=herm and ccp,
         trace_nonincreasing=tni,
@@ -518,15 +485,15 @@ def trajectory_observables(traj: ChannelTrajectory, X0: BlockOperator) -> list:
     Rows carry the time, the sector populations, the Frobenius norm of the
     coherence block, the total trace and the smallest full-space Choi
     eigenvalue of the propagator from the previous grid point (the identity
-    propagator at t = 0).
+    propagator at t = 0), computed from the blocks.
     """
+    lams = [min_full_choi_eigenvalue(propagator(traj, 0, 0))]
+    lams += [lam for _, lam in _consecutive_steps(traj)]
     rows = []
-    for i in range(len(traj)):
-        X = apply(traj.maps[i], X0)
-        step = propagator(traj, i, max(i - 1, 0))
-        lam = is_cp(step.to_linear_map()).min_choi_eigenvalue
+    for t, m, lam in zip(traj.grid, traj.maps, lams):
+        X = apply(m, X0)
         rows.append({
-            "t": float(traj.grid[i]),
+            "t": float(t),
             "trace_ee": float(np.trace(X.ee).real),
             "trace_gg": float(np.trace(X.gg).real),
             "coherence_norm": float(np.linalg.norm(X.eg)),

@@ -51,11 +51,27 @@ def hermitian_part(M) -> np.ndarray:
     return (A + A.conj().T) / 2
 
 
+def hermiticity_deviation(A: np.ndarray) -> float:
+    """Max-entry deviation of a square array from its conjugate transpose."""
+    return float(np.abs(A - A.conj().T).max(initial=0.0))
+
+
 def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
     """True iff max-entry deviation from M† is at most ``tol``."""
     A = as_complex_matrix(M)
     _require_square(A)
-    return float(np.abs(A - A.conj().T).max(initial=0.0)) <= tol
+    return hermiticity_deviation(A) <= tol
+
+
+def freeze(obj, name: str, value) -> None:
+    """Set a frozen dataclass field to a read-only copy of an array or tuple of arrays."""
+    def read_only(A):
+        A = np.array(A, copy=True)
+        A.flags.writeable = False
+        return A
+
+    frozen = tuple(map(read_only, value)) if isinstance(value, tuple) else read_only(value)
+    object.__setattr__(obj, name, frozen)
 
 
 class PSDVerdict(NamedTuple):
@@ -79,7 +95,7 @@ def is_psd(M, tol: float | None = None) -> PSDVerdict:
     A = as_complex_matrix(M)
     _require_square(A)
     t = default_psd_tol(A) if tol is None else float(tol)
-    dev = float(np.abs(A - A.conj().T).max(initial=0.0))
+    dev = hermiticity_deviation(A)
     if dev > t:
         raise ValueError(f"matrix is not hermitian within {t} (deviation {dev:.3e})")
     if A.size == 0:

@@ -28,6 +28,7 @@ from edchan import (
     is_positive_ed_dg1,
     K_from_spec,
     kraus_from_choi,
+    min_full_choi_eigenvalue,
     qubit_map,
     semigroup_at,
     semigroup_trajectory,
@@ -77,16 +78,30 @@ def edmap_maxdiff(m1, m2):
 
 
 def test_criterion_1_block_cp_equals_full_choi_oracle():
-    with criterion(1, "block CP criterion vs full Choi oracle, 200 instances", 10.0):
+    with criterion(1, "block CP criterion and Choi minimum vs full Choi oracle, "
+                      "236 instances", 10.0):
         rng = np.random.default_rng(101)
-        disagreements = 0
+        maps = []
         for k in range(200):
             d_e = int(rng.integers(1, 4))
             d_g = int(rng.integers(1, 4))
-            m = edmap_instance(rng, d_e, d_g, tol=1e-8)
+            maps.append(edmap_instance(rng, d_e, d_g, tol=1e-8))
+        # edges of the block Choi minimum: d_e = 4, d_g = 1, gamma = 0 and
+        # maps that are not hermiticity-preserving
+        extra = np.random.default_rng(102)
+        for d_e in range(1, 5):
+            for d_g in (1, 2, 3):
+                m = edmap_instance(extra, d_e, d_g, tol=1e-8)
+                skew = LinearMap(m.phi.mat + 0.3j * rc(extra, d_e * d_e, d_e * d_e))
+                maps += [m, EDMap(m.phi, m.omega, m.B, 0.0),
+                         EDMap(skew, m.omega, m.B, m.gamma)]
+        disagreements = 0
+        for m in maps:
             block = is_cp_ed(m, 1e-8).cp
-            full = is_cp(m.to_linear_map(), 1e-8).is_cp
-            disagreements += (block != full)
+            full = is_cp(m.to_linear_map(), 1e-8)
+            disagreements += (block != full.is_cp)
+            lam = full.min_choi_eigenvalue
+            assert abs(min_full_choi_eigenvalue(m) - lam) <= 1e-12 * max(1.0, abs(lam))
         assert disagreements == 0
 
 

@@ -51,6 +51,24 @@ def transpose_map(d):
 # choi
 # ---------------------------------------------------------------------------
 
+def choi_reference(m):
+    """C[k::d_in, l::d_in] = map(E_kl), one matrix unit at a time."""
+    d_in, d_out = m.d_in, m.d_out
+    C = np.zeros((d_out * d_in, d_out * d_in), dtype=complex)
+    for k in range(d_in):
+        for l in range(d_in):
+            col = m.mat[:, k + d_in * l]  # superoperator column at E_kl
+            C[k::d_in, l::d_in] = col.reshape(d_out, d_out).T
+    return C
+
+
+def test_choi_equals_matrix_unit_reference_exactly():
+    rng = np.random.default_rng(20)
+    for d_in, d_out in ((1, 1), (1, 3), (2, 2), (3, 2), (2, 4), (4, 4)):
+        m = LinearMap(rc(rng, d_out * d_out, d_in * d_in))
+        assert np.array_equal(choi(m).mat, choi_reference(m))
+
+
 def test_choi_identity_is_entangled_projector():
     C = choi(LinearMap.identity(2))
     psi = np.array([1, 0, 0, 1], dtype=complex)
@@ -383,7 +401,9 @@ def test_dg1_witness_is_certificate():
     assert verdict.not_positive
     chi = verdict.witness
     out = m.to_linear_map()(np.outer(chi, chi.conj()))
-    assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] < -1e-9
+    lam = np.linalg.eigvalsh((out + out.conj().T) / 2)[0]
+    assert lam < -1e-9
+    assert abs(verdict.min_eigenvalue - lam) <= 1e-12
 
 
 def test_dg1_negative_omega_detected_exactly():

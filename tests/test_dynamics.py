@@ -353,6 +353,17 @@ def test_extraction_boundary_and_singular_errors():
     assert err.value.reason == "phi_singular"
 
 
+def test_propagator_singular_map_names_reason_and_grid_point():
+    singular = EDMap(EDMap.identity(2, 1).phi, LinearMap.zero(2, 1),
+                     np.diag([1.0, 0.0]).astype(complex), 1.0)
+    traj = ChannelTrajectory(np.array([0.0, 0.25, 0.5]),
+                             (EDMap.identity(2, 1), singular, EDMap.identity(2, 1)))
+    with pytest.raises(NonInvertibleError) as err:
+        propagator(traj, 2, 1)
+    assert err.value.reason == "B_singular"
+    assert "grid index 1 (t = 0.25)" in str(err.value)
+
+
 def test_propagator_at_equal_times_is_identity():
     rng = np.random.default_rng(19)
     spec = random_semigroup_spec(rng, 2, 1)
