@@ -20,6 +20,7 @@ import numpy as np
 from . import demos, jsonio
 from .channel import BlockOperator, EDMap
 from .cpcheck import (
+    NotCompletelyPositiveError,
     ball_decompose,
     choi,
     explicit_kraus_ed,
@@ -133,17 +134,19 @@ def cmd_verify(config: RunConfig) -> int:
 
 def cmd_kraus(config: RunConfig) -> int:
     m = jsonio.edmap_from_dict(_load_json(config.input_path))
-    report = is_cp_ed(m, config.tol)
-    if not report.cp:
+    try:
+        kraus = explicit_kraus_ed(m, config.tol)
+    except NotCompletelyPositiveError as exc:
+        if exc.report is None:
+            raise
         payload = {
             "type": "kraus_report",
             "cp": False,
-            "omega_cp": report.omega_cp,
-            "damped_phi_cp": report.damped_phi_cp,
+            "omega_cp": exc.report.omega_cp,
+            "damped_phi_cp": exc.report.damped_phi_cp,
         }
         _emit(canonical_dumps(payload) + "\n", config.output_path)
         return 1
-    kraus = explicit_kraus_ed(m, config.tol)
     rebuilt = kraus.to_linear_map(d_in=m.d_e + m.d_g, d_out=m.d_e + m.d_g)
     err = float(np.abs(rebuilt.mat - m.to_linear_map().mat).max(initial=0.0))
     payload = {

@@ -55,7 +55,14 @@ from .matcore import (
 
 
 class NotCompletelyPositiveError(ValueError):
-    """Raised when an operation requires a CP map and the input is not one."""
+    """Raised when an operation requires a CP map and the input is not one.
+
+    ``report`` is the :class:`EDCPReport` when the block CP test rejected the map.
+    """
+
+    def __init__(self, message: str, report=None):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,7 +296,8 @@ def explicit_kraus_ed(m: EDMap, tol: float | None = None) -> KrausSet:
     if not report.cp:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (omega_cp={report.omega_cp}, "
-            f"damped_phi_cp={report.damped_phi_cp})"
+            f"damped_phi_cp={report.damped_phi_cp})",
+            report,
         )
     d_e, d_g = m.d_e, m.d_g
     d = d_e + d_g

@@ -117,6 +117,23 @@ def test_kraus_rejects_noncp(tmp_path):
     assert json.loads(out.stdout)["cp"] is False
 
 
+@pytest.mark.parametrize("name, code", [("amplitude_damping", 0), ("noncp_qubit", 1)])
+def test_kraus_runs_block_cp_test_once(name, code, tmp_path, monkeypatch):
+    from edchan import cli, cpcheck
+
+    calls, is_cp_ed = [], cpcheck.is_cp_ed
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_cp_ed(*args, **kwargs)
+
+    monkeypatch.setattr(cpcheck, "is_cp_ed", counted)
+    monkeypatch.setattr(cli, "is_cp_ed", counted)
+    path = dump_demo(name, tmp_path / "map.json")
+    assert cli.main(["kraus", "--input", str(path), "--output", str(tmp_path / "k.json")]) == code
+    assert len(calls) == 1
+
+
 def test_evolve_scalar_decay_matches_closed_form(scalar_decay_spec, tmp_path):
     path, g0 = scalar_decay_spec
     out = run_cli("evolve", "--input", str(path), "--t-max", "2.0",

@@ -318,8 +318,10 @@ def test_explicit_kraus_block_structure():
 
 def test_explicit_kraus_rejects_non_cp():
     m = qubit_map(0.5, 0.9, 0.5, 1.0)
-    with pytest.raises(NotCompletelyPositiveError):
+    with pytest.raises(NotCompletelyPositiveError) as info:
         explicit_kraus_ed(m)
+    # the block verdict travels with the error, so callers need not rerun it
+    assert info.value.report == is_cp_ed(m)
 
 
 # ---------------------------------------------------------------------------

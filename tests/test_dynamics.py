@@ -398,6 +398,56 @@ def test_propagator_index_validation():
         propagator(traj, 1, 3)
 
 
+def test_semigroup_trajectory_long_grid_drift():
+    # 10^4 steps of the one-step recurrence against the per-point exponentials
+    rng = np.random.default_rng(31)
+    spec = random_semigroup_spec(rng, 3, 2)
+    grid = np.linspace(0.0, 3.0, 10**4)
+    traj = semigroup_trajectory(spec, grid)
+    for i in (1, 997, 2500, 5001, 7777, len(grid) - 1):
+        assert edmap_maxdiff(traj.maps[i], semigroup_at(spec, grid[i])) <= 1e-11
+
+
+def test_semigroup_trajectory_one_exponential_pair_per_distinct_step(monkeypatch):
+    from edchan import dynamics
+
+    sizes = []
+
+    def counted(M):
+        sizes.append(len(M))
+        return matexp(M)
+
+    monkeypatch.setattr(dynamics, "matexp", counted)
+    spec = random_semigroup_spec(np.random.default_rng(34), 2, 2)
+    grid = np.linspace(0.0, 1.0, 101)
+    semigroup_trajectory(spec, grid)
+    distinct = len(set(np.diff(grid)))
+    assert distinct < 20
+    assert sorted(sizes) == [2] * distinct + [8] * distinct
+
+
+def test_semigroup_trajectory_nonuniform_grid():
+    rng = np.random.default_rng(32)
+    spec = random_semigroup_spec(rng, 3, 2)
+    grid = np.linspace(0.0, 1.0, 100) ** 1.5
+    traj = semigroup_trajectory(spec, grid)
+    for t, m in zip(grid, traj.maps):
+        assert edmap_maxdiff(m, semigroup_at(spec, t)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [
+    [],
+    [0.5, 1.0],
+    [-0.5, 0.0, 1.0],
+    [0.0, 1.0, 1.0, 2.0],
+    [0.0, 1.0, 0.5],
+], ids=["empty", "starts_above_0", "starts_below_0", "repeated", "decreasing"])
+def test_semigroup_trajectory_rejects_bad_grids(grid):
+    spec = random_semigroup_spec(np.random.default_rng(33), 2, 1)
+    with pytest.raises(ValueError):
+        semigroup_trajectory(spec, grid)
+
+
 # ---------------------------------------------------------------------------
 # CP-divisibility
 # ---------------------------------------------------------------------------
