@@ -52,8 +52,8 @@ class RunConfig:
 
     def __post_init__(self):
         if self.command in ("evolve", "divisibility"):
-            if self.t_max <= 0:
-                raise ValueError("--t-max must be positive")
+            if not (np.isfinite(self.t_max) and self.t_max > 0):
+                raise ValueError("--t-max must be finite and positive")
             if self.steps < 2:
                 raise ValueError("--steps must be at least 2")
 

@@ -252,3 +252,67 @@ def test_demo_suite_runs_clean():
 def test_demo_unknown_name():
     out = run_cli("demo", "--name", "nope")
     assert out.returncode == 2
+
+
+def _decay_spec_file(tmp_path, rate):
+    spec = {
+        "type": "semigroup_spec", "d_e": 2, "d_g": 1,
+        "H": matrix_to_json(np.zeros((2, 2))),
+        "G": matrix_to_json(np.diag([0.0, rate])),
+        "F": [], "epsilon": 0.0, "kappa": 0.0, "c": [],
+        "psi": matrix_to_json(np.array([[0.0, 0.0, 0.0, rate]])),
+    }
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+@pytest.mark.parametrize("command", ["divisibility", "evolve"])
+@pytest.mark.parametrize("steps, where", [(101, "grid index 62 (t = 0.93)"),
+                                          (37, "grid index 23 (t = 0.958333)")])
+def test_singular_trajectory_names_grid_point(command, steps, where, tmp_path, capsys):
+    from edchan import cli
+
+    path = _decay_spec_file(tmp_path, 30.0)
+    code = cli.main([command, "--input", str(path), "--t-max", "1.5", "--steps", str(steps),
+                     "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "phi is singular" in err and where in err
+
+
+def _table(times):
+    n = len(times)
+    return {
+        "type": "generator_table", "d_e": 1, "d_g": 1, "times": times,
+        "L": [matrix_to_json(np.array([[-1.0]]))] * n,
+        "K": [matrix_to_json(np.array([[-0.5]]))] * n,
+        "psi": [matrix_to_json(np.array([[1.0]]))] * n,
+    }
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("changes, args, field", [
+    ({"kappa": NAN}, [], "kappa"),
+    ({"kappa": INF}, [], "kappa"),
+    ({}, ["--t-max", "nan"], "--t-max"),
+    ({}, ["--t-max", "inf"], "--t-max"),
+    (_table([0.0, NAN, 2.0]), [], "times"),
+    (_table([0.0, 1.0, INF]), [], "times"),
+], ids=["kappa_nan", "kappa_inf", "t_max_nan", "t_max_inf", "times_nan", "times_inf"])
+@pytest.mark.parametrize("command", ["divisibility", "evolve"])
+def test_non_finite_input_names_field(command, changes, args, field, scalar_decay_spec,
+                                      tmp_path, capsys):
+    from edchan import cli
+
+    path, _ = scalar_decay_spec
+    if changes.get("type") != "generator_table":
+        changes = {**json.loads(path.read_text()), **changes}
+    path.write_text(json.dumps(changes))
+    code = cli.main([command, "--input", str(path), *args, "--output", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert field in err and "finite" in err

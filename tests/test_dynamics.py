@@ -137,6 +137,11 @@ def test_semigroup_spec_validates():
         SemigroupSpec(gen, 0.0, 0.0, np.array([1.2]), psi)
     with pytest.raises(ValueError):
         SemigroupSpec(gen, 0.0, 0.0, np.zeros(2), psi)
+    for kappa in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            SemigroupSpec(gen, 0.0, kappa, np.zeros(1), psi)
+    with pytest.raises(ValueError, match="c must be finite"):
+        SemigroupSpec(gen, 0.0, 0.0, np.array([np.nan]), psi)
     with pytest.raises(ValueError):
         SemigroupSpec(gen, 0.0, 0.0, np.zeros(1),
                       LinearMap(-random_cp_map(rng, 2, 1).mat))
@@ -479,6 +484,104 @@ def test_window_fixture_not_cp_divisible_but_cp_at_all_times():
     assert report.min_eigenvalue < -1e-4
     i, j = report.worst_pair
     assert j == i - 1
+
+
+def _built_trajectory(kind):
+    if kind == "table":
+        base = random_semigroup_spec(np.random.default_rng(36), 2, 2)
+        SL, K = gkls_superop(base.gen).mat, K_from_spec(base)
+        return build_td_trajectory(lambda t: (1.0 + 0.3 * np.sin(3 * t)) * SL,
+                                   lambda t: (1.0 + 0.2 * np.cos(t)) * K,
+                                   lambda t: (1.0 + 0.5 * t) * base.psi.mat,
+                                   np.linspace(0.0, 1.0, 41))
+    if kind == "window":
+        return noncp_divisible_trajectory()
+    spec = random_semigroup_spec(np.random.default_rng(35), 3, 2)
+    grid = np.linspace(0.0, 1.0, 101) if kind == "uniform" else np.linspace(0.0, 1.0, 100) ** 1.5
+    return semigroup_trajectory(spec, grid)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "power_law", "table", "window"])
+def test_built_steps_match_inversion_oracle(kind):
+    from edchan.jsonio import trajectory_from_dict, trajectory_to_dict
+
+    traj = _built_trajectory(kind)
+    plain = ChannelTrajectory(traj.grid, traj.maps)
+    assert len(traj._steps) == len(traj) - 1 and plain._steps is None
+    for k, step in enumerate(traj._steps):
+        assert edmap_maxdiff(step, propagator(plain, k + 1, k)) <= 1e-12
+
+    stored = trajectory_from_dict(trajectory_to_dict(traj))
+    built, oracle = is_cp_divisible(traj), is_cp_divisible(stored)
+    assert built.cp_divisible == oracle.cp_divisible
+    assert maxdiff(built.step_min_eigenvalues, oracle.step_min_eigenvalues) <= 1e-12
+    X0 = BlockOperator.from_full(random_density(np.random.default_rng(37), traj.d_e + traj.d_g),
+                                 traj.d_e, traj.d_g)
+    for row, ref in zip(trajectory_observables(traj, X0), trajectory_observables(stored, X0)):
+        assert row.keys() == ref.keys()
+        assert max(abs(row[c] - ref[c]) for c in row) <= 1e-12
+
+
+def test_is_cp_divisible_runs_block_test_once_per_distinct_step(monkeypatch):
+    from edchan import channel, dynamics
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_cp_ed(*args, **kwargs)
+
+    def no_inverse(m):
+        raise AssertionError("a built trajectory needs no inversion")
+
+    monkeypatch.setattr(dynamics, "is_cp_ed", counted)
+    monkeypatch.setattr(dynamics, "invert", no_inverse)
+    monkeypatch.setattr(channel, "invert", no_inverse)
+    grid = np.linspace(0.0, 1.0, 101)
+    traj = semigroup_trajectory(random_semigroup_spec(np.random.default_rng(38), 2, 2), grid)
+    report = is_cp_divisible(traj)
+    assert report.cp_divisible and len(report.step_min_eigenvalues) == 100
+    assert len(calls) == len(set(np.diff(grid))) < 20
+
+
+def decay_spec(rate):
+    """d_e = 2, d_g = 1: the second excited level decays at ``rate``, so phi_t
+    has condition number exp(rate t)."""
+    G = np.diag([0.0, rate])
+    gen = GKLSGenerator(np.zeros((2, 2)), G)
+    return SemigroupSpec(gen, 0.0, 0.0, np.zeros(0), LinearMap(np.array([[0.0, 0, 0, rate]])))
+
+
+@pytest.mark.parametrize("steps, index", [(101, 62), (37, 23)])
+def test_singular_edge_error_matches_inversion(steps, index):
+    traj = semigroup_trajectory(decay_spec(30.0), np.linspace(0.0, 1.5, steps))
+    plain = ChannelTrajectory(traj.grid, traj.maps)
+    X0 = BlockOperator.identity(2, 1)
+    for check in (is_cp_divisible, lambda tr: trajectory_observables(tr, X0)):
+        with pytest.raises(NonInvertibleError) as built:
+            check(traj)
+        with pytest.raises(NonInvertibleError) as oracle:
+            check(plain)
+        assert built.value.reason == oracle.value.reason == "phi_singular"
+        assert str(built.value) == str(oracle.value)
+        assert f"grid index {index} " in str(built.value)
+
+
+def test_condition_bound_falls_back_to_exact_check(monkeypatch):
+    # cond(phi) reaches exp(20) ~ 5e8 at t = 1: past the certified bound
+    # (COND_LIMIT * 1e-4), still invertible
+    from edchan import dynamics
+
+    traj = semigroup_trajectory(decay_spec(20.0), np.linspace(0.0, 1.0, 101))
+    checked, cond = [], dynamics._cond
+    monkeypatch.setattr(dynamics, "_cond", lambda M: checked.append(M) or cond(M))
+    report = is_cp_divisible(traj)
+    assert report.cp_divisible
+    exact = [k for k, m in enumerate(traj.maps) if any(M is m.phi.mat for M in checked)]
+    assert exact and max(exact) == len(traj) - 2
+    assert cond(traj.maps[-2].phi.mat) > 1e8
+    plain = is_cp_divisible(ChannelTrajectory(traj.grid, traj.maps))
+    assert plain.cp_divisible
 
 
 # ---------------------------------------------------------------------------
