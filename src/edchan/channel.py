@@ -50,11 +50,14 @@ class NonInvertibleError(ValueError):
         self.reason = reason
 
 
-def _exceeds_condition(M: np.ndarray, limit: float = COND_LIMIT) -> bool:
+def _cond(M: np.ndarray) -> float:
+    """Spectral condition number, infinite for an empty or singular matrix."""
     s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0 or s[-1] == 0.0:
-        return True
-    return bool(s[0] / s[-1] > limit)
+    return s[0] / s[-1] if s.size and s[-1] > 0 else np.inf
+
+
+def _exceeds_condition(M: np.ndarray, limit: float = COND_LIMIT) -> bool:
+    return bool(_cond(M) > limit)
 
 
 @dataclass(frozen=True, eq=False)

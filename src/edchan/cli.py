@@ -59,15 +59,19 @@ class RunConfig:
 
 
 def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return float(args.tol)
-    env = os.environ.get("EDCHAN_TOL")
-    if env is not None:
-        try:
-            return float(env)
-        except ValueError as exc:
-            raise ValueError(f"EDCHAN_TOL is not a number: {env!r}") from exc
-    return DEFAULT_CLI_TOL
+    source, raw = "--tol", args.tol
+    if raw is None:
+        source, raw = "EDCHAN_TOL", os.environ.get("EDCHAN_TOL")
+    if raw is None:
+        return DEFAULT_CLI_TOL
+    try:
+        tol = float(raw)
+    except ValueError as exc:
+        raise ValueError(f"{source} is not a number: {raw!r}") from exc
+    # a NaN tolerance fails every comparison and would read as a negative verdict
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{source} must be finite and non-negative, got {raw}")
+    return tol
 
 
 def _load_json(path: str):
@@ -125,6 +129,13 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
     }
 
 
+def _reconstruction_error(m: EDMap, kraus) -> float:
+    """Max-entry deviation of the Kraus family's superoperator from the map's."""
+    d = m.d_e + m.d_g
+    rebuilt = kraus.to_linear_map(d_in=d, d_out=d)
+    return float(np.abs(rebuilt.mat - m.to_linear_map().mat).max(initial=0.0))
+
+
 def cmd_verify(config: RunConfig) -> int:
     m = jsonio.edmap_from_dict(_load_json(config.input_path))
     report = _verify_report(m, config.tol, config.seed)
@@ -147,8 +158,7 @@ def cmd_kraus(config: RunConfig) -> int:
         }
         _emit(canonical_dumps(payload) + "\n", config.output_path)
         return 1
-    rebuilt = kraus.to_linear_map(d_in=m.d_e + m.d_g, d_out=m.d_e + m.d_g)
-    err = float(np.abs(rebuilt.mat - m.to_linear_map().mat).max(initial=0.0))
+    err = _reconstruction_error(m, kraus)
     payload = {
         "type": "kraus_report",
         "cp": True,
@@ -255,8 +265,7 @@ def cmd_demo(config: RunConfig, name: str | None) -> int:
     check("noncp_qubit verify (tp but not cp)", rep["tp"] and not rep["cp"])
 
     kraus = explicit_kraus_ed(ad, config.tol)
-    rebuilt = kraus.to_linear_map(d_in=2, d_out=2)
-    err = float(np.abs(rebuilt.mat - ad.to_linear_map().mat).max(initial=0.0))
+    err = _reconstruction_error(ad, kraus)
     check(f"amplitude_damping kraus (count {kraus.count}, error {err:.1e})", err < 1e-9)
 
     spec = demos.demo_semigroup_spec()

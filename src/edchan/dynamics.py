@@ -38,6 +38,7 @@ from .channel import (
     EDMap,
     LinearMap,
     NonInvertibleError,
+    _cond,
     apply,
     compose,
     invert,
@@ -228,14 +229,12 @@ def psi_from_sink(G, E: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
     d_e = Gm.shape[0]
     d_g = E.d_in
     w, V = np.linalg.eigh(hermitian_part(Gm))
-    rows = [np.sqrt(wi) * V[:, i].conj() for i, wi in enumerate(w) if wi > tol]
-    ops = []
-    for start in range(0, len(rows), d_g):
-        M = np.zeros((d_g, d_e), dtype=complex)
-        for offset, row in enumerate(rows[start:start + d_g]):
-            M[offset, :] = row
-        ops.append(M)
-    sink = LinearMap.from_kraus(ops, d_in=d_e, d_out=d_g)
+    keep = w > tol
+    rows = np.sqrt(w[keep])[:, None] * V[:, keep].T.conj()
+    # d_g rows per operator, the last one padded with zero rows
+    ops = np.zeros((-(-len(rows) // d_g) * d_g, d_e), dtype=complex)
+    ops[:len(rows)] = rows
+    sink = LinearMap.from_kraus(ops.reshape(-1, d_g, d_e), d_in=d_e, d_out=d_g)
     if not is_cp(E).is_cp:
         warnings.warn("sink map E is not completely positive; the resulting "
                       "psi need not be completely positive", stacklevel=2)
@@ -256,8 +255,10 @@ def wigner_weisskopf_at(H, G, eps: float, kappa: float,
     psi need not be completely positive.
     """
     gen = GKLSGenerator(H, G)
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
+    if not np.isfinite(eps):
+        raise ValueError("epsilon must be finite")
+    if not (np.isfinite(kappa) and kappa >= 0):
+        raise ValueError("kappa must be finite and non-negative")
     # K of the semigroup with no jump operators: -i H_eff - (i eps + kappa/2) I
     K = -1j * gen.H - 0.5 * gen.G - (1j * eps + kappa / 2) * np.eye(gen.d)
     return _member(gkls_superop(gen).mat, K, psi, t)
@@ -320,7 +321,11 @@ class ChannelTrajectory:
         return len(self.maps)
 
 
-def _with_steps(grid: np.ndarray, maps: list, steps: list) -> ChannelTrajectory:
+def _from_steps(grid: np.ndarray, d_e: int, d_g: int, steps: list) -> ChannelTrajectory:
+    """The trajectory with maps[0] the identity and maps[k+1] = steps[k] ∘ maps[k]."""
+    maps = [EDMap.identity(d_e, d_g)]
+    for step in steps:
+        maps.append(compose(step, maps[-1]))
     traj = ChannelTrajectory(grid, tuple(maps))
     object.__setattr__(traj, "_steps", tuple(steps))
     return traj
@@ -329,44 +334,33 @@ def _with_steps(grid: np.ndarray, maps: list, steps: list) -> ChannelTrajectory:
 def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
     """Sample a semigroup on a grid by the one-step recurrence.
 
-    From the identity at grid[0], a step dt sets phi <- E phi, I <- I + phi I_dt,
-    omega = psi ∘ I and B <- exp(dt K) B, where E = exp(dt L) and I_dt (the
-    integral of exp(tau L) over [0, dt]) are the upper blocks of one
-    exponential of dt [[L, 1], [0, 0]], computed once per distinct step.
-    The step itself, the member (E, psi ∘ I_dt, exp(dt K), 1) at dt, is kept
-    once per distinct step as the trajectory's propagator over it.
+    By the semigroup law each map is the member at dt composed with the map
+    before it, from the identity at grid[0]. The member at dt is
+    (E, psi ∘ I_dt, exp(dt K), 1), where E = exp(dt L) and I_dt (the integral
+    of exp(tau L) over [0, dt]) are the upper blocks of one exponential of
+    dt [[L, 1], [0, 0]]; it is built once per distinct step and kept as the
+    trajectory's propagator over every step of that length.
     ``evolve`` and ``divisibility`` sample a spec on ``--steps`` points of
     ``linspace(0, t_max)``; on random specs at d_e = 8 the maps differ from
-    :func:`semigroup_at` by at most 1e-14 per entry at 101 points and 4e-13
-    at 10^4.
+    :func:`semigroup_at` by at most 7e-15 per entry at 101 points, 5e-14 at
+    1001 and 3e-13 at 10^4.
 
     Memory: a grid whose steps all differ keeps one step map, about one more
     phi, per point. On ``linspace(0, 1, 2000)**1.5`` at d_e = 6, d_g = 2 the
-    tracemalloc peak is 98.1 MB, against 49.6 MB without the steps.
+    tracemalloc peak is 97.6 MB, of which the returned trajectory holds 97.2 MB.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
     SL, K = gkls_superop(spec.gen).mat, K_from_spec(spec)
     n = SL.shape[0]
     aug = np.block([[SL, np.eye(n)], [np.zeros((n, 2 * n))]])
-    phi, integral, B = np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex), np.eye(spec.d_e)
-    maps, steps, cache = [EDMap.identity(spec.d_e, spec.d_g)], [], {}
-    dts = [float(dt) for dt in np.diff(grid)]
-    # a step's integral is dropped after its last use, so a grid whose
-    # steps all differ holds one augmented exponential at a time
-    last_use = {dt: k for k, dt in enumerate(dts)}
-    for k, dt in enumerate(dts):
-        if dt not in cache:
+    dts, members = np.diff(grid).tolist(), {}
+    for dt in dts:
+        if dt not in members:
             E_aug = matexp(dt * aug)
-            I_dt = E_aug[:n, n:]
-            cache[dt] = (I_dt, EDMap(LinearMap(E_aug[:n, :n]), LinearMap(spec.psi.mat @ I_dt),
-                                     matexp(dt * K), 1.0))
-        I_dt, step = cache.pop(dt) if last_use[dt] == k else cache[dt]
-        integral = integral + phi @ I_dt
-        phi, B = step.phi.mat @ phi, step.B @ B
-        maps.append(EDMap(LinearMap(phi), LinearMap(spec.psi.mat @ integral), B, 1.0))
-        steps.append(step)
-    return _with_steps(grid, maps, steps)
+            members[dt] = EDMap(LinearMap(E_aug[:n, :n]), LinearMap(spec.psi.mat @ E_aug[:n, n:]),
+                                matexp(dt * K), 1.0)
+    return _from_steps(grid, spec.d_e, spec.d_g, [members[dt] for dt in dts])
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,15 +382,12 @@ def _invert_at(traj: ChannelTrajectory, j: int) -> EDMap:
         ) from exc
 
 
-def time_local_generators(traj: ChannelTrajectory, i: int,
-                          scheme: str = "central") -> TimeLocalGenerators:
+def time_local_generators(traj: ChannelTrajectory, i: int) -> TimeLocalGenerators:
     """Recover the time-local generators at interior grid point i.
 
     Time derivatives are central finite differences over the adjacent grid
     points, so the result is second-order accurate in the grid spacing.
     """
-    if scheme != "central":
-        raise ValueError(f"unsupported finite-difference scheme {scheme!r}")
     if not 0 < i < len(traj) - 1:
         raise ValueError(f"index {i} is not an interior grid point")
     inv = _invert_at(traj, i)
@@ -417,11 +408,6 @@ def propagator(traj: ChannelTrajectory, i: int, j: int) -> EDMap:
     if not 0 <= j <= i < len(traj):
         raise ValueError(f"need 0 <= j <= i < {len(traj)}, got (i, j) = ({i}, {j})")
     return compose(traj.maps[i], _invert_at(traj, j))
-
-
-def _cond(M: np.ndarray) -> float:
-    s = np.linalg.svd(M, compute_uv=False)
-    return s[0] / s[-1] if s[-1] > 0 else np.inf
 
 
 def _consecutive_steps(traj: ChannelTrajectory, *kernels):
@@ -549,23 +535,16 @@ def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
     psi_prev = as_complex_matrix(psi_fn(grid[0]), "psi supplier output")
     d_g = int(round(np.sqrt(psi_prev.shape[0])))
 
-    S_phi = np.eye(d_e * d_e, dtype=complex)
-    B = np.eye(d_e, dtype=complex)
-    S_omega = np.zeros((d_g * d_g, d_e * d_e), dtype=complex)
-    maps, steps = [EDMap(LinearMap(S_phi), LinearMap(S_omega), B, 1.0)], []
-    for idx in range(grid.size - 1):
-        t0, t1 = grid[idx], grid[idx + 1]
+    steps = []
+    for t0, t1 in zip(grid[:-1], grid[1:]):
         dt = t1 - t0
         mid = 0.5 * (t0 + t1)
         E = matexp(dt * as_complex_matrix(L_fn(mid), "L supplier output"))
         E_B = matexp(dt * as_complex_matrix(K_fn(mid), "K supplier output"))
         psi_next = as_complex_matrix(psi_fn(t1), "psi supplier output")
-        step = EDMap(LinearMap(E), LinearMap(0.5 * dt * (psi_prev + psi_next @ E)), E_B, 1.0)
-        S_phi, S_omega, B = E @ S_phi, S_omega + step.omega.mat @ S_phi, E_B @ B
+        steps.append(EDMap(LinearMap(E), LinearMap(0.5 * dt * (psi_prev + psi_next @ E)), E_B, 1.0))
         psi_prev = psi_next
-        maps.append(EDMap(LinearMap(S_phi), LinearMap(S_omega), B, 1.0))
-        steps.append(step)
-    return _with_steps(grid, maps, steps)
+    return _from_steps(grid, d_e, d_g, steps)
 
 
 def trajectory_observables(traj: ChannelTrajectory, X0: BlockOperator) -> list:

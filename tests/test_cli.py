@@ -100,6 +100,24 @@ def test_verify_respects_env_tolerance(tmp_path):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize("args, env, field", [
+    (["--tol", "nan"], {}, "--tol"),
+    ([], {"EDCHAN_TOL": "nan"}, "EDCHAN_TOL"),
+    ([], {"EDCHAN_TOL": "-inf"}, "EDCHAN_TOL"),
+], ids=["tol_nan", "env_nan", "env_negative_inf"])
+def test_verify_rejects_bad_tolerance(args, env, field, tmp_path, monkeypatch, capsys):
+    from edchan import cli
+
+    path = tmp_path / "ad.json"
+    assert cli.main(["demo", "--name", "amplitude_damping", "--output", str(path)]) == 0
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(["verify", "--input", str(path), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{field} must be finite and non-negative" in captured.err
+
+
 def test_kraus_amplitude_damping(ad_map):
     out = run_cli("kraus", "--input", str(ad_map))
     assert out.returncode == 0, out.stderr
@@ -302,7 +320,11 @@ NAN, INF = float("nan"), float("inf")
     ({}, ["--t-max", "inf"], "--t-max"),
     (_table([0.0, NAN, 2.0]), [], "times"),
     (_table([0.0, 1.0, INF]), [], "times"),
-], ids=["kappa_nan", "kappa_inf", "t_max_nan", "t_max_inf", "times_nan", "times_inf"])
+    ({}, ["--tol", "nan"], "--tol"),
+    ({}, ["--tol", "inf"], "--tol"),
+    ({}, ["--tol", "-1"], "--tol"),
+], ids=["kappa_nan", "kappa_inf", "t_max_nan", "t_max_inf", "times_nan", "times_inf",
+        "tol_nan", "tol_inf", "tol_negative"])
 @pytest.mark.parametrize("command", ["divisibility", "evolve"])
 def test_non_finite_input_names_field(command, changes, args, field, scalar_decay_spec,
                                       tmp_path, capsys):

@@ -27,6 +27,7 @@ from edchan import (
     wigner_weisskopf_at,
 )
 from edchan.demos import noncp_divisible_trajectory
+from edchan.matcore import hermitian_part
 from conftest import (
     random_cp_map,
     random_density,
@@ -240,6 +241,25 @@ def test_psi_from_sink_trace_identity_with_channel():
     assert maxdiff(psi.trace_functional(), G) < 1e-10
 
 
+def test_psi_from_sink_matches_row_grouping_loop_exactly():
+    # the factor operators stack d_g eigenvector rows each, zero-padded; the
+    # reference is the explicit loop that groups them
+    rng = np.random.default_rng(17)
+    for d_e, d_g, rank in [(3, 2, 3), (4, 3, 4), (5, 2, 2), (2, 3, 2), (3, 1, 3), (3, 2, 0)]:
+        G = random_psd(rng, d_e, rank=rank) if rank else np.zeros((d_e, d_e))
+        E = random_tp_ground_channel(rng, d_g)
+        w, V = np.linalg.eigh(hermitian_part(G))
+        rows = [np.sqrt(wi) * V[:, i].conj() for i, wi in enumerate(w) if wi > 1e-9]
+        ops = []
+        for start in range(0, len(rows), d_g):
+            M = np.zeros((d_g, d_e), dtype=complex)
+            for offset, row in enumerate(rows[start:start + d_g]):
+                M[offset, :] = row
+            ops.append(M)
+        sink = LinearMap.from_kraus(ops, d_in=d_e, d_out=d_g)
+        assert np.array_equal(psi_from_sink(G, E).mat, (E @ sink).mat)
+
+
 def test_psi_from_sink_warns_on_bad_sink():
     rng = np.random.default_rng(13)
     G = random_psd(rng, 2)
@@ -270,6 +290,19 @@ def test_ww_without_damping_is_unitary_conjugation():
         assert maxdiff(m.phi.mat, np.kron(U.conj(), U)) < 1e-10
         assert maxdiff(m.B, U) < 1e-10
         assert np.abs(m.omega.mat).max() < 1e-12
+
+
+@pytest.mark.parametrize("eps, kappa, message", [
+    (np.nan, 0.2, "epsilon must be finite"),
+    (np.inf, 0.2, "epsilon must be finite"),
+    (0.1, np.nan, "kappa must be finite and non-negative"),
+    (0.1, np.inf, "kappa must be finite and non-negative"),
+    (0.1, -0.5, "kappa must be finite and non-negative"),
+], ids=["eps_nan", "eps_inf", "kappa_nan", "kappa_inf", "kappa_negative"])
+def test_ww_rejects_bad_coherence_parameters(eps, kappa, message):
+    psi = LinearMap.zero(2, 1)
+    with pytest.raises(ValueError, match=message):
+        wigner_weisskopf_at(np.zeros((2, 2)), np.zeros((2, 2)), eps, kappa, psi, 1.0)
 
 
 def test_ww_agrees_with_jumpless_semigroup():
@@ -499,6 +532,14 @@ def _built_trajectory(kind):
     spec = random_semigroup_spec(np.random.default_rng(35), 3, 2)
     grid = np.linspace(0.0, 1.0, 101) if kind == "uniform" else np.linspace(0.0, 1.0, 100) ** 1.5
     return semigroup_trajectory(spec, grid)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "power_law", "table", "window"])
+def test_built_maps_are_steps_composed(kind):
+    traj = _built_trajectory(kind)
+    assert edmap_maxdiff(traj.maps[0], EDMap.identity(traj.d_e, traj.d_g)) == 0.0
+    for k, step in enumerate(traj._steps):
+        assert edmap_maxdiff(traj.maps[k + 1], compose(step, traj.maps[k])) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["uniform", "power_law", "table", "window"])
