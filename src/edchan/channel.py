@@ -56,10 +56,6 @@ def _cond(M: np.ndarray) -> float:
     return s[0] / s[-1] if s.size and s[-1] > 0 else np.inf
 
 
-def _exceeds_condition(M: np.ndarray, limit: float = COND_LIMIT) -> bool:
-    return bool(_cond(M) > limit)
-
-
 @dataclass(frozen=True, eq=False)
 class LinearMap:
     """A linear map B(C^d_in) -> B(C^d_out) stored as a superoperator matrix.
@@ -352,11 +348,11 @@ def invert(m: EDMap) -> EDMap:
     """
     if m.gamma <= 0.0:
         raise NonInvertibleError("gamma_zero", "gamma is zero; the ground block is lost")
-    if _exceeds_condition(m.phi.mat):
+    if _cond(m.phi.mat) > COND_LIMIT:
         raise NonInvertibleError(
             "phi_singular", "phi is singular (superoperator condition number above 1e12)"
         )
-    if _exceeds_condition(m.B):
+    if _cond(m.B) > COND_LIMIT:
         raise NonInvertibleError(
             "B_singular", "B is singular (condition number above 1e12)"
         )

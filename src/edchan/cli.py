@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import demos, jsonio
-from .channel import BlockOperator, EDMap
+from .channel import BlockOperator, EDMap, is_trace_preserving
 from .cpcheck import (
     NotCompletelyPositiveError,
     ball_decompose,
@@ -31,12 +31,11 @@ from .cpcheck import (
     kraus_from_choi,
     min_full_choi_eigenvalue,
 )
-from .channel import is_trace_preserving
 from .dynamics import (build_td_trajectory, is_cp_divisible, semigroup_trajectory,
                        trajectory_observables)
 from .jsonio import canonical_dumps
+from .matcore import DEFAULT_TOL
 
-DEFAULT_CLI_TOL = 1e-9
 VERIFY_SAMPLES = 50000
 
 
@@ -63,7 +62,7 @@ def _resolve_tol(args) -> float:
     if raw is None:
         source, raw = "EDCHAN_TOL", os.environ.get("EDCHAN_TOL")
     if raw is None:
-        return DEFAULT_CLI_TOL
+        return DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError as exc:
@@ -97,10 +96,8 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
     tp = is_trace_preserving(m, tol)
 
     ball = None
-    phi_cp = is_cp(m.phi, tol)
-    if phi_cp.is_cp:
-        kraus_phi = kraus_from_choi(choi(m.phi), tol)
-        bd = ball_decompose(m.B, kraus_phi, m.gamma, tol)
+    if is_cp(m.phi, tol).is_cp:
+        bd = ball_decompose(m.B, kraus_from_choi(choi(m.phi), tol), m.gamma, tol)
         ball = {"member": bd.member, "norm_sq": bd.norm_sq, "residual": bd.residual}
 
     positive = None
@@ -148,8 +145,6 @@ def cmd_kraus(config: RunConfig) -> int:
     try:
         kraus = explicit_kraus_ed(m, config.tol)
     except NotCompletelyPositiveError as exc:
-        if exc.report is None:
-            raise
         payload = {
             "type": "kraus_report",
             "cp": False,
@@ -218,7 +213,7 @@ def cmd_divisibility(config: RunConfig) -> int:
     payload = {
         "type": "divisibility_report",
         "cp_divisible": report.cp_divisible,
-        "worst_pair": list(report.worst_pair),
+        "worst_pair": report.worst_pair,
         "min_eigenvalue": report.min_eigenvalue,
         "grid": [float(t) for t in traj.grid],
         "step_min_eigenvalues": [float(x) for x in report.step_min_eigenvalues],

@@ -16,6 +16,9 @@ phi completely positive). Equivalently, B must lie in the ball of radius
 sqrt(gamma) spanned by the Kraus operators of phi: B = sum_mu beta_mu A_mu
 with sum |beta_mu|^2 <= gamma. Both routes are implemented; the block-level
 Choi test is the primary oracle and the ball decomposition is a diagnostic.
+The ball is taken over the truncated canonical Kraus family of phi, so it can
+miss a B that the block test accepts; the explicit block Kraus family is built
+from the damped block instead.
 
 The smallest eigenvalue of the full-space Choi matrix (hermitian part) is
 also read off the blocks: the full Choi matrix splits into the omega Choi
@@ -281,17 +284,17 @@ def ball_decompose(B, kraus: KrausSet, gamma: float,
 def explicit_kraus_ed(m: EDMap, tol: float | None = None) -> KrausSet:
     """Assemble block Kraus operators for a completely positive map.
 
-    With {A_mu} a Kraus family of phi, {Q_nu} one of omega and beta the ball
-    coefficients of B, the family is
+    With {D_mu} the canonical Kraus family of the damped excited-sector map
+    phi - gamma^-1 B(.)B† (of phi itself in the gamma_zero branch, where B = 0)
+    and {Q_nu} that of omega, the family is
 
-        diag(0, sqrt(gamma - sum|beta|^2) I_g),
-        diag(A_mu, conj(beta_mu) I_g),
+        diag(B / sqrt(gamma), sqrt(gamma) I_g)   (gamma_positive branch only),
+        diag(D_mu, 0),
         lower-left Q_nu,
 
-    at most r + s + 1 operators (the first is dropped when its weight
-    vanishes). Operators are returned as full-space matrices.
+    at most r + s + 1 operators, since the damped map has Choi rank at most
+    r = rank C_phi. Operators are returned as full-space matrices.
     """
-    t = DEFAULT_TOL if tol is None else float(tol)
     report = is_cp_ed(m, tol)
     if not report.cp:
         raise NotCompletelyPositiveError(
@@ -299,37 +302,19 @@ def explicit_kraus_ed(m: EDMap, tol: float | None = None) -> KrausSet:
             f"damped_phi_cp={report.damped_phi_cp})",
             report,
         )
-    d_e, d_g = m.d_e, m.d_g
-    d = d_e + d_g
-    A_set = kraus_from_choi(choi(m.phi), tol)
-    Q_set = kraus_from_choi(choi(m.omega), tol)
-    ball = ball_decompose(m.B, A_set, m.gamma, t)
-    if ball.residual > 10 * t:
-        raise NotCompletelyPositiveError(
-            f"B lies outside the Kraus span of phi (residual {ball.residual:.3e})"
-        )
-    head = m.gamma - ball.norm_sq
-    if head < -10 * t:
-        raise NotCompletelyPositiveError(
-            f"B lies outside the ball: sum |beta|^2 = {ball.norm_sq:.12g} "
-            f"> gamma = {m.gamma:.12g}"
-        )
-    head = max(head, 0.0)
+    d_e, d = m.d_e, m.d_e + m.d_g
 
-    ops = []
-    if head > t:
+    def embed(ee=0.0, ge=0.0, gg=0.0):
         op = np.zeros((d, d), dtype=complex)
-        op[d_e:, d_e:] = np.sqrt(head) * np.eye(d_g)
-        ops.append(op)
-    for A_mu, beta_mu in zip(A_set.operators, ball.beta):
-        op = np.zeros((d, d), dtype=complex)
-        op[:d_e, :d_e] = A_mu
-        op[d_e:, d_e:] = np.conj(beta_mu) * np.eye(d_g)
-        ops.append(op)
-    for Q_nu in Q_set.operators:
-        op = np.zeros((d, d), dtype=complex)
-        op[d_e:, :d_e] = Q_nu
-        ops.append(op)
+        op[:d_e, :d_e], op[d_e:, :d_e], op[d_e:, d_e:] = ee, ge, gg
+        return op
+
+    positive = report.branch == "gamma_positive"
+    root = np.sqrt(m.gamma)
+    ops = [embed(ee=m.B / root, gg=root * np.eye(m.d_g))] if positive else []
+    damped = damped_excited_map(m) if positive else m.phi
+    ops += [embed(ee=D) for D in kraus_from_choi(choi(damped), tol).operators]
+    ops += [embed(ge=Q) for Q in kraus_from_choi(choi(m.omega), tol).operators]
     return KrausSet(tuple(ops))
 
 

@@ -442,7 +442,7 @@ def _consecutive_steps(traj: ChannelTrajectory, *kernels):
 @dataclass(frozen=True, eq=False)
 class CPDivisibilityReport:
     cp_divisible: bool
-    worst_pair: tuple
+    worst_pair: tuple | None
     min_eigenvalue: float
     step_min_eigenvalues: np.ndarray
     step_reports: tuple = field(repr=False, default=())
@@ -458,18 +458,21 @@ def is_cp_divisible(traj: ChannelTrajectory, tol: float | None = None) -> CPDivi
     Phi_{t_i} ∘ Phi_{t_j}^-1 a product of consecutive propagators. The
     reported eigenvalue is the smallest full-space Choi eigenvalue over all
     steps, computed from the blocks; the verdict itself comes from the
-    block-level CP criterion.
+    block-level CP criterion. ``worst_pair`` names that step as (i + 1, i)
+    only when its eigenvalue lies below -tol; a roundoff minimum names none.
     """
+    t = DEFAULT_TOL if tol is None else float(tol)
     reports, mins = [], []
     for lam, report in _consecutive_steps(traj, min_full_choi_eigenvalue,
                                           lambda step: is_cp_ed(step, tol)):
         reports.append(report)
         mins.append(lam)
     worst = int(np.argmin(mins)) if mins else None
+    lo = 0.0 if worst is None else float(mins[worst])
     return CPDivisibilityReport(
         cp_divisible=all(r.cp for r in reports),
-        worst_pair=(0, 0) if worst is None else (worst + 1, worst),
-        min_eigenvalue=0.0 if worst is None else float(mins[worst]),
+        worst_pair=(worst + 1, worst) if lo < -t else None,
+        min_eigenvalue=lo,
         step_min_eigenvalues=np.asarray(mins, dtype=float),
         step_reports=tuple(reports),
     )

@@ -9,6 +9,7 @@ byte-identical. See docs/formats.md for the full schemas.
 from __future__ import annotations
 
 import json
+from operator import index
 
 import numpy as np
 
@@ -49,6 +50,22 @@ def _require_keys(data: dict, keys, what: str) -> None:
         raise ValueError(f"{what}: missing keys {missing}")
 
 
+def _field(data: dict, key: str, kind, what: str):
+    """``kind(data[key])``; a value of the wrong type is a ValueError naming ``key``."""
+    try:
+        return kind(data[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what}: {key} has the wrong type or value ({exc})") from exc
+
+
+def _dims(data: dict, what: str) -> tuple:
+    return _field(data, "d_e", index, what), _field(data, "d_g", index, what)
+
+
+def _floats(v) -> np.ndarray:
+    return np.asarray(v, dtype=float).reshape(-1)
+
+
 def edmap_to_dict(m: EDMap) -> dict:
     return {
         "type": "edmap",
@@ -66,14 +83,14 @@ def edmap_from_dict(data) -> EDMap:
         raise ValueError("excitation-damping map: expected a JSON object")
     _require_keys(data, ["d_e", "d_g", "phi", "omega", "B", "gamma"],
                   "excitation-damping map")
-    d_e, d_g = int(data["d_e"]), int(data["d_g"])
+    d_e, d_g = _dims(data, "excitation-damping map")
     if d_e < 1 or d_g < 1:
         raise ValueError("sector dimensions must be positive")
     return EDMap(
         phi=LinearMap(matrix_from_json(data["phi"], (d_e * d_e, d_e * d_e), "phi")),
         omega=LinearMap(matrix_from_json(data["omega"], (d_g * d_g, d_e * d_e), "omega")),
         B=matrix_from_json(data["B"], (d_e, d_e), "B"),
-        gamma=float(data["gamma"]),
+        gamma=_field(data, "gamma", float, "excitation-damping map"),
     )
 
 
@@ -97,11 +114,13 @@ def semigroup_spec_from_dict(data) -> SemigroupSpec:
         raise ValueError("semigroup spec: expected a JSON object")
     _require_keys(data, ["d_e", "d_g", "H", "G", "F", "epsilon", "kappa", "c", "psi"],
                   "semigroup spec")
-    d_e, d_g = int(data["d_e"]), int(data["d_g"])
+    what = "semigroup spec"
+    d_e, d_g = _dims(data, what)
     gen = GKLSGenerator(
         H=matrix_from_json(data["H"], (d_e, d_e), "H"),
         G=matrix_from_json(data["G"], (d_e, d_e), "G"),
-        F=tuple(matrix_from_json(Fm, (d_e, d_e), "F") for Fm in data["F"]),
+        F=tuple(matrix_from_json(Fm, (d_e, d_e), "F")
+                for Fm in _field(data, "F", list, what)),
     )
     try:
         c = np.asarray([complex(float(z[0]), float(z[1])) for z in data["c"]],
@@ -110,8 +129,8 @@ def semigroup_spec_from_dict(data) -> SemigroupSpec:
         raise ValueError("semigroup spec: c must be a list of [re, im] pairs") from exc
     return SemigroupSpec(
         gen=gen,
-        epsilon=float(data["epsilon"]),
-        kappa=float(data["kappa"]),
+        epsilon=_field(data, "epsilon", float, what),
+        kappa=_field(data, "kappa", float, what),
         c=c,
         psi=LinearMap(matrix_from_json(data["psi"], (d_g * d_g, d_e * d_e), "psi")),
     )
@@ -125,19 +144,20 @@ def generator_table_from_dict(data):
     """
     if not isinstance(data, dict):
         raise ValueError("generator table: expected a JSON object")
-    _require_keys(data, ["d_e", "d_g", "times", "L", "K", "psi"], "generator table")
-    d_e, d_g = int(data["d_e"]), int(data["d_g"])
-    times = np.asarray(data["times"], dtype=float).reshape(-1)
+    what = "generator table"
+    _require_keys(data, ["d_e", "d_g", "times", "L", "K", "psi"], what)
+    d_e, d_g = _dims(data, what)
+    times = _field(data, "times", _floats, what)
     if times.size < 2:
         raise ValueError("generator table: times needs at least two samples")
     _check_grid(times, "generator table: times")
     n = times.size
-    if not (len(data["L"]) == len(data["K"]) == len(data["psi"]) == n):
+    L, K, psi = (_field(data, key, list, what) for key in ("L", "K", "psi"))
+    if not (len(L) == len(K) == len(psi) == n):
         raise ValueError("generator table: need one L, K, psi sample per time")
-    Ls = np.stack([matrix_from_json(M, (d_e * d_e, d_e * d_e), "L") for M in data["L"]])
-    Ks = np.stack([matrix_from_json(M, (d_e, d_e), "K") for M in data["K"]])
-    psis = np.stack([matrix_from_json(M, (d_g * d_g, d_e * d_e), "psi")
-                     for M in data["psi"]])
+    Ls = np.stack([matrix_from_json(M, (d_e * d_e, d_e * d_e), "L") for M in L])
+    Ks = np.stack([matrix_from_json(M, (d_e, d_e), "K") for M in K])
+    psis = np.stack([matrix_from_json(M, (d_g * d_g, d_e * d_e), "psi") for M in psi])
 
     def interpolate(stack):
         def fn(t):
@@ -170,8 +190,8 @@ def trajectory_from_dict(data) -> ChannelTrajectory:
     if not isinstance(data, dict):
         raise ValueError("trajectory: expected a JSON object")
     _require_keys(data, ["grid", "maps"], "trajectory")
-    grid = np.asarray(data["grid"], dtype=float).reshape(-1)
-    maps = tuple(edmap_from_dict(m) for m in data["maps"])
+    grid = _field(data, "grid", _floats, "trajectory")
+    maps = tuple(edmap_from_dict(m) for m in _field(data, "maps", list, "trajectory"))
     return ChannelTrajectory(grid, maps)
 
 
@@ -179,7 +199,7 @@ def block_operator_from_dict(data) -> BlockOperator:
     if not isinstance(data, dict):
         raise ValueError("initial state: expected a JSON object")
     _require_keys(data, ["d_e", "d_g", "matrix"], "initial state")
-    d_e, d_g = int(data["d_e"]), int(data["d_g"])
+    d_e, d_g = _dims(data, "initial state")
     d = d_e + d_g
     return BlockOperator.from_full(
         matrix_from_json(data["matrix"], (d, d), "initial state matrix"), d_e, d_g

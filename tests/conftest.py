@@ -156,6 +156,18 @@ def edmap_instance(rng, d_e, d_g, tol=1e-8):
     raise AssertionError("failed to draw a margin-safe instance")
 
 
+def truncated_kraus_edmap():
+    """CP map whose B is a Kraus operator of phi that the canonical family drops.
+
+    phi's second Kraus operator has Choi weight 1e-10, below the default
+    tolerance, so B lies outside the span of the truncated family while the
+    damped block phi - B(.)B† is exactly CP.
+    """
+    phi = LinearMap.from_kraus([0.9 * np.diag([1.0, 0.0]), np.diag([0.0, 1e-5])])
+    omega = LinearMap.from_kraus([0.3 * np.array([[1.0, 0.0]])])
+    return EDMap(phi, omega, np.diag([0.0, 1e-5]), 1.0)
+
+
 def dg1_span_edmap(rng, d_e, fill):
     """d_g = 1 instance with B exactly in the Kraus span of phi."""
     return cp_edmap(rng, d_e, 1, fill=fill, omega_rank=1)

@@ -128,6 +128,19 @@ def test_kraus_amplitude_damping(ad_map):
     assert len(ops) == 2 and len(ops[0]) == 2
 
 
+def test_kraus_accepts_b_below_kraus_truncation(tmp_path, capsys):
+    from edchan import cli
+    from edchan.jsonio import edmap_to_dict
+    from conftest import truncated_kraus_edmap
+
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(edmap_to_dict(truncated_kraus_edmap())))
+    assert cli.main(["kraus", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cp"] and report["count"] == 3
+    assert report["reconstruction_error"] < 1e-9
+
+
 def test_kraus_rejects_noncp(tmp_path):
     path = dump_demo("noncp_qubit", tmp_path / "bad.json")
     out = run_cli("kraus", "--input", str(path))
@@ -215,6 +228,17 @@ def test_divisibility_semigroup_exit_zero(scalar_decay_spec):
     assert report["cp_divisible"]
     assert report["min_eigenvalue"] > -1e-9
     assert len(report["step_min_eigenvalues"]) == 10
+
+
+def test_divisibility_semigroup_demo_names_no_pair(tmp_path, capsys):
+    from edchan import cli
+
+    path = tmp_path / "sg.json"
+    assert cli.main(["demo", "--name", "semigroup", "--output", str(path)]) == 0
+    assert cli.main(["divisibility", "--input", str(path), "--t-max", "2",
+                     "--steps", "21"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cp_divisible"] and report["worst_pair"] is None
 
 
 def test_divisibility_window_fixture_exit_one(tmp_path):
@@ -338,3 +362,36 @@ def test_non_finite_input_names_field(command, changes, args, field, scalar_deca
     assert code == 2
     err = capsys.readouterr().err
     assert field in err and "finite" in err
+
+
+def _trajectory_payload():
+    from edchan import EDMap
+    from edchan.dynamics import ChannelTrajectory
+    from edchan.jsonio import trajectory_to_dict
+
+    grid = np.linspace(0.0, 1.0, 3)
+    return trajectory_to_dict(ChannelTrajectory(grid, tuple(EDMap.identity(1, 1)
+                                                            for _ in grid)))
+
+
+@pytest.mark.parametrize("command, demo, changes, what, field", [
+    ("verify", "amplitude_damping", {"d_e": None}, "excitation-damping map", "d_e"),
+    ("verify", "amplitude_damping", {"d_e": 1.9}, "excitation-damping map", "d_e"),
+    ("verify", "amplitude_damping", {"gamma": [1]}, "excitation-damping map", "gamma"),
+    ("divisibility", None, {"maps": 5}, "trajectory", "maps"),
+    ("divisibility", "semigroup", {"F": 3}, "semigroup spec", "F"),
+], ids=["d_e_null", "d_e_fraction", "gamma_list", "maps_int", "F_int"])
+def test_wrong_field_type_exit_two(command, demo, changes, what, field, tmp_path, capsys):
+    from edchan import cli
+
+    path = tmp_path / "input.json"
+    if demo is None:
+        payload = _trajectory_payload()
+    else:
+        assert cli.main(["demo", "--name", demo, "--output", str(path)]) == 0
+        payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, **changes}))
+    assert cli.main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {what}: {field} ")

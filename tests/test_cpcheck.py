@@ -32,6 +32,7 @@ from conftest import (
     random_tni_cp_map,
     rc,
     tp_edmap,
+    truncated_kraus_edmap,
 )
 
 
@@ -306,6 +307,27 @@ def test_explicit_kraus_reconstructs_random_cp_maps():
         d = m.d_e + m.d_g
         rebuilt = ks.to_linear_map(d_in=d, d_out=d)
         assert maxdiff(rebuilt.mat, m.to_linear_map().mat) < 1e-9
+
+
+def _gamma_zero_map():
+    rng = np.random.default_rng(13)
+    return EDMap(random_cp_map(rng, 2, 2), random_cp_map(rng, 2, 2),
+                 np.zeros((2, 2)), 0.0)
+
+
+@pytest.mark.parametrize("make", [truncated_kraus_edmap, _gamma_zero_map],
+                         ids=["b_below_kraus_truncation", "gamma_zero_dg2"])
+def test_explicit_kraus_reconstructs_block_cp_maps(make):
+    m = make()
+    assert is_cp_ed(m).cp
+    ks = explicit_kraus_ed(m)
+    d = m.d_e + m.d_g
+    rebuilt = ks.to_linear_map(d_in=d, d_out=d)
+    assert maxdiff(rebuilt.mat, m.to_linear_map().mat) < 1e-9
+    # the damped block's family, omega's, and one operator for B only when gamma > 0
+    r = kraus_from_choi(choi(damped_excited_map(m) if m.gamma else m.phi)).count
+    s = kraus_from_choi(choi(m.omega)).count
+    assert ks.count == r + s + (m.gamma > 0)
 
 
 def test_explicit_kraus_block_structure():

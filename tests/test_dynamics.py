@@ -505,7 +505,10 @@ def test_semigroup_trajectory_is_cp_divisible():
 
 
 def test_identity_trajectory_is_cp_divisible():
-    assert is_cp_divisible(identity_trajectory(2, 2)).cp_divisible
+    for n in (1, 5):
+        report = is_cp_divisible(identity_trajectory(2, 2, n))
+        assert report.cp_divisible
+        assert report.worst_pair is None  # no step lies below -tol
 
 
 def test_window_fixture_not_cp_divisible_but_cp_at_all_times():
