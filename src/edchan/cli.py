@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,24 +36,6 @@ from .jsonio import canonical_dumps
 from .matcore import DEFAULT_TOL
 
 VERIFY_SAMPLES = 50000
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None
-    output_path: str | None
-    tol: float
-    t_max: float
-    steps: int
-    seed: int
-
-    def __post_init__(self):
-        if self.command in ("evolve", "divisibility"):
-            if not (np.isfinite(self.t_max) and self.t_max > 0):
-                raise ValueError("--t-max must be finite and positive")
-            if self.steps < 2:
-                raise ValueError("--steps must be at least 2")
 
 
 def _resolve_tol(args) -> float:
@@ -106,7 +87,7 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
         verdict = is_positive_ed_dg1(m, samples=VERIFY_SAMPLES, tol=tol, seed=seed)
         positive = not verdict.not_positive
         if verdict.not_positive:
-            witnesses.append([jsonio.complex_to_pair(z) for z in verdict.witness])
+            witnesses.append(jsonio.matrix_to_json(verdict.witness))
 
     return {
         "type": "verify_report",
@@ -133,17 +114,17 @@ def _reconstruction_error(m: EDMap, kraus) -> float:
     return float(np.abs(rebuilt.mat - m.to_linear_map().mat).max(initial=0.0))
 
 
-def cmd_verify(config: RunConfig) -> int:
-    m = jsonio.edmap_from_dict(_load_json(config.input_path))
-    report = _verify_report(m, config.tol, config.seed)
-    _emit(canonical_dumps(report) + "\n", config.output_path)
+def cmd_verify(args) -> int:
+    m = jsonio.edmap_from_dict(_load_json(args.input))
+    report = _verify_report(m, args.tol, args.seed)
+    _emit(canonical_dumps(report) + "\n", args.output)
     return 0 if (report["cp"] and report["tp"]) else 1
 
 
-def cmd_kraus(config: RunConfig) -> int:
-    m = jsonio.edmap_from_dict(_load_json(config.input_path))
+def cmd_kraus(args) -> int:
+    m = jsonio.edmap_from_dict(_load_json(args.input))
     try:
-        kraus = explicit_kraus_ed(m, config.tol)
+        kraus = explicit_kraus_ed(m, args.tol)
     except NotCompletelyPositiveError as exc:
         payload = {
             "type": "kraus_report",
@@ -151,7 +132,7 @@ def cmd_kraus(config: RunConfig) -> int:
             "omega_cp": exc.report.omega_cp,
             "damped_phi_cp": exc.report.damped_phi_cp,
         }
-        _emit(canonical_dumps(payload) + "\n", config.output_path)
+        _emit(canonical_dumps(payload) + "\n", args.output)
         return 1
     err = _reconstruction_error(m, kraus)
     payload = {
@@ -163,22 +144,26 @@ def cmd_kraus(config: RunConfig) -> int:
         "operators": [jsonio.matrix_to_json(A) for A in kraus.operators],
         "reconstruction_error": err,
     }
-    _emit(canonical_dumps(payload) + "\n", config.output_path)
+    _emit(canonical_dumps(payload) + "\n", args.output)
     return 0
 
 
-def _trajectory_from_input(data, config: RunConfig):
+def _trajectory_from_input(args):
+    if not (np.isfinite(args.t_max) and args.t_max > 0):
+        raise ValueError("--t-max must be finite and positive")
+    if args.steps < 2:
+        raise ValueError("--steps must be at least 2")
+    data = _load_json(args.input)
     kind = data.get("type") if isinstance(data, dict) else None
     if kind == "trajectory":
         return jsonio.trajectory_from_dict(data)
     if kind == "semigroup_spec":
         spec = jsonio.semigroup_spec_from_dict(data)
-        grid = np.linspace(0.0, config.t_max, config.steps)
+        grid = np.linspace(0.0, args.t_max, args.steps)
         return semigroup_trajectory(spec, grid)
     if kind == "generator_table":
         L_fn, K_fn, psi_fn, _, _, table_t_max = jsonio.generator_table_from_dict(data)
-        t_max = min(config.t_max, table_t_max)
-        grid = np.linspace(0.0, t_max, config.steps)
+        grid = np.linspace(0.0, min(args.t_max, table_t_max), args.steps)
         return build_td_trajectory(L_fn, K_fn, psi_fn, grid)
     raise ValueError(
         "input must declare type trajectory, semigroup_spec or generator_table"
@@ -194,22 +179,22 @@ def _default_initial_state(d_e: int, d_g: int) -> BlockOperator:
     return BlockOperator.from_full(np.outer(chi, chi.conj()), d_e, d_g)
 
 
-def cmd_evolve(config: RunConfig, initial_state_path: str | None) -> int:
-    traj = _trajectory_from_input(_load_json(config.input_path), config)
-    if initial_state_path:
-        X0 = jsonio.block_operator_from_dict(_load_json(initial_state_path))
+def cmd_evolve(args) -> int:
+    traj = _trajectory_from_input(args)
+    if args.initial_state:
+        X0 = jsonio.block_operator_from_dict(_load_json(args.initial_state))
         if (X0.d_e, X0.d_g) != (traj.d_e, traj.d_g):
             raise ValueError("initial state dimensions do not match the trajectory")
     else:
         X0 = _default_initial_state(traj.d_e, traj.d_g)
     rows = trajectory_observables(traj, X0)
-    _emit(jsonio.observables_to_csv(rows), config.output_path)
+    _emit(jsonio.observables_to_csv(rows), args.output)
     return 0
 
 
-def cmd_divisibility(config: RunConfig) -> int:
-    traj = _trajectory_from_input(_load_json(config.input_path), config)
-    report = is_cp_divisible(traj, config.tol)
+def cmd_divisibility(args) -> int:
+    traj = _trajectory_from_input(args)
+    report = is_cp_divisible(traj, args.tol)
     payload = {
         "type": "divisibility_report",
         "cp_divisible": report.cp_divisible,
@@ -218,7 +203,7 @@ def cmd_divisibility(config: RunConfig) -> int:
         "grid": [float(t) for t in traj.grid],
         "step_min_eigenvalues": [float(x) for x in report.step_min_eigenvalues],
     }
-    _emit(canonical_dumps(payload) + "\n", config.output_path)
+    _emit(canonical_dumps(payload) + "\n", args.output)
     return 0 if report.cp_divisible else 1
 
 
@@ -236,12 +221,12 @@ def _demo_payloads() -> dict:
     }
 
 
-def cmd_demo(config: RunConfig, name: str | None) -> int:
+def cmd_demo(args) -> int:
     payloads = _demo_payloads()
-    if name is not None:
-        if name not in payloads:
-            raise ValueError(f"unknown demo {name!r}; pick one of {sorted(payloads)}")
-        _emit(canonical_dumps(payloads[name]()) + "\n", config.output_path)
+    if args.name is not None:
+        if args.name not in payloads:
+            raise ValueError(f"unknown demo {args.name!r}; pick one of {sorted(payloads)}")
+        _emit(canonical_dumps(payloads[args.name]()) + "\n", args.output)
         return 0
 
     failures = 0
@@ -252,23 +237,23 @@ def cmd_demo(config: RunConfig, name: str | None) -> int:
         failures += 0 if ok else 1
 
     ad = demos.amplitude_damping_qubit()
-    rep = _verify_report(ad, config.tol, config.seed)
+    rep = _verify_report(ad, args.tol, args.seed)
     check("amplitude_damping verify (cp and tp)", rep["cp"] and rep["tp"])
 
     bad = demos.noncp_qubit()
-    rep = _verify_report(bad, config.tol, config.seed)
+    rep = _verify_report(bad, args.tol, args.seed)
     check("noncp_qubit verify (tp but not cp)", rep["tp"] and not rep["cp"])
 
-    kraus = explicit_kraus_ed(ad, config.tol)
+    kraus = explicit_kraus_ed(ad, args.tol)
     err = _reconstruction_error(ad, kraus)
     check(f"amplitude_damping kraus (count {kraus.count}, error {err:.1e})", err < 1e-9)
 
     spec = demos.demo_semigroup_spec()
     traj = semigroup_trajectory(spec, np.linspace(0.0, 2.0, 21))
-    check("semigroup divisibility", is_cp_divisible(traj, config.tol).cp_divisible)
+    check("semigroup divisibility", is_cp_divisible(traj, args.tol).cp_divisible)
 
     window = demos.noncp_divisible_trajectory()
-    report = is_cp_divisible(window, config.tol)
+    report = is_cp_divisible(window, args.tol)
     check(
         f"noncp_divisible rejected (min eigenvalue {report.min_eigenvalue:.2e})",
         not report.cp_divisible,
@@ -283,61 +268,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
+    def command(name, run, summary, needs_input=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         if needs_input:
             p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--tol", type=float, default=None,
                        help="numerical tolerance (default 1e-9, or EDCHAN_TOL)")
         p.add_argument("--seed", type=int, default=0, help="sampler seed")
+        return p
 
-    p = sub.add_parser("verify", help="CP / TP / positivity report for a map")
-    common(p)
-    p = sub.add_parser("kraus", help="block Kraus operators of a CP map")
-    common(p)
-    p = sub.add_parser("evolve", help="CSV observables along a trajectory")
-    common(p)
-    p.add_argument("--t-max", type=float, default=1.0, help="final time")
-    p.add_argument("--steps", type=int, default=50, help="number of grid points")
-    p.add_argument("--initial-state", help="initial block operator JSON")
-    p = sub.add_parser("divisibility", help="CP-divisibility report for a trajectory")
-    common(p)
-    p.add_argument("--t-max", type=float, default=1.0, help="final time")
-    p.add_argument("--steps", type=int, default=50, help="number of grid points")
-    p = sub.add_parser("demo", help="run the embedded demos, or dump one with --name")
-    common(p, needs_input=False)
-    p.add_argument("--name", help="demo fixture to dump as JSON")
+    command("verify", cmd_verify, "CP / TP / positivity report for a map")
+    command("kraus", cmd_kraus, "block Kraus operators of a CP map")
+    evolve = command("evolve", cmd_evolve, "CSV observables along a trajectory")
+    for p in (evolve, command("divisibility", cmd_divisibility,
+                              "CP-divisibility report for a trajectory")):
+        p.add_argument("--t-max", type=float, default=1.0, help="final time")
+        p.add_argument("--steps", type=int, default=50, help="number of grid points")
+    evolve.add_argument("--initial-state", help="initial block operator JSON")
+    command("demo", cmd_demo, "run the embedded demos, or dump one with --name",
+            needs_input=False).add_argument("--name", help="demo fixture to dump as JSON")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            input_path=getattr(args, "input", None),
-            output_path=args.output,
-            tol=_resolve_tol(args),
-            t_max=getattr(args, "t_max", 1.0),
-            steps=getattr(args, "steps", 50),
-            seed=args.seed,
-        )
-        if args.command == "verify":
-            return cmd_verify(config)
-        if args.command == "kraus":
-            return cmd_kraus(config)
-        if args.command == "evolve":
-            return cmd_evolve(config, getattr(args, "initial_state", None))
-        if args.command == "divisibility":
-            return cmd_divisibility(config)
-        if args.command == "demo":
-            return cmd_demo(config, args.name)
-        parser.error(f"unknown command {args.command!r}")
+        args.tol = _resolve_tol(args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

@@ -53,6 +53,7 @@ from .matcore import (
     hermiticity_deviation,
     hermitian_part,
     is_psd,
+    require_hermitian,
     vectorize,
 )
 
@@ -126,12 +127,12 @@ def kraus_from_choi(C: ChoiMatrix, tol: float | None = None) -> KrausSet:
     deterministic, with at most d_in*d_out operators.
     """
     t = default_psd_tol(C.mat) if tol is None else float(tol)
-    verdict = is_psd(C.mat, t)
-    if not verdict.is_psd:
-        raise NotCompletelyPositiveError(
-            f"Choi matrix is not PSD: smallest eigenvalue {verdict.min_eigenvalue:.3e}"
-        )
+    require_hermitian(C.mat, t)
     w, V = np.linalg.eigh(hermitian_part(C.mat))
+    if w.size and w[0] < -t:
+        raise NotCompletelyPositiveError(
+            f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}"
+        )
     order = sorted(range(len(w)), key=lambda i: (-w[i], tuple(V[:, i].real)))
     ops = []
     for i in order:

@@ -1,9 +1,9 @@
 """File formats: JSON schemas for maps, specs and trajectories, CSV export.
 
-Complex numbers are encoded as two-element arrays [re, im]; a matrix is a
-list of rows of such pairs. JSON reports are emitted canonically: keys
-sorted, floats printed with 17 significant digits, so repeated runs are
-byte-identical. See docs/formats.md for the full schemas.
+Complex numbers are encoded as two-element arrays [re, im]; a vector is a
+list of such pairs and a matrix a list of rows of them. JSON reports are
+emitted canonically: keys sorted, floats printed with 17 significant digits,
+so repeated runs are byte-identical. See docs/formats.md for the full schemas.
 """
 
 from __future__ import annotations
@@ -17,26 +17,28 @@ from .channel import BlockOperator, EDMap, LinearMap
 from .dynamics import ChannelTrajectory, GKLSGenerator, SemigroupSpec, _check_grid
 
 
-def complex_to_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def matrix_to_json(M) -> list:
+    """Any complex array as nested lists with each entry an [re, im] pair."""
     A = np.asarray(M, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in A]
+    return np.stack([A.real, A.imag], -1).tolist()
+
+
+def _complex_array(data, ndim: int, name: str) -> np.ndarray:
+    """Nested [re, im] pairs as a complex array of ``ndim`` axes (``[]``: no pairs)."""
+    try:
+        A = np.array(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: entries must be [re, im] pairs") from exc
+    if A.shape == (0,):
+        A = A.reshape(0, 2)
+    if A.ndim != ndim + 1 or A.shape[-1] != 2:
+        raise ValueError(f"{name}: entries must be [re, im] pairs")
+    # a view keeps every bit, the sign of -0.0 included
+    return A.view(complex)[..., 0]
 
 
 def matrix_from_json(data, shape=None, name: str = "matrix") -> np.ndarray:
-    try:
-        A = np.asarray(
-            [[complex(float(z[0]), float(z[1])) for z in row] for row in data],
-            dtype=complex,
-        )
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ValueError(f"{name}: entries must be [re, im] pairs") from exc
-    if A.ndim != 2:
-        raise ValueError(f"{name}: expected a 2-D matrix")
+    A = _complex_array(data, 2, name)
     if shape is not None and A.shape != tuple(shape):
         raise ValueError(f"{name}: expected shape {tuple(shape)}, got {A.shape}")
     if not np.all(np.isfinite(A)):
@@ -58,8 +60,15 @@ def _field(data: dict, key: str, kind, what: str):
         raise ValueError(f"{what}: {key} has the wrong type or value ({exc})") from exc
 
 
+def _dimension(value) -> int:
+    n = index(value)
+    if isinstance(value, bool) or n < 1:
+        raise ValueError(f"must be a positive integer, got {value!r}")
+    return n
+
+
 def _dims(data: dict, what: str) -> tuple:
-    return _field(data, "d_e", index, what), _field(data, "d_g", index, what)
+    return _field(data, "d_e", _dimension, what), _field(data, "d_g", _dimension, what)
 
 
 def _floats(v) -> np.ndarray:
@@ -84,8 +93,6 @@ def edmap_from_dict(data) -> EDMap:
     _require_keys(data, ["d_e", "d_g", "phi", "omega", "B", "gamma"],
                   "excitation-damping map")
     d_e, d_g = _dims(data, "excitation-damping map")
-    if d_e < 1 or d_g < 1:
-        raise ValueError("sector dimensions must be positive")
     return EDMap(
         phi=LinearMap(matrix_from_json(data["phi"], (d_e * d_e, d_e * d_e), "phi")),
         omega=LinearMap(matrix_from_json(data["omega"], (d_g * d_g, d_e * d_e), "omega")),
@@ -104,7 +111,7 @@ def semigroup_spec_to_dict(spec: SemigroupSpec) -> dict:
         "F": [matrix_to_json(Fm) for Fm in spec.gen.F],
         "epsilon": float(spec.epsilon),
         "kappa": float(spec.kappa),
-        "c": [complex_to_pair(z) for z in spec.c],
+        "c": matrix_to_json(spec.c),
         "psi": matrix_to_json(spec.psi.mat),
     }
 
@@ -122,16 +129,11 @@ def semigroup_spec_from_dict(data) -> SemigroupSpec:
         F=tuple(matrix_from_json(Fm, (d_e, d_e), "F")
                 for Fm in _field(data, "F", list, what)),
     )
-    try:
-        c = np.asarray([complex(float(z[0]), float(z[1])) for z in data["c"]],
-                       dtype=complex)
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ValueError("semigroup spec: c must be a list of [re, im] pairs") from exc
     return SemigroupSpec(
         gen=gen,
         epsilon=_field(data, "epsilon", float, what),
         kappa=_field(data, "kappa", float, what),
-        c=c,
+        c=_complex_array(data["c"], 1, "c"),
         psi=LinearMap(matrix_from_json(data["psi"], (d_g * d_g, d_e * d_e), "psi")),
     )
 

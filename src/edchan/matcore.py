@@ -56,6 +56,13 @@ def hermiticity_deviation(A: np.ndarray) -> float:
     return float(np.abs(A - A.conj().T).max(initial=0.0))
 
 
+def require_hermitian(A: np.ndarray, tol: float) -> None:
+    """Raise ``ValueError`` unless the square array ``A`` is hermitian within ``tol``."""
+    dev = hermiticity_deviation(A)
+    if dev > tol:
+        raise ValueError(f"matrix is not hermitian within {tol} (deviation {dev:.3e})")
+
+
 def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
     """True iff max-entry deviation from M† is at most ``tol``."""
     A = as_complex_matrix(M)
@@ -95,9 +102,7 @@ def is_psd(M, tol: float | None = None) -> PSDVerdict:
     A = as_complex_matrix(M)
     _require_square(A)
     t = default_psd_tol(A) if tol is None else float(tol)
-    dev = hermiticity_deviation(A)
-    if dev > t:
-        raise ValueError(f"matrix is not hermitian within {t} (deviation {dev:.3e})")
+    require_hermitian(A, t)
     if A.size == 0:
         return PSDVerdict(True, 0.0)
     w = np.linalg.eigvalsh((A + A.conj().T) / 2)

@@ -380,7 +380,12 @@ def _trajectory_payload():
     ("verify", "amplitude_damping", {"gamma": [1]}, "excitation-damping map", "gamma"),
     ("divisibility", None, {"maps": 5}, "trajectory", "maps"),
     ("divisibility", "semigroup", {"F": 3}, "semigroup spec", "F"),
-], ids=["d_e_null", "d_e_fraction", "gamma_list", "maps_int", "F_int"])
+    ("divisibility", "semigroup", {"d_g": 0}, "semigroup spec", "d_g"),
+    ("divisibility", None, {**_table([0.0, 1.0]), "d_g": 0}, "generator table", "d_g"),
+    ("verify", "amplitude_damping", {"d_e": True}, "excitation-damping map", "d_e"),
+    ("verify", "amplitude_damping", {"B": [[[0.8, 0.0, 5.0]]]}, "B", "entries"),
+], ids=["d_e_null", "d_e_fraction", "gamma_list", "maps_int", "F_int", "spec_d_g_zero",
+        "table_d_g_zero", "d_e_true", "B_three_numbers"])
 def test_wrong_field_type_exit_two(command, demo, changes, what, field, tmp_path, capsys):
     from edchan import cli
 

@@ -37,6 +37,28 @@ def test_matrix_from_json_rejects_bad_entries():
         matrix_from_json([[[1.0, 0.0]], [[2.0, 0.0], [3.0, 0.0]]], name="m")
     with pytest.raises(ValueError):
         matrix_from_json([[[1.0, 0.0]]], shape=(2, 2), name="m")
+    with pytest.raises(ValueError, match="m: entries must be"):
+        matrix_from_json([[[0.8, 0.0, 5.0]]], name="m")
+    with pytest.raises(ValueError, match="m: entries must be"):
+        matrix_from_json([[[1.0, 0.0], None]], name="m")
+
+
+def test_matrix_to_json_matches_entrywise_encoding():
+    def entrywise(A):  # one [re, im] list per complex(z), row by row
+        if A.ndim == 1:
+            return [[complex(z).real, complex(z).imag] for z in A]
+        return [entrywise(row) for row in A]
+
+    rng = np.random.default_rng(6)
+    signed_zeros = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)],
+                             [complex(-0.0, -0.0), complex(1.5, -0.0)]])
+    for A in (rc(rng, 3, 4), rc(rng, 5), signed_zeros):
+        encoded = matrix_to_json(A)
+        assert encoded == entrywise(A)
+        assert json.dumps(encoded) == json.dumps(entrywise(A))
+    # decoding gives back every bit, the sign of each zero included
+    back = matrix_from_json(matrix_to_json(signed_zeros))
+    assert np.signbit(back.view(float)).tolist() == np.signbit(signed_zeros.view(float)).tolist()
 
 
 def test_edmap_round_trip():
