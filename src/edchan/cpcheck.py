@@ -133,6 +133,12 @@ def kraus_from_choi(C: ChoiMatrix, tol: float | None = None) -> KrausSet:
         raise NotCompletelyPositiveError(
             f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}"
         )
+    return KrausSet(_canonical_kraus(w, V, C.d_out, C.d_in, t))
+
+
+def _canonical_kraus(w: np.ndarray, V: np.ndarray, d_out: int, d_in: int,
+                     t: float) -> tuple:
+    """The operators of :func:`kraus_from_choi` from a Choi ``eigh`` result."""
     order = sorted(range(len(w)), key=lambda i: (-w[i], tuple(V[:, i].real)))
     ops = []
     for i in order:
@@ -143,8 +149,8 @@ def kraus_from_choi(C: ChoiMatrix, tol: float | None = None) -> KrausSet:
         phase = v[k] / abs(v[k])
         v *= phase.conjugate()
         # (out ⊗ in) ordering makes the eigenvector a row-major flattened operator
-        ops.append(np.sqrt(w[i]) * v.reshape(C.d_out, C.d_in))
-    return KrausSet(tuple(ops))
+        ops.append(np.sqrt(w[i]) * v.reshape(d_out, d_in))
+    return tuple(ops)
 
 
 class CPVerdict(NamedTuple):
@@ -161,9 +167,23 @@ def is_cp(m: LinearMap, tol: float | None = None) -> CPVerdict:
     C = choi(m).mat
     t = default_psd_tol(C) if tol is None else float(tol)
     lo = float(np.linalg.eigvalsh(hermitian_part(C))[0]) if C.size else 0.0
+    return _cp_verdict(C, t, lo)
+
+
+def _cp_verdict(C: np.ndarray, t: float, lo: float) -> CPVerdict:
+    """:func:`is_cp`'s verdict on the Choi matrix ``C`` with smallest eigenvalue ``lo``."""
     if hermiticity_deviation(C) > t:
         return CPVerdict(False, lo)
     return CPVerdict(lo >= -t, lo)
+
+
+def _cp_with_kraus(m: LinearMap, tol: float | None) -> tuple[CPVerdict, tuple]:
+    """``is_cp(m, tol)`` and, for a CP map, its canonical Kraus operators, from one ``eigh``."""
+    C = choi(m).mat
+    t = default_psd_tol(C) if tol is None else float(tol)
+    w, V = np.linalg.eigh(hermitian_part(C))
+    verdict = _cp_verdict(C, t, float(w[0]) if w.size else 0.0)
+    return verdict, (_canonical_kraus(w, V, m.d_out, m.d_in, t) if verdict.is_cp else ())
 
 
 def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
@@ -196,26 +216,33 @@ class EDCPReport:
     damped_min_eigenvalue: float
 
 
+def _damped_block(m: EDMap, t: float) -> LinearMap:
+    """The excited-sector block whose CP the block test decides.
+
+    phi - gamma^-1 B(.)B† in the gamma_positive branch (gamma > t), phi itself
+    in the gamma_zero branch.
+    """
+    return damped_excited_map(m) if m.gamma > t else m.phi
+
+
+def _ed_report(m: EDMap, t: float, omega: CPVerdict, damped: CPVerdict) -> EDCPReport:
+    """Block report from the CP verdicts on omega and on :func:`_damped_block`."""
+    positive = m.gamma > t
+    damped_ok = damped.is_cp and (positive or float(np.abs(m.B).max(initial=0.0)) <= t)
+    return EDCPReport(
+        cp=omega.is_cp and damped_ok,
+        omega_cp=omega.is_cp,
+        damped_phi_cp=damped_ok,
+        branch="gamma_positive" if positive else "gamma_zero",
+        omega_min_eigenvalue=omega.min_choi_eigenvalue,
+        damped_min_eigenvalue=damped.min_choi_eigenvalue,
+    )
+
+
 def is_cp_ed(m: EDMap, tol: float | None = None) -> EDCPReport:
     """Decide complete positivity from the blocks alone."""
     t = DEFAULT_TOL if tol is None else float(tol)
-    omega_verdict = is_cp(m.omega, tol)
-    if m.gamma <= t:
-        branch = "gamma_zero"
-        damped_verdict = is_cp(m.phi, tol)
-        damped_ok = damped_verdict.is_cp and float(np.abs(m.B).max(initial=0.0)) <= t
-    else:
-        branch = "gamma_positive"
-        damped_verdict = is_cp(damped_excited_map(m), tol)
-        damped_ok = damped_verdict.is_cp
-    return EDCPReport(
-        cp=omega_verdict.is_cp and damped_ok,
-        omega_cp=omega_verdict.is_cp,
-        damped_phi_cp=damped_ok,
-        branch=branch,
-        omega_min_eigenvalue=omega_verdict.min_choi_eigenvalue,
-        damped_min_eigenvalue=damped_verdict.min_choi_eigenvalue,
-    )
+    return _ed_report(m, t, is_cp(m.omega, tol), is_cp(_damped_block(m, t), tol))
 
 
 def min_full_choi_eigenvalue(m: EDMap) -> float:
@@ -294,9 +321,14 @@ def explicit_kraus_ed(m: EDMap, tol: float | None = None) -> KrausSet:
         lower-left Q_nu,
 
     at most r + s + 1 operators, since the damped map has Choi rank at most
-    r = rank C_phi. Operators are returned as full-space matrices.
+    r = rank C_phi. Operators are returned as full-space matrices. Each block's
+    CP verdict (the :func:`is_cp_ed` report, which a non-CP map's error
+    carries) and its operators come from one eigensolve of its Choi matrix.
     """
-    report = is_cp_ed(m, tol)
+    t = DEFAULT_TOL if tol is None else float(tol)
+    omega_verdict, omega_ops = _cp_with_kraus(m.omega, tol)
+    damped_verdict, damped_ops = _cp_with_kraus(_damped_block(m, t), tol)
+    report = _ed_report(m, t, omega_verdict, damped_verdict)
     if not report.cp:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (omega_cp={report.omega_cp}, "
@@ -313,9 +345,8 @@ def explicit_kraus_ed(m: EDMap, tol: float | None = None) -> KrausSet:
     positive = report.branch == "gamma_positive"
     root = np.sqrt(m.gamma)
     ops = [embed(ee=m.B / root, gg=root * np.eye(m.d_g))] if positive else []
-    damped = damped_excited_map(m) if positive else m.phi
-    ops += [embed(ee=D) for D in kraus_from_choi(choi(damped), tol).operators]
-    ops += [embed(ge=Q) for Q in kraus_from_choi(choi(m.omega), tol).operators]
+    ops += [embed(ee=D) for D in damped_ops]
+    ops += [embed(ge=Q) for Q in omega_ops]
     return KrausSet(tuple(ops))
 
 

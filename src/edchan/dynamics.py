@@ -47,6 +47,7 @@ from .cpcheck import choi, is_cp, is_cp_ed, min_full_choi_eigenvalue
 from .matcore import (
     DEFAULT_TOL,
     as_complex_matrix,
+    check_time,
     default_psd_tol,
     freeze,
     hermiticity_deviation,
@@ -189,9 +190,7 @@ def _member(SL: np.ndarray, K: np.ndarray, psi: LinearMap, t: float) -> EDMap:
 
     omega_t uses the exact augmented-block integral, valid also for singular L.
     """
-    t = float(t)
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    t = check_time(t)
     return EDMap(
         phi=LinearMap(matexp(t * SL)),
         omega=LinearMap(psi.mat @ integral_of_exp(SL, t)),

@@ -149,20 +149,26 @@ def test_kraus_rejects_noncp(tmp_path):
 
 
 @pytest.mark.parametrize("name, code", [("amplitude_damping", 0), ("noncp_qubit", 1)])
-def test_kraus_runs_block_cp_test_once(name, code, tmp_path, monkeypatch):
+def test_kraus_forms_damped_map_once(name, code, tmp_path, monkeypatch):
+    """One damped map and one Choi eigensolve per block, for the verdict and the operators."""
     from edchan import cli, cpcheck
 
-    calls, is_cp_ed = [], cpcheck.is_cp_ed
+    calls = {"damped": 0, "eig": 0}
+    damped_excited_map = cpcheck.damped_excited_map
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return is_cp_ed(*args, **kwargs)
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(cpcheck, "is_cp_ed", counted)
-    monkeypatch.setattr(cli, "is_cp_ed", counted)
+    monkeypatch.setattr(cpcheck, "damped_excited_map", counted("damped", damped_excited_map))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eig", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eig", eigvalsh))
     path = dump_demo(name, tmp_path / "map.json")
     assert cli.main(["kraus", "--input", str(path), "--output", str(tmp_path / "k.json")]) == code
-    assert len(calls) == 1
+    assert calls == {"damped": 1, "eig": 2}
 
 
 def test_evolve_scalar_decay_matches_closed_form(scalar_decay_spec, tmp_path):
@@ -289,6 +295,16 @@ def test_demo_suite_runs_clean():
     assert out.returncode == 0, out.stdout + out.stderr
     assert "FAILED" not in out.stdout
     assert out.stdout.count("ok") >= 5
+
+
+def test_cli_runs_without_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only oracle
+    code = ("import sys, edchan.cli\n"
+            "assert edchan.cli.main(['demo']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().split("\n")[-1] == "[]"
 
 
 def test_demo_unknown_name():

@@ -163,6 +163,9 @@ def test_semigroup_at_rejects_negative_time():
     spec = random_semigroup_spec(rng, 2, 1)
     with pytest.raises(ValueError):
         semigroup_at(spec, -0.5)
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t must be finite and non-negative"):
+            semigroup_at(spec, t)
 
 
 def test_semigroup_scalar_amplitude_damping_trajectory():

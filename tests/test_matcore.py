@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg  # the oracle, from the test extra; imported directly so a missing extra fails
 
+from edchan.dynamics import K_from_spec, gkls_superop
 from edchan.matcore import (
     devectorize,
     hermitian_part,
@@ -11,7 +13,7 @@ from edchan.matcore import (
     pinv,
     vectorize,
 )
-from conftest import rc, random_hermitian, random_psd
+from conftest import rc, random_hermitian, random_psd, random_semigroup_spec
 
 
 def test_is_hermitian_identity():
@@ -94,6 +96,56 @@ def test_matexp_inverse_property():
         assert np.abs(R - np.eye(5)).max() < 1e-9
 
 
+def relative_1norm_error(X, Y):
+    """||X - Y||_1 / ||Y||_1, with the 1-norm the largest column sum."""
+    def norm(A):
+        return np.abs(A).sum(axis=0).max(initial=0.0)
+    return norm(X - Y) / max(norm(Y), np.finfo(float).tiny)
+
+
+def expm_oracle_cases(rng):
+    """(label, matrix) pairs spanning every Padé degree and scalings up to 1-norm ~1e3."""
+    cases = [("0x0", np.zeros((0, 0))), ("zero", np.zeros((4, 4)))]
+    cases += [(f"1x1 {z}", np.array([[z]])) for z in (0.0, 1e-4, -2.5, 3.0 + 4.0j, 1e3j, -7e2)]
+    jordan = np.diag(np.ones(5), 1)
+    cases += [(f"jordan x{c}", c * jordan) for c in (1e-3, 1.0, 1e2, 1e3)]
+    # stochastic-rate generator: columns sum to 0, so it is singular and trace preserving
+    R = rng.uniform(0.0, 1.0, (6, 6))
+    Q = R - np.diag(R.sum(axis=0))
+    Q /= np.abs(Q).sum(axis=0).max()
+    for n in (1e-3, 0.1, 1.0, 10.0, 1e3):
+        cases.append((f"rate generator |A|_1 = {n}", n * Q))
+        H = random_hermitian(rng, 8)
+        cases.append((f"skew-hermitian |A|_1 = {n}", 1j * n * H / np.abs(H).sum(axis=0).max()))
+        D = -random_psd(rng, 8) + 1j * random_hermitian(rng, 8)
+        cases.append((f"dissipative |A|_1 = {n}", n * D / np.abs(D).sum(axis=0).max()))
+    return cases
+
+
+def test_matexp_matches_scipy_oracle():
+    for label, A in expm_oracle_cases(np.random.default_rng(11)):
+        err = relative_1norm_error(matexp(A), scipy.linalg.expm(A))
+        assert err <= 1e-13, (label, err)
+
+
+def test_gkls_exponentials_match_scipy_oracle():
+    # the semigroup kernels: e^{dt L}, e^{dt K} and the augmented [[L, 1], [0, 0]] integral
+    rng = np.random.default_rng(12)
+    for d_e in (2, 4, 8):
+        for d_g in (1, 2, 3):
+            spec = random_semigroup_spec(rng, d_e, d_g)
+            L, K = gkls_superop(spec.gen).mat, K_from_spec(spec)
+            n = len(L)
+            aug = np.block([[L, np.eye(n)], [np.zeros((n, 2 * n))]])
+            for dt in (1e-3, 0.1, 1.0, 5.0, 30.0):
+                label = (d_e, d_g, dt)
+                for M in (L, K):
+                    assert relative_1norm_error(matexp(dt * M), scipy.linalg.expm(dt * M)) <= 1e-13, label
+                exact = scipy.linalg.expm(dt * aug)
+                assert relative_1norm_error(matexp(dt * aug), exact) <= 1e-13, label
+                assert relative_1norm_error(integral_of_exp(L, dt), exact[:n, n:]) <= 1e-13, label
+
+
 def test_integral_of_exp_at_zero():
     L = np.array([[1.0, 2.0], [0.0, -1.0]])
     assert np.abs(integral_of_exp(L, 0.0)).max() == 0.0
@@ -125,8 +177,14 @@ def test_integral_of_exp_singular_generator():
 
 
 def test_integral_of_exp_rejects_negative_time():
-    with pytest.raises(ValueError):
-        integral_of_exp(np.eye(2), -0.1)
+    for t in (-0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="t must be finite and non-negative"):
+            integral_of_exp(np.eye(2), t)
+
+
+def test_integral_of_exp_rejects_overflowing_product():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        integral_of_exp(np.array([[0.0, 1e10], [0.0, -1.0]]), 1e300)
 
 
 def test_integral_of_exp_derivative_matches_exponential():
