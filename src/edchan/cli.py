@@ -19,15 +19,14 @@ import numpy as np
 from . import demos, jsonio
 from .channel import BlockOperator, EDMap, is_trace_preserving
 from .cpcheck import (
+    KrausSet,
     NotCompletelyPositiveError,
+    _cp_with_kraus,
     ball_decompose,
-    choi,
     explicit_kraus_ed,
-    is_cp,
     is_cp_ed,
     is_positive_ed_dg1,
     is_trace_nonincreasing,
-    kraus_from_choi,
     min_full_choi_eigenvalue,
 )
 from .dynamics import (build_td_trajectory, is_cp_divisible, semigroup_trajectory,
@@ -77,8 +76,9 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
     tp = is_trace_preserving(m, tol)
 
     ball = None
-    if is_cp(m.phi, tol).is_cp:
-        bd = ball_decompose(m.B, kraus_from_choi(choi(m.phi), tol), m.gamma, tol)
+    phi_verdict, phi_ops = _cp_with_kraus(m.phi, tol)
+    if phi_verdict.is_cp:
+        bd = ball_decompose(m.B, KrausSet(phi_ops), m.gamma, tol)
         ball = {"member": bd.member, "norm_sq": bd.norm_sq, "residual": bd.residual}
 
     positive = None

@@ -191,10 +191,15 @@ def trajectory_to_dict(traj: ChannelTrajectory, spec: dict | None = None) -> dic
 def trajectory_from_dict(data) -> ChannelTrajectory:
     if not isinstance(data, dict):
         raise ValueError("trajectory: expected a JSON object")
-    _require_keys(data, ["grid", "maps"], "trajectory")
+    _require_keys(data, ["d_e", "d_g", "grid", "maps"], "trajectory")
+    dims = _dims(data, "trajectory")
     grid = _field(data, "grid", _floats, "trajectory")
     maps = tuple(edmap_from_dict(m) for m in _field(data, "maps", list, "trajectory"))
-    return ChannelTrajectory(grid, maps)
+    traj = ChannelTrajectory(grid, maps)
+    if (traj.d_e, traj.d_g) != dims:
+        raise ValueError(f"trajectory: maps have (d_e, d_g) = {(traj.d_e, traj.d_g)}, "
+                         f"but it declares {dims}")
+    return traj
 
 
 def block_operator_from_dict(data) -> BlockOperator:

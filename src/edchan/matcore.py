@@ -181,23 +181,27 @@ def matexp(M) -> np.ndarray:
     return _expm(A)
 
 
-def integral_of_exp(L, t: float) -> np.ndarray:
-    """Return the integral of e^{tau L} for tau from 0 to t.
+def augmented(L: np.ndarray) -> np.ndarray:
+    """The block matrix [[L, I], [0, 0]] of a square ``L``.
 
-    Computed from the upper-right block of ``expm(t [[L, I], [0, 0]])``, which
-    is exact for every L including singular ones (trace-preserving generators
-    always have 0 in their spectrum).
+    Its exponential at t has upper blocks e^{tL} and the integral of e^{tau L}
+    for tau from 0 to t, exact for every L including singular ones
+    (trace-preserving generators always have 0 in their spectrum).
     """
+    n = L.shape[0]
+    aug = np.zeros((2 * n, 2 * n), dtype=complex)
+    aug[:n, :n] = L
+    aug[:n, n:] = np.eye(n)
+    return aug
+
+
+def integral_of_exp(L, t: float) -> np.ndarray:
+    """Return the integral of e^{tau L} for tau from 0 to t, from e^{t augmented(L)}."""
     A = as_complex_matrix(L)
     _require_square(A)
     t = check_time(t)
     n = A.shape[0]
-    if t == 0.0:
-        return np.zeros((n, n), dtype=complex)
-    aug = np.zeros((2 * n, 2 * n), dtype=complex)
-    aug[:n, :n] = A
-    aug[:n, n:] = np.eye(n)
-    return _expm(as_complex_matrix(t * aug, "t * L"))[:n, n:].copy()
+    return _expm(as_complex_matrix(t * augmented(A), "t * L"))[:n, n:].copy()
 
 
 def pinv(M, tol: float = 1e-12) -> np.ndarray:

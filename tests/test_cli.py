@@ -171,6 +171,33 @@ def test_kraus_forms_damped_map_once(name, code, tmp_path, monkeypatch):
     assert calls == {"damped": 1, "eig": 2}
 
 
+def test_verify_eigensolves_phi_choi_once(tmp_path, monkeypatch):
+    """The ball diagnostic takes phi's CP gate and Kraus family from one eigensolve."""
+    from conftest import cp_edmap
+    from edchan import cli
+    from edchan.jsonio import edmap_to_dict
+
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(edmap_to_dict(cp_edmap(np.random.default_rng(5), 2, 2))))
+    monkeypatch.setattr(np.linalg, "eigh", counted(eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
+    cli.main(["verify", "--input", str(path), "--output", str(tmp_path / "v.json")])
+    report = json.loads((tmp_path / "v.json").read_text())
+    assert report["cp"] and report["ball"] is not None
+    # omega and the damped block (is_cp_ed), phi (ball), phi's trace functional,
+    # and C_omega plus M1 for the full-space minimum
+    assert len(calls) == 6
+
+
 def test_evolve_scalar_decay_matches_closed_form(scalar_decay_spec, tmp_path):
     path, g0 = scalar_decay_spec
     out = run_cli("evolve", "--input", str(path), "--t-max", "2.0",
@@ -400,8 +427,9 @@ def _trajectory_payload():
     ("divisibility", None, {**_table([0.0, 1.0]), "d_g": 0}, "generator table", "d_g"),
     ("verify", "amplitude_damping", {"d_e": True}, "excitation-damping map", "d_e"),
     ("verify", "amplitude_damping", {"B": [[[0.8, 0.0, 5.0]]]}, "B", "entries"),
+    ("divisibility", None, {"d_g": 0}, "trajectory", "d_g"),
 ], ids=["d_e_null", "d_e_fraction", "gamma_list", "maps_int", "F_int", "spec_d_g_zero",
-        "table_d_g_zero", "d_e_true", "B_three_numbers"])
+        "table_d_g_zero", "d_e_true", "B_three_numbers", "trajectory_d_g_zero"])
 def test_wrong_field_type_exit_two(command, demo, changes, what, field, tmp_path, capsys):
     from edchan import cli
 
@@ -416,3 +444,19 @@ def test_wrong_field_type_exit_two(command, demo, changes, what, field, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {what}: {field} ")
+
+
+def test_trajectory_manifest_dimensions_must_match_its_maps(tmp_path, capsys):
+    from edchan import cli
+
+    path = tmp_path / "window.json"
+    assert cli.main(["demo", "--name", "noncp_divisible", "--output", str(path)]) == 0
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps({**payload, "d_e": 5, "d_g": 7}))
+    assert cli.main(["divisibility", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: trajectory: maps have (d_e, d_g) = (1, 2), but it declares (5, 7)\n")
+    del payload["d_e"]
+    path.write_text(json.dumps(payload))
+    assert cli.main(["divisibility", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: trajectory: missing keys ['d_e']\n"

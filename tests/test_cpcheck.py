@@ -346,6 +346,28 @@ def test_explicit_kraus_rejects_non_cp():
     assert info.value.report == is_cp_ed(m)
 
 
+@pytest.mark.parametrize("d_g", [1, 2])
+@pytest.mark.parametrize("d_e", [2, 4, 8])
+def test_explicit_kraus_error_report_matches_block_test(d_e, d_g):
+    """The report a non-CP map's error carries is is_cp_ed's: verdicts exactly, eigenvalues to roundoff."""
+    rng = np.random.default_rng(500 + 10 * d_e + d_g)
+    for _ in range(3):
+        overfilled = cp_edmap(rng, d_e, d_g, fill=float(rng.uniform(1.2, 3.0)))
+        base = cp_edmap(rng, d_e, d_g)
+        bad_omega = EDMap(base.phi, random_noncp_map(rng, d_e, d_g), base.B, base.gamma)
+        for m in (overfilled, bad_omega):
+            expected = is_cp_ed(m)
+            assert not expected.cp
+            with pytest.raises(NotCompletelyPositiveError) as info:
+                explicit_kraus_ed(m)
+            got = info.value.report
+            assert ((got.cp, got.omega_cp, got.damped_phi_cp, got.branch)
+                    == (expected.cp, expected.omega_cp, expected.damped_phi_cp, expected.branch))
+            for lam, ref in ((got.omega_min_eigenvalue, expected.omega_min_eigenvalue),
+                             (got.damped_min_eigenvalue, expected.damped_min_eigenvalue)):
+                assert abs(lam - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # is_trace_nonincreasing
 # ---------------------------------------------------------------------------

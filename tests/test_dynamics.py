@@ -308,6 +308,11 @@ def test_ww_rejects_bad_coherence_parameters(eps, kappa, message):
         wigner_weisskopf_at(np.zeros((2, 2)), np.zeros((2, 2)), eps, kappa, psi, 1.0)
 
 
+def test_ww_rejects_psi_on_wrong_sector():
+    with pytest.raises(ValueError, match="psi must act on the excited sector"):
+        wigner_weisskopf_at(np.eye(2), np.zeros((2, 2)), 0.1, 0.2, LinearMap.zero(3, 1), 1.0)
+
+
 def test_ww_agrees_with_jumpless_semigroup():
     rng = np.random.default_rng(16)
     H = random_hermitian(rng, 2)
@@ -465,6 +470,19 @@ def test_semigroup_trajectory_one_exponential_pair_per_distinct_step(monkeypatch
     distinct = len(set(np.diff(grid)))
     assert distinct < 20
     assert sorted(sizes) == [2] * distinct + [8] * distinct
+
+
+def test_semigroup_at_is_the_trajectory_step_bit_for_bit():
+    # one member constructor: the trajectory's step over dt is semigroup_at(spec, dt) exactly
+    grid = np.array([0.0, 0.1, 0.25, 1.0, 1.0 + 1e-3, 31.0])
+    for seed, (d_e, d_g) in ((41, (1, 1)), (42, (2, 1)), (43, (3, 2)), (44, (4, 3))):
+        spec = random_semigroup_spec(np.random.default_rng(seed), d_e, d_g)
+        traj = semigroup_trajectory(spec, grid)
+        for dt, step in zip(np.diff(grid), traj._steps):
+            member = semigroup_at(spec, dt)
+            assert np.array_equal(member.phi.mat, step.phi.mat), (seed, dt)
+            assert np.array_equal(member.omega.mat, step.omega.mat), (seed, dt)
+            assert np.array_equal(member.B, step.B), (seed, dt)
 
 
 def test_semigroup_trajectory_nonuniform_grid():
@@ -791,3 +809,21 @@ def test_trajectory_observables_rows():
     for row in rows:  # TP semigroup conserves the total trace
         assert abs(row["total_trace"] - 1.0) < 1e-9
         assert row["min_propagator_choi_eigenvalue"] > -1e-9
+
+
+def test_find_noncp_window_still_accepts_the_frozen_demo(capsys):
+    """scripts/find_noncp_window.py, seed 7, reproduces demos.NONCP_WINDOW."""
+    import ast
+    import importlib.util
+    from pathlib import Path
+
+    from edchan.demos import NONCP_WINDOW
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "find_noncp_window.py"
+    spec = importlib.util.spec_from_file_location("find_noncp_window", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(7) == 0
+    out = capsys.readouterr().out
+    accepted = out.split("NONCP_WINDOW = ", 1)[1]
+    assert ast.literal_eval(accepted[:accepted.index("}") + 1]) == NONCP_WINDOW

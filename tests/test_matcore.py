@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg  # the oracle, from the test extra; imported directly so a missing extra fails
 
-from edchan.dynamics import K_from_spec, gkls_superop
+from edchan.dynamics import K_from_spec, gkls_superop, semigroup_at
 from edchan.matcore import (
     devectorize,
     hermitian_part,
@@ -144,6 +144,24 @@ def test_gkls_exponentials_match_scipy_oracle():
                 exact = scipy.linalg.expm(dt * aug)
                 assert relative_1norm_error(matexp(dt * aug), exact) <= 1e-13, label
                 assert relative_1norm_error(integral_of_exp(L, dt), exact[:n, n:]) <= 1e-13, label
+
+
+def test_semigroup_at_matches_scipy_oracle():
+    # phi, omega and B of one member against scipy's e^{tL}, psi ∘ integral and e^{tK}
+    rng = np.random.default_rng(13)
+    for d_e in (2, 4, 8):
+        for d_g in (1, 2, 3):
+            spec = random_semigroup_spec(rng, d_e, d_g)
+            L, K = gkls_superop(spec.gen).mat, K_from_spec(spec)
+            n = len(L)
+            aug = np.block([[L, np.eye(n)], [np.zeros((n, 2 * n))]])
+            for t in (1e-3, 0.1, 1.0, 5.0, 30.0):
+                m = semigroup_at(spec, t)
+                blocks = ((m.phi.mat, scipy.linalg.expm(t * L)),
+                          (m.omega.mat, spec.psi.mat @ scipy.linalg.expm(t * aug)[:n, n:]),
+                          (m.B, scipy.linalg.expm(t * K)))
+                for got, exact in blocks:
+                    assert relative_1norm_error(got, exact) <= 1e-13, (d_e, d_g, t)
 
 
 def test_integral_of_exp_at_zero():
