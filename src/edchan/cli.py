@@ -21,13 +21,13 @@ from .channel import BlockOperator, EDMap, is_trace_preserving
 from .cpcheck import (
     KrausSet,
     NotCompletelyPositiveError,
+    _coupled_min_eigenvalue,
     _cp_with_kraus,
     ball_decompose,
     explicit_kraus_ed,
     is_cp_ed,
     is_positive_ed_dg1,
     is_trace_nonincreasing,
-    min_full_choi_eigenvalue,
 )
 from .dynamics import (build_td_trajectory, is_cp_divisible, semigroup_trajectory,
                        trajectory_observables)
@@ -101,7 +101,7 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
         "tp": tp,
         "trace_nonincreasing_phi": is_trace_nonincreasing(m.phi, tol),
         "positive": positive,
-        "min_choi_eigenvalue": min_full_choi_eigenvalue(m),
+        "min_choi_eigenvalue": min(0.0, report.omega_min_eigenvalue, _coupled_min_eigenvalue(m)),
         "ball": ball,
         "witnesses": witnesses,
     }

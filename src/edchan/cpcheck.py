@@ -245,12 +245,8 @@ def is_cp_ed(m: EDMap, tol: float | None = None) -> EDCPReport:
     return _ed_report(m, t, is_cp(m.omega, tol), is_cp(_damped_block(m, t), tol))
 
 
-def min_full_choi_eigenvalue(m: EDMap) -> float:
-    """Smallest eigenvalue of the full-space Choi matrix's hermitian part, from the blocks.
-
-    Equals ``is_cp(m.to_linear_map()).min_choi_eigenvalue`` (see the module
-    docstring) at the cost of a (d_e^2 + 1)- and a (d_e d_g)-square eigensolve.
-    """
+def _coupled_min_eigenvalue(m: EDMap) -> float:
+    """Smallest eigenvalue of the (d_e^2 + 1)-square matrix coupling C_phi, B and gamma."""
     n = m.d_e * m.d_e
     beta = np.sqrt(m.d_g) * m.B.reshape(-1)
     M1 = np.empty((n + 1, n + 1), dtype=complex)
@@ -258,8 +254,18 @@ def min_full_choi_eigenvalue(m: EDMap) -> float:
     M1[:n, n] = beta
     M1[n, :n] = beta.conj()
     M1[n, n] = m.gamma * m.d_g
+    return float(np.linalg.eigvalsh(M1)[0])
+
+
+def min_full_choi_eigenvalue(m: EDMap) -> float:
+    """Smallest eigenvalue of the full-space Choi matrix's hermitian part, from the blocks.
+
+    Equals ``is_cp(m.to_linear_map()).min_choi_eigenvalue`` (see the module
+    docstring) at the cost of a (d_e^2 + 1)- and a (d_e d_g)-square eigensolve. A caller
+    holding ``is_cp_ed(m)`` reuses its ``omega_min_eigenvalue`` in place of the second.
+    """
     lo_omega = np.linalg.eigvalsh(hermitian_part(choi(m.omega).mat))[0]
-    return min(0.0, float(lo_omega), float(np.linalg.eigvalsh(M1)[0]))
+    return min(0.0, float(lo_omega), _coupled_min_eigenvalue(m))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,9 +20,9 @@ is CP-divisible exactly when every propagator Phi_t ∘ Phi_s^-1 is completely
 positive. Since the class is closed under composition, checking consecutive
 grid pairs suffices on a grid.
 
-Generator suppliers passed to :func:`build_td_trajectory` must be pure
-functions of time; trajectory construction is sequential but independent
-trajectories may be built concurrently.
+:func:`build_td_trajectory` steps by the semigroup member of the generators
+at each step's midpoint. Its suppliers must be pure functions of time;
+construction is sequential but independent trajectories may be concurrent.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ from .channel import (
     compose,
     invert,
 )
-from .cpcheck import choi, is_cp, is_cp_ed, min_full_choi_eigenvalue
+from .cpcheck import _coupled_min_eigenvalue, choi, is_cp, is_cp_ed, min_full_choi_eigenvalue
 from .matcore import (
     DEFAULT_TOL,
+    _expm,
     as_complex_matrix,
-    augmented,
     check_time,
     default_psd_tol,
     freeze,
@@ -188,13 +188,12 @@ def K_from_spec(spec: SemigroupSpec) -> np.ndarray:
 def _member(SL: np.ndarray, K: np.ndarray, psi: LinearMap, t: float) -> EDMap:
     """The map (exp(t L), psi ∘ integral_0^t exp(tau L) dtau, exp(t K), 1) at t >= 0.
 
-    exp(t L) and the integral, exact also for singular L, are the upper blocks
-    of one exponential of t [[L, I], [0, 0]].
+    exp(t L) and the integral, exact also for singular L, come from one
+    exponential kernel call, the upper blocks of exp(t [[L, I], [0, 0]]).
     """
     t = check_time(t)
-    n = SL.shape[0]
-    E = matexp(t * augmented(SL))
-    return EDMap(LinearMap(E[:n, :n]), LinearMap(psi.mat @ E[:n, n:]), matexp(t * K), 1.0)
+    E, F = _expm(as_complex_matrix(t * SL, "t * L"), t)
+    return EDMap(LinearMap(E), LinearMap(psi.mat @ F), matexp(t * K), 1.0)
 
 
 def semigroup_at(spec: SemigroupSpec, t: float) -> EDMap:
@@ -449,10 +448,10 @@ def is_cp_divisible(traj: ChannelTrajectory, tol: float | None = None) -> CPDivi
     """
     t = DEFAULT_TOL if tol is None else float(tol)
     reports, mins = [], []
-    for lam, report in _consecutive_steps(traj, min_full_choi_eigenvalue,
-                                          lambda step: is_cp_ed(step, tol)):
+    for report, coupled in _consecutive_steps(traj, lambda step: is_cp_ed(step, tol),
+                                              _coupled_min_eigenvalue):
         reports.append(report)
-        mins.append(lam)
+        mins.append(min(0.0, report.omega_min_eigenvalue, coupled))
     worst = int(np.argmin(mins)) if mins else None
     lo = 0.0 if worst is None else float(mins[worst])
     return CPDivisibilityReport(
@@ -505,35 +504,27 @@ def is_gkls_generator(L: LinearMap, tol: float | None = None) -> GKLSValidityRep
 def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
     """Integrate time-dependent generators into a trajectory.
 
-    phi_t and B_t are stepwise time-ordered products of midpoint
-    exponentials; omega_t accumulates psi_tau ∘ phi_tau with the trapezoidal
-    rule. Both are second-order accurate in the step. The suppliers must
-    return, for every t in [grid[0], grid[-1]]: the excited-sector generator
-    superoperator, the coherence-block generator matrix and the ground-feed
-    superoperator.
-
-    Each grid step is the map (E, dt/2 (psi(t_k) + psi(t_{k+1}) ∘ E), E_B, 1),
-    with E and E_B its two exponentials, and maps[k+1] = step_k ∘ maps[k].
-    The trajectory keeps the steps as its propagators, about one more phi
-    per point in memory.
+    The suppliers must return, for every t in [grid[0], grid[-1]]: the
+    excited-sector generator superoperator, the coherence-block generator
+    matrix and the ground-feed superoperator. Step k is the semigroup member
+    at dt of the generators frozen at the step's midpoint (the exponential
+    midpoint rule, a second-order Magnus integrator), built by the
+    constructor :func:`semigroup_at` uses, and maps[k+1] = step_k ∘ maps[k].
+    So a step is exactly trace preserving when its midpoint triple is and
+    completely positive when that triple is valid, and constant suppliers
+    give exactly :func:`semigroup_trajectory`'s maps. The trajectory keeps
+    the steps as its propagators, about one more phi per point in memory.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
-    K0 = as_complex_matrix(K_fn(grid[0]), "K supplier output")
-    d_e = K0.shape[0]
-    psi_prev = as_complex_matrix(psi_fn(grid[0]), "psi supplier output")
-    d_g = int(round(np.sqrt(psi_prev.shape[0])))
-
+    psi0 = LinearMap(as_complex_matrix(psi_fn(grid[0]), "psi supplier output"))
     steps = []
     for t0, t1 in zip(grid[:-1], grid[1:]):
-        dt = t1 - t0
         mid = 0.5 * (t0 + t1)
-        E = matexp(dt * as_complex_matrix(L_fn(mid), "L supplier output"))
-        E_B = matexp(dt * as_complex_matrix(K_fn(mid), "K supplier output"))
-        psi_next = as_complex_matrix(psi_fn(t1), "psi supplier output")
-        steps.append(EDMap(LinearMap(E), LinearMap(0.5 * dt * (psi_prev + psi_next @ E)), E_B, 1.0))
-        psi_prev = psi_next
-    return _from_steps(grid, d_e, d_g, steps)
+        L, K, psi = (as_complex_matrix(fn(mid), f"{name} supplier output")
+                     for fn, name in ((L_fn, "L"), (K_fn, "K"), (psi_fn, "psi")))
+        steps.append(_member(L, K, LinearMap(psi), t1 - t0))
+    return _from_steps(grid, psi0.d_in, psi0.d_out, steps)
 
 
 def trajectory_observables(traj: ChannelTrajectory, X0: BlockOperator) -> list:

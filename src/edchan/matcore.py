@@ -18,6 +18,8 @@ Conventions, fixed once for the whole package:
   approximant of degree 3, 5, 7, 9 or 13, picked by the 1-norm against
   Higham's thresholds theta_m (N. J. Higham, SIAM J. Matrix Anal. Appl.
   26(4), 1179 (2005)): one linear solve, then one squaring per halving.
+  The same kernel gives the integral of e^{sA} beside e^A, as the upper
+  blocks of exp([[A, c I], [0, 0]]), on n-square blocks only.
   Eigendecomposition is reserved for test oracles since generators may be
   defective.
 """
@@ -131,16 +133,23 @@ _THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
 _THETA_13 = 5.371920351148152
 
 
-def _expm(A: np.ndarray) -> np.ndarray:
-    """e^A of a finite square complex array by Padé scaling and squaring."""
-    if A.shape == (1, 1):
-        return np.exp(A)  # exact to rounding, where squaring would amplify it
-    norm = float(np.abs(A).sum(axis=0).max(initial=0.0))
+def _expm(A: np.ndarray, c: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Upper blocks (e^A, F) of exp([[A, c I], [0, 0]]) for a finite square complex A.
+
+    F = c times the integral of e^{sA} for s from 0 to 1, exact for singular A
+    too; at A = t L and c = t it is the integral of e^{tau L} over [0, t]. The
+    block matrix is never formed: its 1-norm max(|A|_1, |c|) picks the degree
+    and scaling, its powers are [[A^k, c A^(k-1)], [0, 0]], and one solve
+    gives both blocks.
+    """
+    if c == 0 and A.shape == (1, 1):
+        return np.exp(A), np.zeros_like(A)  # exact to rounding, where squaring would amplify it
+    norm = max(float(np.abs(A).sum(axis=0).max(initial=0.0)), abs(c))
     s = 0
     m = next((deg for deg, theta in _THETA if norm <= theta), 13)
     if m == 13 and norm > _THETA_13:
         s = int(np.ceil(np.log2(norm / _THETA_13)))
-        A = A / 2.0 ** s
+        A, c = A / 2.0 ** s, c / 2.0 ** s
     b = _PADE[m]
     # p_m(A) = U + V with U = A u(A^2) odd and V even; the b_1 and b_0 terms of
     # u and V go onto the diagonal, in place of a scaled identity
@@ -156,14 +165,18 @@ def _expm(A: np.ndarray) -> np.ndarray:
         A6 = A4 @ A2
         u = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
         V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
-    step = A.shape[0] + 1
-    u.flat[::step] += b[1]
-    V.flat[::step] += b[0]
+    n = A.shape[0]
+    u.flat[::n + 1] += b[1]
+    V.flat[::n + 1] += b[0]
     U = A @ u
-    R = np.linalg.solve(V - U, V + U)
+    # the block Padé quotient is [[E, F], [0, I]]: the odd part's upper-right
+    # block is c u, and the even part's cancels
+    R = np.linalg.solve(V - U, np.hstack((V + U, 2 * c * u)))
+    E, F = R[:, :n], R[:, n:]
     for _ in range(s):
-        R = R @ R
-    return R
+        F = E @ F + F
+        E = E @ E
+    return E, F
 
 
 def check_time(t) -> float:
@@ -178,30 +191,15 @@ def matexp(M) -> np.ndarray:
     """e^M by Padé scaling and squaring."""
     A = as_complex_matrix(M)
     _require_square(A)
-    return _expm(A)
-
-
-def augmented(L: np.ndarray) -> np.ndarray:
-    """The block matrix [[L, I], [0, 0]] of a square ``L``.
-
-    Its exponential at t has upper blocks e^{tL} and the integral of e^{tau L}
-    for tau from 0 to t, exact for every L including singular ones
-    (trace-preserving generators always have 0 in their spectrum).
-    """
-    n = L.shape[0]
-    aug = np.zeros((2 * n, 2 * n), dtype=complex)
-    aug[:n, :n] = L
-    aug[:n, n:] = np.eye(n)
-    return aug
+    return _expm(A)[0]
 
 
 def integral_of_exp(L, t: float) -> np.ndarray:
-    """Return the integral of e^{tau L} for tau from 0 to t, from e^{t augmented(L)}."""
+    """Return the integral of e^{tau L} for tau from 0 to t."""
     A = as_complex_matrix(L)
     _require_square(A)
     t = check_time(t)
-    n = A.shape[0]
-    return _expm(as_complex_matrix(t * augmented(A), "t * L"))[:n, n:].copy()
+    return _expm(as_complex_matrix(t * A, "t * L"), t)[1]
 
 
 def pinv(M, tol: float = 1e-12) -> np.ndarray:

@@ -194,8 +194,8 @@ def test_verify_eigensolves_phi_choi_once(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "v.json").read_text())
     assert report["cp"] and report["ball"] is not None
     # omega and the damped block (is_cp_ed), phi (ball), phi's trace functional,
-    # and C_omega plus M1 for the full-space minimum
-    assert len(calls) == 6
+    # and M1 for the full-space minimum, which reuses is_cp_ed's C_omega minimum
+    assert len(calls) == 5
 
 
 def test_evolve_scalar_decay_matches_closed_form(scalar_decay_spec, tmp_path):

@@ -457,19 +457,23 @@ def test_semigroup_trajectory_long_grid_drift():
 def test_semigroup_trajectory_one_exponential_pair_per_distinct_step(monkeypatch):
     from edchan import dynamics
 
-    sizes = []
+    sizes = {"_expm": [], "matexp": []}
 
-    def counted(M):
-        sizes.append(len(M))
-        return matexp(M)
+    def counted(name, fn):
+        def wrapper(M, *args):
+            sizes[name].append(len(M))
+            return fn(M, *args)
+        return wrapper
 
-    monkeypatch.setattr(dynamics, "matexp", counted)
+    monkeypatch.setattr(dynamics, "_expm", counted("_expm", dynamics._expm))
+    monkeypatch.setattr(dynamics, "matexp", counted("matexp", matexp))
     spec = random_semigroup_spec(np.random.default_rng(34), 2, 2)
     grid = np.linspace(0.0, 1.0, 101)
     semigroup_trajectory(spec, grid)
     distinct = len(set(np.diff(grid)))
     assert distinct < 20
-    assert sorted(sizes) == [2] * distinct + [8] * distinct
+    # e^{dt L} and its integral from one n-square kernel call, e^{dt K} from another
+    assert sizes == {"_expm": [4] * distinct, "matexp": [2] * distinct}
 
 
 def test_semigroup_at_is_the_trajectory_step_bit_for_bit():
@@ -609,6 +613,19 @@ def test_is_cp_divisible_runs_block_test_once_per_distinct_step(monkeypatch):
     assert len(calls) == len(set(np.diff(grid))) < 20
 
 
+def test_is_cp_divisible_eigensolves_three_blocks_per_distinct_step(monkeypatch):
+    # omega and the damped block (is_cp_ed) and the coupled phi-B matrix; C_omega's
+    # minimum is is_cp_ed's, not a second eigensolve
+    grid = np.linspace(0.0, 1.0, 101)
+    traj = semigroup_trajectory(random_semigroup_spec(np.random.default_rng(39), 2, 2), grid)
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, fn=fn, **kw: calls.append(fn) or fn(*a, **kw))
+    assert is_cp_divisible(traj).cp_divisible
+    assert len(calls) == 3 * len(set(np.diff(grid)))
+
+
 def decay_spec(rate):
     """d_e = 2, d_g = 1: the second excited level decays at ``rate``, so phi_t
     has condition number exp(rate t)."""
@@ -710,6 +727,64 @@ def test_td_trajectory_constant_suppliers_match_semigroup():
     worst = max(edmap_maxdiff(traj.maps[i], semigroup_at(spec, grid[i]))
                 for i in range(len(grid)))
     assert worst < 1e-6
+
+
+def test_td_trajectory_constant_suppliers_equal_semigroup_trajectory_bit_for_bit():
+    # one step constructor: a constant table steps exactly as the semigroup does
+    grid = np.linspace(0.0, 1.0, 21) ** 1.5
+    for seed, (d_e, d_g) in ((45, (2, 2)), (46, (3, 1)), (47, (8, 3))):
+        spec = random_semigroup_spec(np.random.default_rng(seed), d_e, d_g)
+        SL, K, S_psi = gkls_superop(spec.gen).mat, K_from_spec(spec), spec.psi.mat
+        table = build_td_trajectory(lambda t: SL, lambda t: K, lambda t: S_psi, grid)
+        for k, (got, want) in enumerate(zip(table.maps, semigroup_trajectory(spec, grid).maps)):
+            assert np.array_equal(got.phi.mat, want.phi.mat), (seed, k)
+            assert np.array_equal(got.omega.mat, want.omega.mat), (seed, k)
+            assert np.array_equal(got.B, want.B), (seed, k)
+
+
+def valid_table_trajectory(rng, d_e, d_g, samples=5):
+    """A generator table of valid trace-preserving triples, stepped on 101 points.
+
+    Every sample shares one sink channel and (eps, kappa, c), as the bench's
+    tables do, so the piecewise-linear interpolation stays valid and TP.
+    """
+    from edchan.jsonio import generator_table_from_dict, matrix_to_json
+
+    E = random_tp_ground_channel(rng, d_g)
+    base = random_semigroup_spec(rng, d_e, d_g)
+    times = np.linspace(0.0, 1.0, samples)
+    table = {"type": "generator_table", "d_e": d_e, "d_g": d_g,
+             "times": times.tolist(), "L": [], "K": [], "psi": []}
+    for _ in times:
+        gen = random_gkls(rng, d_e)
+        spec = SemigroupSpec(gen, base.epsilon, base.kappa, base.c, psi_from_sink(gen.G, E))
+        assert check_tp_condition(spec)
+        table["L"].append(matrix_to_json(gkls_superop(gen).mat))
+        table["K"].append(matrix_to_json(K_from_spec(spec)))
+        table["psi"].append(matrix_to_json(spec.psi.mat))
+    L_fn, K_fn, psi_fn = generator_table_from_dict(table)[:3]
+    return build_td_trajectory(L_fn, K_fn, psi_fn, np.linspace(0.0, 1.0, 101))
+
+
+@pytest.mark.parametrize("d_e, d_g", [(2, 1), (2, 3), (4, 2)])
+def test_td_trajectory_of_tp_table_conserves_trace(d_e, d_g):
+    rng = np.random.default_rng([48, d_e, d_g])
+    traj = valid_table_trajectory(rng, d_e, d_g)
+    X0 = BlockOperator.from_full(random_density(rng, d_e + d_g), d_e, d_g)
+    for row in trajectory_observables(traj, X0):
+        assert abs(row["total_trace"] - 1.0) <= 1e-12, row["t"]
+
+
+@pytest.mark.parametrize("d_e, d_g", [(2, 1), (2, 3), (4, 2)])
+def test_td_trajectory_of_valid_table_has_cptp_steps(d_e, d_g):
+    # each step is the member of a valid TP triple: CP, and TP to roundoff
+    from edchan import is_trace_preserving
+
+    traj = valid_table_trajectory(np.random.default_rng([49, d_e, d_g]), d_e, d_g)
+    for k, step in enumerate(traj._steps):
+        assert is_cp_ed(step).cp, k
+        assert is_trace_preserving(step, 1e-12), k
+    assert is_cp_divisible(traj).cp_divisible
 
 
 def test_td_trajectory_zero_suppliers_identity():

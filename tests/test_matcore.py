@@ -4,6 +4,7 @@ import scipy.linalg  # the oracle, from the test extra; imported directly so a m
 
 from edchan.dynamics import K_from_spec, gkls_superop, semigroup_at
 from edchan.matcore import (
+    _expm,
     devectorize,
     hermitian_part,
     integral_of_exp,
@@ -144,6 +145,32 @@ def test_gkls_exponentials_match_scipy_oracle():
                 exact = scipy.linalg.expm(dt * aug)
                 assert relative_1norm_error(matexp(dt * aug), exact) <= 1e-13, label
                 assert relative_1norm_error(integral_of_exp(L, dt), exact[:n, n:]) <= 1e-13, label
+
+
+def test_expm_kernel_integral_block_matches_scipy_oracle():
+    # both upper blocks of exp(t [[L, I], [0, 0]]) from one n-square _expm(t L, t) call;
+    # every row has |t L|_1 <= 1e3, as in test_matexp_matches_scipy_oracle, but the decay row
+    rng = np.random.default_rng(14)
+    R = rng.uniform(0.0, 1.0, (6, 6))
+    Q = R - np.diag(R.sum(axis=0))  # singular rate generator: columns sum to 0
+    Q /= np.abs(Q).sum(axis=0).max()
+    jordan = np.diag(np.ones(5), 1)  # nilpotent
+    rows = [(f"1x1 {z}", np.array([[z]]), t)
+            for z in (0.0, 1e-4, -0.8, -2.5, 3.0 + 4.0j, -7e2)
+            for t in (1e-3, 0.1, 1.0, 5.0, 30.0) if abs(z) * t <= 1e3]
+    rows.append(("decay L = -1000 at t = 30", np.array([[-1000.0]]), 30.0))
+    rows += [(f"jordan x{c}", c * jordan, t)
+             for c in (1e-3, 1.0, 1e2, 1e3) for t in (1e-3, 0.1, 1.0)]
+    rows += [(f"rate generator x{c}", c * Q, t)
+             for c in (1e-3, 0.1, 1.0, 10.0) for t in (1e-3, 1.0, 30.0)]
+    rows.append(("rate generator x1e3", 1e3 * Q, 1.0))
+    for label, L, t in rows:
+        # complex, as the generators are: scipy's real path is 5e-13 off e^-4 at the -0.8 row
+        L, n = L.astype(complex), len(L)
+        exact = scipy.linalg.expm(t * np.block([[L, np.eye(n)], [np.zeros((n, 2 * n))]]))
+        E, F = _expm(t * L, t)
+        assert relative_1norm_error(E, exact[:n, :n]) <= 1e-13, (label, t)
+        assert relative_1norm_error(F, exact[:n, n:]) <= 1e-13, (label, t)
 
 
 def test_semigroup_at_matches_scipy_oracle():
