@@ -151,17 +151,6 @@ class LinearMap:
             S += np.kron(A.conj(), A)
         return cls(S)
 
-    @classmethod
-    def from_function(cls, f, d_in: int, d_out: int) -> "LinearMap":
-        """Sample a callable on all matrix units of B(C^d_in)."""
-        S = np.zeros((d_out * d_out, d_in * d_in), dtype=complex)
-        for k in range(d_in):
-            for j in range(d_in):
-                E = np.zeros((d_in, d_in), dtype=complex)
-                E[j, k] = 1.0
-                S[:, j + d_in * k] = vectorize(as_complex_matrix(f(E), "map output"))
-        return cls(S)
-
     def trace_functional(self) -> np.ndarray:
         """The operator W with tr(map(X)) == tr(W @ X) for all X.
 
@@ -400,12 +389,11 @@ def build_tp_omega(phi: LinearMap, Omega, tol: float = 1e-10) -> LinearMap:
         )
     if abs(complex(np.trace(W)) - 1.0) > tol:
         raise ValueError(f"Omega is not a state: trace {complex(np.trace(W)):.6g} != 1")
-    d_e, d_g = phi.d_in, W.shape[0]
+    d_e = phi.d_in
     if phi.d_out != d_e:
         raise ValueError("phi must map the excited sector to itself")
-    return LinearMap.from_function(
-        lambda X: complex(np.trace(X - phi(X))) * W, d_e, d_g
-    )
+    functional = (np.eye(d_e) - phi.trace_functional()).reshape(-1)  # vec(X) -> tr(X - phi(X))
+    return LinearMap(np.outer(vectorize(W), functional))
 
 
 def qubit_map(a: complex, b: complex, q: complex, gamma: float) -> EDMap:

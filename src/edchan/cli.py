@@ -26,6 +26,7 @@ from .cpcheck import (
     ball_decompose,
     explicit_kraus_ed,
     is_cp_ed,
+    is_hermiticity_preserving,
     is_positive_ed_dg1,
     is_trace_nonincreasing,
 )
@@ -83,7 +84,10 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
 
     positive = None
     witnesses = []
-    if m.d_g == 1:
+    if m.d_g == 1 and not (is_hermiticity_preserving(m.phi, tol)
+                           and is_hermiticity_preserving(m.omega, tol)):
+        positive = False  # a positive map preserves hermiticity
+    elif m.d_g == 1:
         verdict = is_positive_ed_dg1(m, samples=VERIFY_SAMPLES, tol=tol, seed=seed)
         positive = not verdict.not_positive
         if verdict.not_positive:

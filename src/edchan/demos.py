@@ -12,6 +12,7 @@ from .dynamics import (
     build_td_trajectory,
     psi_from_sink,
 )
+from .matcore import vectorize
 
 
 def amplitude_damping_qubit(a: float = 0.8) -> EDMap:
@@ -42,7 +43,7 @@ def demo_semigroup_spec() -> SemigroupSpec:
     gen = GKLSGenerator(H=H, G=G, F=(F,))
     # ground-sector sink: relax everything onto the first ground level
     omega_state = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    E = LinearMap.from_function(lambda X: np.trace(X) * omega_state, 2, 2)
+    E = LinearMap(np.outer(vectorize(omega_state), vectorize(np.eye(2))))  # tr(X) omega_state
     psi = psi_from_sink(G, E)
     return SemigroupSpec(gen=gen, epsilon=0.3, kappa=0.4,
                          c=np.array([0.5 + 0.2j]), psi=psi)

@@ -1,9 +1,9 @@
 """File formats: JSON schemas for maps, specs and trajectories, CSV export.
 
 Complex numbers are encoded as two-element arrays [re, im]; a vector is a
-list of such pairs and a matrix a list of rows of them. JSON reports are
-emitted canonically: keys sorted, floats printed with 17 significant digits,
-so repeated runs are byte-identical. See docs/formats.md for the full schemas.
+list of such pairs and a matrix a list of rows of them. JSON reports sort keys
+and print floats as their shortest round-trip repr, exact to the bit (the sign
+of -0.0 and the float type of 1.0 kept). See docs/formats.md for the schemas.
 """
 
 from __future__ import annotations
@@ -228,36 +228,9 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def canonical_dumps(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [canonical_dumps(x, indent + 1) for x in obj]
-        if not items:
-            return "[]"
-        return "[\n" + ",\n".join(inner + s for s in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = []
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise ValueError("JSON object keys must be strings")
-            parts.append(f"{inner}{json.dumps(key)}: "
-                         f"{canonical_dumps(obj[key], indent + 1)}")
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise ValueError(f"cannot serialize object of type {type(obj).__name__}")
+def canonical_dumps(obj) -> str:
+    """Byte-deterministic JSON, exact to the bit; NaN and infinities raise ValueError."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 CSV_COLUMNS = ("t", "trace_ee", "trace_gg", "coherence_norm",
@@ -265,7 +238,7 @@ CSV_COLUMNS = ("t", "trace_ee", "trace_gg", "coherence_norm",
 
 
 def observables_to_csv(rows) -> str:
-    """Render trajectory observable rows as deterministic CSV text."""
+    """Render trajectory observable rows as CSV text, floats at 17 significant digits."""
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
         lines.append(",".join(_format_float(float(row[c])) for c in CSV_COLUMNS))

@@ -142,8 +142,9 @@ def _expm(A: np.ndarray, c: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     and scaling, its powers are [[A^k, c A^(k-1)], [0, 0]], and one solve
     gives both blocks.
     """
-    if c == 0 and A.shape == (1, 1):
-        return np.exp(A), np.zeros_like(A)  # exact to rounding, where squaring would amplify it
+    if A.shape == (1, 1):  # closed forms, exact to rounding where squaring would amplify it
+        a = A[0, 0]
+        return np.exp(A), np.full_like(A, c * np.expm1(a) / a if a and c else c)
     norm = max(float(np.abs(A).sum(axis=0).max(initial=0.0)), abs(c))
     s = 0
     m = next((deg for deg, theta in _THETA if norm <= theta), 13)
@@ -200,12 +201,6 @@ def integral_of_exp(L, t: float) -> np.ndarray:
     _require_square(A)
     t = check_time(t)
     return _expm(as_complex_matrix(t * A, "t * L"), t)[1]
-
-
-def pinv(M, tol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse, truncating singular values below tol*sigma_max."""
-    A = as_complex_matrix(M)
-    return np.linalg.pinv(A, rcond=tol)
 
 
 def vectorize(M) -> np.ndarray:

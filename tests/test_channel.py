@@ -45,13 +45,6 @@ def test_linear_map_from_kraus_matches_conjugation():
     assert maxdiff(m(X), A @ X @ A.conj().T) < 1e-12
 
 
-def test_linear_map_from_function_round_trip():
-    rng = np.random.default_rng(2)
-    m = random_cp_map(rng, 2, 3)
-    resampled = LinearMap.from_function(m, 2, 3)
-    assert maxdiff(resampled.mat, m.mat) < 1e-12
-
-
 def test_linear_map_action_is_linear():
     rng = np.random.default_rng(3)
     m = LinearMap(rc(rng, 9, 4))

@@ -80,7 +80,8 @@ def test_choi_identity_is_entangled_projector():
 
 def test_choi_depolarizing():
     d = 3
-    m = LinearMap.from_function(lambda X: np.trace(X) * np.eye(d) / d, d, d)
+    I = np.eye(d).reshape(-1)
+    m = LinearMap(np.outer(I, I) / d)  # X -> tr(X) I / d
     C = choi(m)
     assert maxdiff(C.mat, np.kron(np.eye(d) / d, np.eye(d))) < 1e-12
     assert is_cp(m).is_cp
@@ -338,34 +339,26 @@ def test_explicit_kraus_block_structure():
         assert np.abs(blocks.eg).max() < 1e-12  # upper-right block always vanishes
 
 
-def test_explicit_kraus_rejects_non_cp():
-    m = qubit_map(0.5, 0.9, 0.5, 1.0)
-    with pytest.raises(NotCompletelyPositiveError) as info:
-        explicit_kraus_ed(m)
-    # the block verdict travels with the error, so callers need not rerun it
-    assert info.value.report == is_cp_ed(m)
-
-
-@pytest.mark.parametrize("d_g", [1, 2])
-@pytest.mark.parametrize("d_e", [2, 4, 8])
+@pytest.mark.parametrize("d_e, d_g", [(1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (8, 1), (8, 2)])
 def test_explicit_kraus_error_report_matches_block_test(d_e, d_g):
     """The report a non-CP map's error carries is is_cp_ed's: verdicts exactly, eigenvalues to roundoff."""
     rng = np.random.default_rng(500 + 10 * d_e + d_g)
+    maps = [qubit_map(0.5, 0.9, 0.5, 1.0)] if d_e == 1 else []
     for _ in range(3):
         overfilled = cp_edmap(rng, d_e, d_g, fill=float(rng.uniform(1.2, 3.0)))
         base = cp_edmap(rng, d_e, d_g)
-        bad_omega = EDMap(base.phi, random_noncp_map(rng, d_e, d_g), base.B, base.gamma)
-        for m in (overfilled, bad_omega):
-            expected = is_cp_ed(m)
-            assert not expected.cp
-            with pytest.raises(NotCompletelyPositiveError) as info:
-                explicit_kraus_ed(m)
-            got = info.value.report
-            assert ((got.cp, got.omega_cp, got.damped_phi_cp, got.branch)
-                    == (expected.cp, expected.omega_cp, expected.damped_phi_cp, expected.branch))
-            for lam, ref in ((got.omega_min_eigenvalue, expected.omega_min_eigenvalue),
-                             (got.damped_min_eigenvalue, expected.damped_min_eigenvalue)):
-                assert abs(lam - ref) <= 1e-12 * max(1.0, abs(ref))
+        maps += [overfilled, EDMap(base.phi, random_noncp_map(rng, d_e, d_g), base.B, base.gamma)]
+    for m in maps:
+        expected = is_cp_ed(m)
+        assert not expected.cp
+        with pytest.raises(NotCompletelyPositiveError) as info:
+            explicit_kraus_ed(m)
+        got = info.value.report
+        assert ((got.cp, got.omega_cp, got.damped_phi_cp, got.branch)
+                == (expected.cp, expected.omega_cp, expected.damped_phi_cp, expected.branch))
+        for lam, ref in ((got.omega_min_eigenvalue, expected.omega_min_eigenvalue),
+                         (got.damped_min_eigenvalue, expected.damped_min_eigenvalue)):
+            assert abs(lam - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +496,7 @@ def test_dg1_sampler_is_one_sided_on_positive_noncp_map():
     weights = (1.0, 0.3, 0.3, 0.1)
     phi = LinearMap.from_kraus([np.sqrt(w) * P
                                 for w, P in zip(weights, (I2, X, Y, Z))])
-    omega = LinearMap.from_function(lambda M: np.array([[np.trace(M)]]), 2, 1)
+    omega = LinearMap(np.eye(2).reshape(1, -1))  # the trace
     m = EDMap(phi, omega, np.sqrt(0.2) * Z, 1.0)
 
     ks = kraus_from_choi(choi(m.phi))

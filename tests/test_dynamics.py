@@ -27,7 +27,7 @@ from edchan import (
     wigner_weisskopf_at,
 )
 from edchan.demos import noncp_divisible_trajectory
-from edchan.matcore import hermitian_part
+from edchan.matcore import hermitian_part, vectorize
 from conftest import (
     random_cp_map,
     random_density,
@@ -214,7 +214,7 @@ def test_tp_condition_state_dump_feed():
     rng = np.random.default_rng(10)
     G = random_psd(rng, 2)
     Omega = random_density(rng, 3)
-    psi = LinearMap.from_function(lambda X: np.trace(G @ X) * Omega, 2, 3)
+    psi = LinearMap(np.outer(vectorize(Omega), vectorize(G.T)))  # tr(G X) Omega
     gen = GKLSGenerator(random_hermitian(rng, 2), G, ())
     spec = SemigroupSpec(gen, 0.0, 0.0, np.zeros(0), psi)
     assert check_tp_condition(spec)
@@ -231,9 +231,9 @@ def test_psi_from_sink_recovers_state_dump():
     rng = np.random.default_rng(11)
     G = random_psd(rng, 3)
     Omega = random_density(rng, 2)
-    E = LinearMap.from_function(lambda X: np.trace(X) * Omega, 2, 2)
+    E = LinearMap(np.outer(vectorize(Omega), vectorize(np.eye(2))))  # tr(X) Omega
     psi = psi_from_sink(G, E)
-    expected = LinearMap.from_function(lambda X: np.trace(G @ X) * Omega, 3, 2)
+    expected = LinearMap(np.outer(vectorize(Omega), vectorize(G.T)))  # tr(G X) Omega
     assert maxdiff(psi.mat, expected.mat) < 1e-10
 
 

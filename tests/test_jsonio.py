@@ -1,9 +1,10 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from edchan import BlockOperator, semigroup_at
+from edchan import BlockOperator, EDMap, semigroup_at
 from edchan.jsonio import (
     block_operator_from_dict,
     block_operator_to_dict,
@@ -141,8 +142,48 @@ def test_canonical_dumps_is_deterministic_and_sorted():
     assert parsed["b"] == pytest.approx(1.0 / 3.0, abs=0.0)
 
 
-def test_canonical_dumps_17_digits():
-    assert "0.33333333333333331" in canonical_dumps(1.0 / 3.0)
+def same_bits(got, want) -> bool:
+    """Parsed JSON ``got`` equals the payload ``want``, floats compared as IEEE bits."""
+    if isinstance(want, float):
+        return type(got) is float and struct.pack("<d", got) == struct.pack("<d", want)
+    if isinstance(want, dict):
+        return (type(got) is dict and got.keys() == want.keys()
+                and all(same_bits(got[k], want[k]) for k in want))
+    if isinstance(want, (list, tuple)):
+        return type(got) is list and len(got) == len(want) and all(map(same_bits, got, want))
+    return type(got) is type(want) and got == want
+
+
+def test_canonical_dumps_round_trips_every_payload_bit_for_bit(tmp_path, monkeypatch):
+    from edchan import cli, demos
+
+    payloads = []
+
+    def capture(obj):
+        payloads.append(obj)
+        return canonical_dumps(obj)
+
+    monkeypatch.setattr(cli, "canonical_dumps", capture)
+    out = str(tmp_path / "out.json")
+    for name in cli._demo_payloads():
+        path = str(tmp_path / f"{name}.json")
+        assert cli.main(["demo", "--name", name, "--output", path]) == 0
+        for command in ("verify", "kraus") if payloads[-1]["type"] == "edmap" else ("divisibility",):
+            assert cli.main([command, "--input", path, "--output", out]) in (0, 1)
+    assert {p["type"] for p in payloads} >= {"edmap", "semigroup_spec", "trajectory",
+                                              "verify_report", "kraus_report",
+                                              "divisibility_report"}
+    # -0.0 entries in phi and B, and integral floats, which must stay floats
+    m = demos.phase_damping_qubit()
+    m = EDMap(m.phi * -0.0, m.omega, np.array([[complex(-0.0, -0.0)]]), 1.0)
+    payloads.append(edmap_to_dict(m))
+    for p in payloads:
+        assert same_bits(json.loads(canonical_dumps(p)), p), p["type"]
+    back = edmap_from_dict(json.loads(canonical_dumps(payloads[-1])))
+    for got, want in ((back.phi.mat, m.phi.mat), (back.B, m.B)):
+        assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+        assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+    assert np.signbit(back.B.real).all() and np.signbit(back.B.imag).all()
 
 
 def test_canonical_dumps_rejects_non_finite():
