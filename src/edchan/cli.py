@@ -2,9 +2,9 @@
 
 Subcommands: verify, kraus, evolve, divisibility, demo. Structured verdicts
 go to JSON, time series to CSV. Every command is deterministic given its
-input and seed. Exit codes: 0 for success or a positive verdict, 1 for a
-legitimate negative verdict (map not CPTP, trajectory not CP-divisible), 2
-for input or shape errors.
+input (and, for verify, its seed). Exit codes: 0 for success or a positive
+verdict, 1 for a legitimate negative verdict (map not CPTP, trajectory not
+CP-divisible), 2 for input or shape errors.
 """
 
 from __future__ import annotations
@@ -241,11 +241,11 @@ def cmd_demo(args) -> int:
         failures += 0 if ok else 1
 
     ad = demos.amplitude_damping_qubit()
-    rep = _verify_report(ad, args.tol, args.seed)
+    rep = _verify_report(ad, args.tol, 0)
     check("amplitude_damping verify (cp and tp)", rep["cp"] and rep["tp"])
 
     bad = demos.noncp_qubit()
-    rep = _verify_report(bad, args.tol, args.seed)
+    rep = _verify_report(bad, args.tol, 0)
     check("noncp_qubit verify (tp but not cp)", rep["tp"] and not rep["cp"])
 
     kraus = explicit_kraus_ed(ad, args.tol)
@@ -280,10 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--tol", type=float, default=None,
                        help="numerical tolerance (default 1e-9, or EDCHAN_TOL)")
-        p.add_argument("--seed", type=int, default=0, help="sampler seed")
         return p
 
-    command("verify", cmd_verify, "CP / TP / positivity report for a map")
+    command("verify", cmd_verify, "CP / TP / positivity report for a map").add_argument(
+        "--seed", type=int, default=0, help="sampler seed")
     command("kraus", cmd_kraus, "block Kraus operators of a CP map")
     evolve = command("evolve", cmd_evolve, "CSV observables along a trajectory")
     for p in (evolve, command("divisibility", cmd_divisibility,

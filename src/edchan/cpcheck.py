@@ -48,7 +48,6 @@ from .channel import BlockOperator, EDMap, LinearMap, apply
 from .matcore import (
     DEFAULT_TOL,
     as_complex_matrix,
-    default_psd_tol,
     freeze,
     hermiticity_deviation,
     hermitian_part,
@@ -117,7 +116,7 @@ class KrausSet:
         return LinearMap.from_kraus(self.operators, d_in=d_in, d_out=d_out)
 
 
-def kraus_from_choi(C: ChoiMatrix, tol: float | None = None) -> KrausSet:
+def kraus_from_choi(C: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
     """Canonical Kraus family from the Choi eigendecomposition.
 
     Eigenpairs are sorted by descending eigenvalue, ties broken by the
@@ -126,14 +125,13 @@ def kraus_from_choi(C: ChoiMatrix, tol: float | None = None) -> KrausSet:
     positive; eigenvalues at or below ``tol`` are dropped. The result is
     deterministic, with at most d_in*d_out operators.
     """
-    t = default_psd_tol(C.mat) if tol is None else float(tol)
-    require_hermitian(C.mat, t)
+    require_hermitian(C.mat, tol)
     w, V = np.linalg.eigh(hermitian_part(C.mat))
-    if w.size and w[0] < -t:
+    if w.size and w[0] < -tol:
         raise NotCompletelyPositiveError(
             f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}"
         )
-    return KrausSet(_canonical_kraus(w, V, C.d_out, C.d_in, t))
+    return KrausSet(_canonical_kraus(w, V, C.d_out, C.d_in, tol))
 
 
 def _canonical_kraus(w: np.ndarray, V: np.ndarray, d_out: int, d_in: int,
@@ -158,16 +156,15 @@ class CPVerdict(NamedTuple):
     min_choi_eigenvalue: float
 
 
-def is_cp(m: LinearMap, tol: float | None = None) -> CPVerdict:
+def is_cp(m: LinearMap, tol: float = DEFAULT_TOL) -> CPVerdict:
     """PSD test on the Choi matrix; never raises.
 
     A map whose Choi matrix is not hermitian (not hermiticity-preserving) is
     reported as not CP, with the smallest eigenvalue of the hermitian part.
     """
     C = choi(m).mat
-    t = default_psd_tol(C) if tol is None else float(tol)
     lo = float(np.linalg.eigvalsh(hermitian_part(C))[0]) if C.size else 0.0
-    return _cp_verdict(C, t, lo)
+    return _cp_verdict(C, tol, lo)
 
 
 def _cp_verdict(C: np.ndarray, t: float, lo: float) -> CPVerdict:
@@ -177,13 +174,12 @@ def _cp_verdict(C: np.ndarray, t: float, lo: float) -> CPVerdict:
     return CPVerdict(lo >= -t, lo)
 
 
-def _cp_with_kraus(m: LinearMap, tol: float | None) -> tuple[CPVerdict, tuple]:
+def _cp_with_kraus(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[CPVerdict, tuple]:
     """``is_cp(m, tol)`` and, for a CP map, its canonical Kraus operators, from one ``eigh``."""
     C = choi(m).mat
-    t = default_psd_tol(C) if tol is None else float(tol)
     w, V = np.linalg.eigh(hermitian_part(C))
-    verdict = _cp_verdict(C, t, float(w[0]) if w.size else 0.0)
-    return verdict, (_canonical_kraus(w, V, m.d_out, m.d_in, t) if verdict.is_cp else ())
+    verdict = _cp_verdict(C, tol, float(w[0]) if w.size else 0.0)
+    return verdict, (_canonical_kraus(w, V, m.d_out, m.d_in, tol) if verdict.is_cp else ())
 
 
 def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
@@ -239,10 +235,9 @@ def _ed_report(m: EDMap, t: float, omega: CPVerdict, damped: CPVerdict) -> EDCPR
     )
 
 
-def is_cp_ed(m: EDMap, tol: float | None = None) -> EDCPReport:
+def is_cp_ed(m: EDMap, tol: float = DEFAULT_TOL) -> EDCPReport:
     """Decide complete positivity from the blocks alone."""
-    t = DEFAULT_TOL if tol is None else float(tol)
-    return _ed_report(m, t, is_cp(m.omega, tol), is_cp(_damped_block(m, t), tol))
+    return _ed_report(m, tol, is_cp(m.omega, tol), is_cp(_damped_block(m, tol), tol))
 
 
 def _coupled_min_eigenvalue(m: EDMap) -> float:
@@ -315,7 +310,7 @@ def ball_decompose(B, kraus: KrausSet, gamma: float,
     return BallDecomposition(beta=beta, residual=residual, norm_sq=norm_sq, member=member)
 
 
-def explicit_kraus_ed(m: EDMap, tol: float | None = None) -> KrausSet:
+def explicit_kraus_ed(m: EDMap, tol: float = DEFAULT_TOL) -> KrausSet:
     """Assemble block Kraus operators for a completely positive map.
 
     With {D_mu} the canonical Kraus family of the damped excited-sector map
@@ -331,10 +326,9 @@ def explicit_kraus_ed(m: EDMap, tol: float | None = None) -> KrausSet:
     CP verdict (the :func:`is_cp_ed` report, which a non-CP map's error
     carries) and its operators come from one eigensolve of its Choi matrix.
     """
-    t = DEFAULT_TOL if tol is None else float(tol)
     omega_verdict, omega_ops = _cp_with_kraus(m.omega, tol)
-    damped_verdict, damped_ops = _cp_with_kraus(_damped_block(m, t), tol)
-    report = _ed_report(m, t, omega_verdict, damped_verdict)
+    damped_verdict, damped_ops = _cp_with_kraus(_damped_block(m, tol), tol)
+    report = _ed_report(m, tol, omega_verdict, damped_verdict)
     if not report.cp:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (omega_cp={report.omega_cp}, "
@@ -356,7 +350,7 @@ def explicit_kraus_ed(m: EDMap, tol: float | None = None) -> KrausSet:
     return KrausSet(tuple(ops))
 
 
-def is_trace_nonincreasing(phi: LinearMap, tol: float | None = None) -> bool:
+def is_trace_nonincreasing(phi: LinearMap, tol: float = DEFAULT_TOL) -> bool:
     """True iff the matrix with entries delta_jl - tr phi(E_jl) is PSD.
 
     Equivalent, for CP maps, to the Kraus condition sum A_mu† A_mu <= I.
@@ -365,10 +359,9 @@ def is_trace_nonincreasing(phi: LinearMap, tol: float | None = None) -> bool:
         raise ValueError("trace non-increase is defined for maps of B(H_e) to itself")
     W = phi.trace_functional()
     T = np.eye(phi.d_in, dtype=complex) - W.T
-    t = default_psd_tol(T) if tol is None else float(tol)
-    if hermiticity_deviation(T) > t:
+    if hermiticity_deviation(T) > tol:
         return False  # not hermiticity-preserving, so certainly not a quantum operation
-    return is_psd(T, t).is_psd
+    return is_psd(T, tol).is_psd
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,19 +15,19 @@ from .dynamics import (
 from .matcore import vectorize
 
 
-def amplitude_damping_qubit(a: float = 0.8) -> EDMap:
-    """Amplitude-damping channel with survival amplitude a (CP and TP)."""
-    return qubit_map(a, a, np.sqrt(max(0.0, 1.0 - abs(a) ** 2)), 1.0)
+def amplitude_damping_qubit() -> EDMap:
+    """Amplitude-damping channel with survival amplitude 0.8 (CP and TP)."""
+    return qubit_map(0.8, 0.8, np.sqrt(1.0 - 0.8 ** 2), 1.0)
 
 
-def phase_damping_qubit(b: float = 0.7) -> EDMap:
-    """Phase-damping channel: populations frozen, coherence shrunk by b."""
-    return qubit_map(1.0, b, 0.0, 1.0)
+def phase_damping_qubit() -> EDMap:
+    """Phase-damping channel: populations frozen, coherence shrunk by 0.7."""
+    return qubit_map(1.0, 0.7, 0.0, 1.0)
 
 
-def noncp_qubit(a: float = 0.8, b: float = 0.9) -> EDMap:
-    """Trace preserving but not completely positive: |b| exceeds |a|."""
-    return qubit_map(a, b, np.sqrt(max(0.0, 1.0 - abs(a) ** 2)), 1.0)
+def noncp_qubit() -> EDMap:
+    """Trace preserving but not completely positive: coherence 0.9 exceeds amplitude 0.8."""
+    return qubit_map(0.8, 0.9, np.sqrt(1.0 - 0.8 ** 2), 1.0)
 
 
 def demo_semigroup_spec() -> SemigroupSpec:
@@ -97,13 +97,6 @@ NONCP_WINDOW = {
 }
 
 
-def noncp_divisible_trajectory(t_max: float | None = None,
-                               steps: int | None = None) -> ChannelTrajectory:
+def noncp_divisible_trajectory() -> ChannelTrajectory:
     """The frozen non-CP-divisible trajectory (d_e = 1, d_g = 2)."""
-    return windowed_sink_trajectory(
-        NONCP_WINDOW["decay_rate"],
-        NONCP_WINDOW["delta"],
-        NONCP_WINDOW["window"],
-        NONCP_WINDOW["t_max"] if t_max is None else float(t_max),
-        NONCP_WINDOW["steps"] if steps is None else int(steps),
-    )
+    return windowed_sink_trajectory(**NONCP_WINDOW)

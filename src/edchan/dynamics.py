@@ -49,7 +49,6 @@ from .matcore import (
     _expm,
     as_complex_matrix,
     check_time,
-    default_psd_tol,
     freeze,
     hermiticity_deviation,
     hermitian_part,
@@ -57,10 +56,6 @@ from .matcore import (
     is_psd,
     matexp,
 )
-
-
-def _validation_tol(A: np.ndarray) -> float:
-    return 1e-9 * max(1.0, float(np.abs(A).max(initial=0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,9 +80,9 @@ class GKLSGenerator:
             raise ValueError("H and G must be square with equal dimension")
         if any(Fm.shape != (d, d) for Fm in F):
             raise ValueError("jump operators must match the dimension of H")
-        if not is_hermitian(H, _validation_tol(H)):
+        if not is_hermitian(H):
             raise ValueError("H must be hermitian")
-        verdict = is_psd(G, max(_validation_tol(G), default_psd_tol(G)))
+        verdict = is_psd(G)
         if not verdict.is_psd:
             raise ValueError(
                 f"G must be PSD, smallest eigenvalue {verdict.min_eigenvalue:.3e}"
@@ -217,7 +212,7 @@ def psi_from_sink(G, E: LinearMap, tol: float = DEFAULT_TOL) -> LinearMap:
     non-trace-preserving E is accepted with a warning.
     """
     Gm = as_complex_matrix(G, "G")
-    verdict = is_psd(Gm, max(tol, default_psd_tol(Gm)))
+    verdict = is_psd(Gm, tol)
     if not verdict.is_psd:
         raise ValueError(f"G must be PSD, smallest eigenvalue {verdict.min_eigenvalue:.3e}")
     if E.d_in != E.d_out:
@@ -436,7 +431,7 @@ class CPDivisibilityReport:
         freeze(self, "step_min_eigenvalues", np.asarray(self.step_min_eigenvalues, dtype=float))
 
 
-def is_cp_divisible(traj: ChannelTrajectory, tol: float | None = None) -> CPDivisibilityReport:
+def is_cp_divisible(traj: ChannelTrajectory, tol: float = DEFAULT_TOL) -> CPDivisibilityReport:
     """Check complete positivity of every consecutive propagator.
 
     Consecutive pairs suffice: closure under composition makes every
@@ -446,7 +441,6 @@ def is_cp_divisible(traj: ChannelTrajectory, tol: float | None = None) -> CPDivi
     block-level CP criterion. ``worst_pair`` names that step as (i + 1, i)
     only when its eigenvalue lies below -tol; a roundoff minimum names none.
     """
-    t = DEFAULT_TOL if tol is None else float(tol)
     reports, mins = [], []
     for report, coupled in _consecutive_steps(traj, lambda step: is_cp_ed(step, tol),
                                               _coupled_min_eigenvalue):
@@ -456,7 +450,7 @@ def is_cp_divisible(traj: ChannelTrajectory, tol: float | None = None) -> CPDivi
     lo = 0.0 if worst is None else float(mins[worst])
     return CPDivisibilityReport(
         cp_divisible=all(r.cp for r in reports),
-        worst_pair=(worst + 1, worst) if lo < -t else None,
+        worst_pair=(worst + 1, worst) if lo < -tol else None,
         min_eigenvalue=lo,
         step_min_eigenvalues=np.asarray(mins, dtype=float),
         step_reports=tuple(reports),
@@ -478,21 +472,20 @@ class GKLSValidityReport:
     conditional_min_eigenvalue: float
 
 
-def is_gkls_generator(L: LinearMap, tol: float | None = None) -> GKLSValidityReport:
+def is_gkls_generator(L: LinearMap, tol: float = DEFAULT_TOL) -> GKLSValidityReport:
     """Decide whether L generates a completely positive semigroup."""
     if L.d_in != L.d_out:
         raise ValueError("a generator must map an operator space to itself")
     d = L.d_in
     C = choi(L).mat
-    t = default_psd_tol(C) if tol is None else float(tol)
-    herm = hermiticity_deviation(C) <= t
+    herm = hermiticity_deviation(C) <= tol
     psi_vec = np.zeros(d * d, dtype=complex)
     psi_vec[np.arange(d) * d + np.arange(d)] = 1.0
     P = np.outer(psi_vec, psi_vec.conj()) / d
     Q = np.eye(d * d) - P
     lam = float(np.linalg.eigvalsh(Q @ hermitian_part(C) @ Q)[0])
-    ccp = lam >= -t
-    tni = herm and float(np.linalg.eigvalsh(hermitian_part(L.trace_functional()))[-1]) <= t
+    ccp = lam >= -tol
+    tni = herm and float(np.linalg.eigvalsh(hermitian_part(L.trace_functional()))[-1]) <= tol
     return GKLSValidityReport(
         valid=herm and ccp,
         trace_nonincreasing=tni,

@@ -67,12 +67,21 @@ def _dimension(value) -> int:
     return n
 
 
+def _real(value) -> float:
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"must be a number, got {value!r}")
+    return float(value)
+
+
 def _dims(data: dict, what: str) -> tuple:
     return _field(data, "d_e", _dimension, what), _field(data, "d_g", _dimension, what)
 
 
 def _floats(v) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape(-1)
+    A = np.asarray(v)
+    if A.dtype.kind not in "fi":
+        raise ValueError("must be an array of numbers")
+    return A.astype(float).reshape(-1)
 
 
 def edmap_to_dict(m: EDMap) -> dict:
@@ -97,7 +106,7 @@ def edmap_from_dict(data) -> EDMap:
         phi=LinearMap(matrix_from_json(data["phi"], (d_e * d_e, d_e * d_e), "phi")),
         omega=LinearMap(matrix_from_json(data["omega"], (d_g * d_g, d_e * d_e), "omega")),
         B=matrix_from_json(data["B"], (d_e, d_e), "B"),
-        gamma=_field(data, "gamma", float, "excitation-damping map"),
+        gamma=_field(data, "gamma", _real, "excitation-damping map"),
     )
 
 
@@ -131,8 +140,8 @@ def semigroup_spec_from_dict(data) -> SemigroupSpec:
     )
     return SemigroupSpec(
         gen=gen,
-        epsilon=_field(data, "epsilon", float, what),
-        kappa=_field(data, "kappa", float, what),
+        epsilon=_field(data, "epsilon", _real, what),
+        kappa=_field(data, "kappa", _real, what),
         c=_complex_array(data["c"], 1, "c"),
         psi=LinearMap(matrix_from_json(data["psi"], (d_g * d_g, d_e * d_e), "psi")),
     )

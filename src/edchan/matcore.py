@@ -11,9 +11,10 @@ Conventions, fixed once for the whole package:
   Every superoperator matrix in this package acts on column-stacked
   operators, so ``vectorize(A @ X @ B) == kron(B.T, A) @ vectorize(X)``.
 * Positive semidefiniteness is decided at eigenvalue level: ``M`` counts as
-  PSD when its smallest eigenvalue is ``>= -tol``. The default tolerance is
-  ``1e-9`` scaled by the matrix trace, because Choi matrices of perfectly
-  legitimate channels routinely pick up ``-1e-13`` eigenvalues from roundoff.
+  PSD when its smallest eigenvalue is ``>= -tol``. Every ``tol`` in the
+  package defaults to ``DEFAULT_TOL = 1e-9``, the CLI's default, and is used
+  as given, unscaled; it absorbs the ``-1e-13`` eigenvalues that Choi matrices
+  of legitimate channels pick up from roundoff.
 * Matrix exponentials use scaling and squaring with a diagonal Padé
   approximant of degree 3, 5, 7, 9 or 13, picked by the 1-norm against
   Higham's thresholds theta_m (N. J. Higham, SIAM J. Matrix Anal. Appl.
@@ -60,7 +61,7 @@ def hermiticity_deviation(A: np.ndarray) -> float:
     return float(np.abs(A - A.conj().T).max(initial=0.0))
 
 
-def require_hermitian(A: np.ndarray, tol: float) -> None:
+def require_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> None:
     """Raise ``ValueError`` unless the square array ``A`` is hermitian within ``tol``."""
     dev = hermiticity_deviation(A)
     if dev > tol:
@@ -90,13 +91,7 @@ class PSDVerdict(NamedTuple):
     min_eigenvalue: float
 
 
-def default_psd_tol(M) -> float:
-    """Default eigenvalue tolerance: 1e-9 scaled by the matrix trace."""
-    A = as_complex_matrix(M)
-    return DEFAULT_TOL * max(1.0, abs(complex(np.trace(A))))
-
-
-def is_psd(M, tol: float | None = None) -> PSDVerdict:
+def is_psd(M, tol: float = DEFAULT_TOL) -> PSDVerdict:
     """Eigenvalue-level PSD test.
 
     The matrix must be hermitian within ``tol`` (it is symmetrized before the
@@ -105,13 +100,12 @@ def is_psd(M, tol: float | None = None) -> PSDVerdict:
     """
     A = as_complex_matrix(M)
     _require_square(A)
-    t = default_psd_tol(A) if tol is None else float(tol)
-    require_hermitian(A, t)
+    require_hermitian(A, tol)
     if A.size == 0:
         return PSDVerdict(True, 0.0)
     w = np.linalg.eigvalsh((A + A.conj().T) / 2)
     lo = float(w[0])
-    return PSDVerdict(lo >= -t, lo)
+    return PSDVerdict(lo >= -tol, lo)
 
 
 # Coefficients b_0..b_m of the degree-m Padé numerator p_m(x) = sum_k b_k x^k

@@ -120,6 +120,31 @@ def test_verify_respects_env_tolerance(tmp_path):
     assert out.returncode == 2
 
 
+def test_library_and_cli_share_default_tolerance(tmp_path, monkeypatch, capsys):
+    """omega(X) = tr(W X), W = diag(4, -3e-9): not CP at the flat 1e-9 in both."""
+    from edchan import EDMap, LinearMap, cli, is_cp_ed
+    from edchan.jsonio import edmap_to_dict
+
+    m = EDMap(phi=LinearMap(0.5 * np.eye(4)), omega=LinearMap(np.array([[4.0, 0, 0, -3e-9]])),
+              B=0.5 * np.eye(2), gamma=1.0)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(edmap_to_dict(m)))
+    monkeypatch.delenv("EDCHAN_TOL", raising=False)
+    assert cli.main(["verify", "--input", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert is_cp_ed(m).cp is report["cp"] is False
+
+
+@pytest.mark.parametrize("command", ["kraus", "evolve", "divisibility", "demo"])
+def test_seed_is_a_verify_option(command, capsys):
+    from edchan import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--seed", "1", *([] if command == "demo" else ["--input", "x.json"])])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, env, field", [
     (["--tol", "nan"], {}, "--tol"),
     ([], {"EDCHAN_TOL": "nan"}, "EDCHAN_TOL"),
@@ -448,8 +473,16 @@ def _trajectory_payload():
     ("verify", "amplitude_damping", {"d_e": True}, "excitation-damping map", "d_e"),
     ("verify", "amplitude_damping", {"B": [[[0.8, 0.0, 5.0]]]}, "B", "entries"),
     ("divisibility", None, {"d_g": 0}, "trajectory", "d_g"),
+    ("verify", "amplitude_damping", {"gamma": "1.0"}, "excitation-damping map", "gamma"),
+    ("verify", "amplitude_damping", {"gamma": True}, "excitation-damping map", "gamma"),
+    ("divisibility", "semigroup", {"kappa": "0.4"}, "semigroup spec", "kappa"),
+    ("divisibility", "semigroup", {"epsilon": False}, "semigroup spec", "epsilon"),
+    ("divisibility", None, _table(["0", "1"]), "generator table", "times"),
+    ("divisibility", None, {"grid": [False, True, True]}, "trajectory", "grid"),
 ], ids=["d_e_null", "d_e_fraction", "gamma_list", "maps_int", "F_int", "spec_d_g_zero",
-        "table_d_g_zero", "d_e_true", "B_three_numbers", "trajectory_d_g_zero"])
+        "table_d_g_zero", "d_e_true", "B_three_numbers", "trajectory_d_g_zero",
+        "gamma_string", "gamma_true", "kappa_string", "epsilon_false", "times_strings",
+        "grid_booleans"])
 def test_wrong_field_type_exit_two(command, demo, changes, what, field, tmp_path, capsys):
     from edchan import cli
 

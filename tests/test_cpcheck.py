@@ -167,6 +167,13 @@ def test_is_cp_transpose_map_fails():
     assert abs(verdict.min_choi_eigenvalue + 1.0) < 1e-12
 
 
+def test_is_cp_default_tol_is_not_scaled_by_trace():
+    # omega(X) = tr(W X) with W = diag(5, -3e-9): its Choi matrix is W
+    verdict = is_cp(LinearMap(np.array([[5.0, 0.0, 0.0, -3e-9]])))
+    assert not verdict.is_cp
+    assert verdict.min_choi_eigenvalue == -3e-9
+
+
 def test_is_cp_identity():
     assert is_cp(LinearMap.identity(3)).is_cp
 

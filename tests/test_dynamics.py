@@ -80,6 +80,9 @@ def test_gkls_generator_validates_inputs():
         GKLSGenerator(np.array([[0, 1], [0, 0]], dtype=complex), np.zeros((2, 2)))
     with pytest.raises(ValueError):
         GKLSGenerator(np.zeros((2, 2)), np.diag([1.0, -0.4]))
+    # the tolerance is DEFAULT_TOL as given, not scaled by the largest entry of H
+    with pytest.raises(ValueError, match="H must be hermitian"):
+        GKLSGenerator(np.array([[10, 5e-9j], [0, -10]]), np.zeros((2, 2)))
 
 
 def test_gkls_generator_gamma_has_psd_real_part():

@@ -47,6 +47,12 @@ def test_is_psd_negative_eigenvalue():
     assert abs(verdict.min_eigenvalue + 0.5) < 1e-12
 
 
+def test_is_psd_default_tol_is_not_scaled_by_trace():
+    verdict = is_psd(np.diag([5.0, -3e-9]))
+    assert not verdict.is_psd
+    assert verdict.min_eigenvalue == -3e-9
+
+
 def test_is_psd_rank_one():
     rng = np.random.default_rng(1)
     v = rc(rng, 4)
