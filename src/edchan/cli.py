@@ -35,7 +35,7 @@ from .dynamics import (build_td_trajectory, is_cp_divisible, semigroup_trajector
 from .jsonio import canonical_dumps
 from .matcore import DEFAULT_TOL
 
-VERIFY_SAMPLES = 50000
+VERIFY_SAMPLES = 1000
 
 
 def _resolve_tol(args) -> float:
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("verify", cmd_verify, "CP / TP / positivity report for a map").add_argument(
-        "--seed", type=int, default=0, help="sampler seed")
+        "--seed", type=int, default=0, help="positivity search seed")
     command("kraus", cmd_kraus, "block Kraus operators of a CP map")
     evolve = command("evolve", cmd_evolve, "CSV observables along a trajectory")
     for p in (evolve, command("divisibility", cmd_divisibility,

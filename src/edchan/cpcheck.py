@@ -33,8 +33,10 @@ min eig C_full = min(0, min eig C_omega, min eig M1).
 Positivity (as opposed to complete positivity) is decided exactly only where
 a criterion exists: for a one-dimensional ground sector the functional omega
 is positive iff its density W (with omega(X) = tr(WX)) is PSD, and the damped
-map condition reduces positivity to rank-one inputs, which a seeded Haar
-sampler probes one-sidedly. Only a found witness is a certificate.
+map condition reduces positivity to rank-one inputs, which a seeded seesaw
+search probes one-sidedly: it minimises <eta|map(xi xi†)|eta> over unit xi
+and eta from the lowest of a batch of Haar states, alternating between the
+two eigenproblems. Only a found witness is a certificate.
 """
 
 from __future__ import annotations
@@ -372,11 +374,14 @@ class PositivityVerdict:
     with a negative eigenvalue, or None when no witness was found. With a
     witness, ``min_eigenvalue`` is that operator's smallest eigenvalue;
     without one, the smallest eigenvalue seen. :func:`is_positive_sampled`
-    returns only witnesses below -tol. :func:`is_positive_ed_dg1` guarantees
-    -tol only for the block it probes (the density W or the damped excited
-    map); the full-space output of its witness, which it reports, can lie
-    above -tol. Only a witness is a certificate; absence of one proves
-    nothing.
+    returns only witnesses below -tol, and ``samples_used`` counts the states
+    it drew. :func:`is_positive_ed_dg1` probes with the seeded seesaw search,
+    and its ``samples_used`` counts the screened Haar states plus the
+    refinement rounds, one per refined state and round (0 when the exact
+    criteria decide). It guarantees -tol only for the block it probes (the
+    density W or the damped excited map); the full-space output of its
+    witness, which it reports, can lie above -tol. Only a witness is a
+    certificate; absence of one proves nothing.
     """
 
     witness: np.ndarray | None
@@ -435,28 +440,114 @@ def is_positive_sampled(m: LinearMap, samples: int = 1000,
     return PositivityVerdict(witness=None, min_eigenvalue=worst, samples_used=seen)
 
 
+_STARTS = 8  # lowest screened states the seesaw refines
+_ROUNDS = 40  # most seesaw rounds per refined state
+
+
+def _rank_one_images(mat: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
+    """Hermitian parts of map(x x†) for the rows x of ``xs``, with the sampler's arithmetic."""
+    n, d_in = xs.shape
+    proj = xs[:, :, None] * xs.conj()[:, None, :]
+    vecs = proj.transpose(0, 2, 1).reshape(n, d_in * d_in)
+    out = (vecs @ mat.T).reshape(n, d_out, d_out).transpose(0, 2, 1)
+    return (out + out.conj().transpose(0, 2, 1)) / 2
+
+
+def _seesaw(m: LinearMap, samples: int, tol: float, seed: int) -> PositivityVerdict:
+    """Seeded search for a rank-one input that ``m`` maps to a non-PSD operator.
+
+    Screens ``samples`` Haar states, drawn in the batches and from the stream
+    of :func:`is_positive_sampled` with the same seed, and stops screening
+    after the first batch holding a state below -tol, so every witness the
+    sampler finds is found here too. The ``_STARTS`` lowest states then go
+    through at most ``_ROUNDS`` seesaw rounds, each setting eta to the lowest
+    eigenvector of m(xi xi†) and xi to the lowest eigenvector of
+    m†(eta eta†), which never raises <eta|m(xi xi†)|eta>. The rounds stop on
+    a witness below -tol or when no state improves. The map must be
+    hermiticity-preserving.
+    """
+    if not is_hermiticity_preserving(m, max(tol, 1e-8)):
+        raise ValueError("positivity search requires a hermiticity-preserving map")
+    rng = np.random.default_rng(seed)
+    d_in, d_out = m.d_in, m.d_out
+    xs, lows = np.empty((0, d_in), dtype=complex), np.empty(0)
+    seen = 0
+    while seen < samples:
+        n = min(_BATCH, samples - seen)
+        batch = haar_states(rng, n, d_in)
+        mins = np.linalg.eigvalsh(_rank_one_images(m.mat, batch, d_out))[:, 0]
+        xs, lows = np.concatenate([xs, batch]), np.concatenate([lows, mins])
+        keep = np.argsort(lows, kind="stable")[:_STARTS]
+        xs, lows = xs[keep], lows[keep]
+        seen += n
+        if lows[0] < -tol:
+            break
+    if not seen:
+        return PositivityVerdict(witness=None, min_eigenvalue=np.inf, samples_used=0)
+    best, best_xi = float(lows[0]), xs[0]
+    adjoint = m.mat.conj().T
+    _, vecs = np.linalg.eigh(_rank_one_images(m.mat, xs, d_out))
+    rounds = 0
+    for rounds in range(1, _ROUNDS + 1):
+        xs = np.linalg.eigh(_rank_one_images(adjoint, vecs[:, :, 0], d_in))[1][:, :, 0]
+        vals, vecs = np.linalg.eigh(_rank_one_images(m.mat, xs, d_out))
+        k = int(np.argmin(vals[:, 0]))
+        if vals[k, 0] < best:
+            best, best_xi = float(vals[k, 0]), xs[k]
+        if best < -tol or not (vals[:, 0] < lows).any():
+            break
+        lows = vals[:, 0]
+    return PositivityVerdict(witness=best_xi if best < -tol else None, min_eigenvalue=best,
+                             samples_used=seen + rounds * len(xs))
+
+
 def _min_output_eigenvalue(m: EDMap, chi: np.ndarray) -> float:
     X = BlockOperator.from_full(np.outer(chi, chi.conj()), m.d_e, m.d_g)
     return float(np.linalg.eigvalsh(hermitian_part(apply(m, X).full()))[0])
 
 
-def _escalated_witness(m: EDMap, xi: np.ndarray):
-    """Full-space witness from an excited-sector direction.
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2
 
-    Appends a growing ground amplitude to ``xi``; for a map whose damped
-    excited block fails positivity on xi (or whose gamma = 0 block couples a
-    nonzero B) the output acquires a genuinely negative eigenvalue at some
-    finite amplitude.
+
+def _escalated_witness(m: EDMap, xi: np.ndarray):
+    """Full-space witness (xi, c) / |(xi, c)| from an excited-sector direction.
+
+    With X = xi xi†, the output is [[phi(X), c B xi], [c xi†B†,
+    omega(X) + gamma c^2]] / (1 + c^2), so for a fixed xi its smallest
+    eigenvalue is a function of the ground amplitude c >= 0 alone. When the
+    damped excited block fails positivity on xi (or the gamma = 0 block
+    couples a nonzero B), the Schur complement against the ground entry turns
+    negative at large enough c, and with it that eigenvalue. It is minimised
+    over log2 c in [-30, 30]: on a grid of step 1/2, then by golden section
+    between the best grid point's neighbours.
     """
-    best_chi, best_val = None, np.inf
-    for k in range(31):
-        c = 2.0 ** k
-        chi = np.concatenate([xi, [c]]).astype(complex)
-        chi = chi / np.linalg.norm(chi)
-        val = _min_output_eigenvalue(m, chi)
-        if val < best_val:
-            best_chi, best_val = chi, val
-    return best_chi, best_val
+    d = m.d_e
+    X = np.outer(xi, xi.conj())
+    top = np.zeros((d + 1, d + 1), dtype=complex)
+    top[:d, :d] = hermitian_part(m.phi(X))
+    b = m.B @ xi
+    w = float(m.omega(X).real[0, 0])
+
+    def lowest(log_c):
+        c = np.exp2(np.asarray(log_c, dtype=float))
+        out = np.repeat(top[None], c.size, axis=0)
+        out[:, :d, d] = c[:, None] * b
+        out[:, d, :d] = c[:, None] * b.conj()
+        out[:, d, d] = w + m.gamma * c * c
+        return np.linalg.eigvalsh(out)[:, 0] / (1 + c * c)
+
+    grid = np.arange(-60, 61) / 2
+    k = int(np.argmin(lowest(grid)))
+    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    for _ in range(40):
+        left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        f_left, f_right = lowest([left, right])
+        lo, hi = (lo, right) if f_left < f_right else (left, hi)
+    picks = [grid[k], (lo + hi) / 2]
+    c = np.exp2(picks[int(np.argmin(lowest(picks)))])
+    chi = np.concatenate([xi, [c]]).astype(complex)
+    chi = chi / np.linalg.norm(chi)
+    return chi, _min_output_eigenvalue(m, chi)
 
 
 def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
@@ -466,9 +557,10 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     The functional omega is decided exactly: omega(X) = tr(WX) for the
     density W[j, l] = omega(E_lj), and omega is positive iff W is PSD. The
     remaining condition (positivity of phi - gamma^-1 B(.)B† for gamma > 0,
-    or B = 0 with phi positive for gamma = 0) is probed with the Haar
-    sampler. The returned witness, when found, is a full-space state vector
-    and ``min_eigenvalue`` is the smallest eigenvalue of its full-space output.
+    or B = 0 with phi positive for gamma = 0) is probed with the seeded
+    seesaw search from ``samples`` Haar states. The returned witness, when
+    found, is a full-space state vector and ``min_eigenvalue`` is the
+    smallest eigenvalue of its full-space output.
     """
     if m.d_g != 1:
         raise ValueError(f"exact omega criterion requires d_g = 1, got d_g = {m.d_g}")
@@ -489,13 +581,8 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
         probe = m.phi
     else:
         probe = damped_excited_map(m)
-    sampled = is_positive_sampled(probe, samples=samples, tol=tol, seed=seed)
-    if sampled.not_positive:
-        chi, val = _escalated_witness(m, sampled.witness)
-        return PositivityVerdict(
-            witness=chi, min_eigenvalue=val, samples_used=sampled.samples_used
-        )
-    return PositivityVerdict(
-        witness=None, min_eigenvalue=sampled.min_eigenvalue,
-        samples_used=sampled.samples_used,
-    )
+    found = _seesaw(probe, samples, tol, seed)
+    if found.not_positive:
+        chi, val = _escalated_witness(m, found.witness)
+        return PositivityVerdict(witness=chi, min_eigenvalue=val, samples_used=found.samples_used)
+    return found

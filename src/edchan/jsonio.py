@@ -79,7 +79,9 @@ def _dims(data: dict, what: str) -> tuple:
 
 def _floats(v) -> np.ndarray:
     A = np.asarray(v)
-    if A.dtype.kind not in "fi":
+    # numpy reads [true, 1.0] as [1.0, 1.0], so booleans are looked for one by one
+    elements = np.asarray(v, dtype=object).reshape(-1)
+    if A.dtype.kind not in "fi" or any(isinstance(x, bool) for x in elements):
         raise ValueError("must be an array of numbers")
     return A.astype(float).reshape(-1)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edchan import cpcheck
 from edchan import (
     BlockOperator,
     EDMap,
@@ -423,6 +424,9 @@ def test_sampler_requires_hermiticity_preserving():
     rng = np.random.default_rng(15)
     with pytest.raises(ValueError):
         is_positive_sampled(LinearMap(rc(rng, 4, 4)), samples=10)
+    m = EDMap(LinearMap(rc(rng, 4, 4)), random_cp_map(rng, 2, 1), np.zeros((2, 2)), 0.0)
+    with pytest.raises(ValueError):
+        is_positive_ed_dg1(m, samples=10)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +519,119 @@ def test_dg1_sampler_is_one_sided_on_positive_noncp_map():
     verdict = is_positive_ed_dg1(m, samples=50000, seed=0)
     assert not verdict.not_positive
     assert verdict.min_eigenvalue > 0.19  # strictly positive on all samples
+
+
+# ---------------------------------------------------------------------------
+# power of the seesaw search behind is_positive_ed_dg1
+# ---------------------------------------------------------------------------
+
+def full_space_min_eigenvalue(m, chi):
+    out = m.to_linear_map()(np.outer(chi, chi.conj()))
+    return float(np.linalg.eigvalsh((out + out.conj().T) / 2)[0])
+
+
+@pytest.mark.parametrize("d_e", [6, 8])
+@pytest.mark.parametrize("depth", [1e-3, 3e-4])
+def test_dg1_search_finds_every_planted_violation(d_e, depth):
+    # the benchmark's planted maps, drawn from rng 100 d_e + k
+    for k in range(20):
+        m = dg1_planted_noncp(np.random.default_rng(100 * d_e + k), d_e, depth)
+        verdict = is_positive_ed_dg1(m, samples=1000, seed=k)
+        assert verdict.not_positive, k
+        lam = full_space_min_eigenvalue(m, verdict.witness)
+        assert lam < -1e-9, k
+        assert abs(verdict.min_eigenvalue - lam) <= 1e-12
+
+
+def test_dg1_search_finds_no_witness_on_cp_maps():
+    rng = np.random.default_rng(208)
+    for k in range(20):
+        m = dg1_span_edmap(rng, 8, fill=float(rng.uniform(0.2, 0.99)))
+        assert is_cp_ed(m).cp
+        assert not is_positive_ed_dg1(m, samples=1000, seed=k).not_positive, k
+
+
+def test_dg1_search_finds_every_sampler_witness():
+    # the search screens the sampler's states, so it loses none of its
+    # witnesses and sees no higher minimum where neither finds one
+    rng = np.random.default_rng(209)
+    hits = neither = 0
+    for k in range(40):
+        d_e = int(rng.integers(3, 6))
+        if k % 2:
+            m = dg1_planted_noncp(rng, d_e, depth=float(rng.uniform(1e-5, 1e-3)))
+        else:
+            m = cp_edmap(rng, d_e, 1, fill=float(rng.uniform(0.5, 1.5)), omega_rank=1)
+        sampled = is_positive_sampled(damped_excited_map(m), samples=300, seed=k)
+        searched = is_positive_ed_dg1(m, samples=300, seed=k)
+        if sampled.not_positive:
+            hits += 1
+            assert searched.not_positive, k
+        elif not searched.not_positive:
+            neither += 1
+            assert searched.min_eigenvalue <= sampled.min_eigenvalue, k
+    assert hits >= 10 and neither >= 10
+
+
+def test_dg1_search_screens_the_sampler_states(monkeypatch):
+    # without refinement rounds the search sees exactly the sampler's states
+    monkeypatch.setattr(cpcheck, "_ROUNDS", 0)
+    rng = np.random.default_rng(212)
+    for k in range(20):
+        m = cp_edmap(rng, 3, 1, fill=float(rng.uniform(0.8, 1.4)), omega_rank=1)
+        sampled = is_positive_sampled(damped_excited_map(m), samples=500, seed=k)
+        searched = is_positive_ed_dg1(m, samples=500, seed=k)
+        assert searched.not_positive == sampled.not_positive, k
+        if not sampled.not_positive:
+            assert searched.min_eigenvalue == sampled.min_eigenvalue, k
+
+
+def test_dg1_witness_ground_amplitude_minimises_full_space_eigenvalue():
+    # the witness's ground amplitude is optimal for its excited direction:
+    # no amplitude on a grid of step 2^(1/64) gives a lower output eigenvalue
+    rng = np.random.default_rng(213)
+    for k in range(5):
+        m = dg1_planted_noncp(rng, 4, depth=1e-3)
+        verdict = is_positive_ed_dg1(m, samples=1000, seed=k)
+        xi = verdict.witness[:4] / np.linalg.norm(verdict.witness[:4])
+        c = np.exp2(np.linspace(-10.0, 20.0, 30 * 64 + 1))
+        chis = np.concatenate([np.tile(xi, (c.size, 1)), c[:, None]], axis=1)
+        chis /= np.linalg.norm(chis, axis=1, keepdims=True)
+        proj = chis[:, :, None] * chis.conj()[:, None, :]
+        vecs = proj.transpose(0, 2, 1).reshape(c.size, -1)
+        out = (vecs @ m.to_linear_map().mat.T).reshape(c.size, 5, 5).transpose(0, 2, 1)
+        grid_min = np.linalg.eigvalsh((out + out.conj().transpose(0, 2, 1)) / 2)[:, 0].min()
+        assert verdict.min_eigenvalue <= grid_min + 1e-15, k
+
+
+def closed_form_positive_map(rng, d_e, rank, gamma=0.8):
+    """phi = tr(.) I/d_e, omega = tr and B = M with sigma_max(M)^2 = 0.9 gamma/d_e.
+
+    The damped block sends xi xi† to I/d_e - M xi xi† M†/gamma, whose
+    smallest eigenvalue over unit xi is 1/d_e - sigma_max(M)^2/gamma > 0, so
+    the map is positive. Its damped Choi matrix I/d_e - vec(M) vec(M)†/gamma
+    is PSD iff |M|_F^2 <= gamma/d_e: with singular values sigma_max/(1 + j),
+    j < rank, the map is CP at rank 1 and not CP from rank 2 on.
+    """
+    U, _ = np.linalg.qr(rc(rng, d_e, d_e))
+    V, _ = np.linalg.qr(rc(rng, d_e, d_e))
+    s = np.zeros(d_e)
+    s[:rank] = np.sqrt(0.9 * gamma / d_e) / (1 + np.arange(rank))
+    vec_I = np.eye(d_e).reshape(-1)
+    phi = LinearMap(np.outer(vec_I, vec_I) / d_e)
+    return EDMap(phi, LinearMap(vec_I.reshape(1, -1)), U @ np.diag(s) @ V.conj().T, gamma)
+
+
+@pytest.mark.parametrize("d_e", [2, 4, 8])
+def test_dg1_search_reaches_closed_form_minimum(d_e):
+    rng = np.random.default_rng(210 + d_e)
+    for rank in sorted({1, 2, d_e}):
+        m = closed_form_positive_map(rng, d_e, rank)
+        verdict = is_positive_ed_dg1(m, samples=1000, seed=rank)
+        assert not verdict.not_positive
+        sigma_max = np.linalg.svd(m.B, compute_uv=False)[0]
+        assert abs(verdict.min_eigenvalue - (1 / d_e - sigma_max**2 / m.gamma)) <= 1e-10
+        assert is_cp_ed(m).cp == (rank == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,27 @@ def test_trajectory_round_trip():
         assert np.abs(m1.phi.mat - m2.phi.mat).max() == 0.0
 
 
+@pytest.mark.parametrize("key", ["times", "grid"])
+def test_time_arrays_reject_booleans_among_numbers(key):
+    # numpy infers float64 for [false, 1.0], which would load as [0.0, 1.0]
+    if key == "times":
+        payload = {"d_e": 1, "d_g": 1, "times": [False, 1.0],
+                   "L": [matrix_to_json(np.array([[-1.0]]))] * 2,
+                   "K": [matrix_to_json(np.array([[-0.5]]))] * 2,
+                   "psi": [matrix_to_json(np.array([[1.0]]))] * 2}
+        load = generator_table_from_dict
+    else:
+        rng = np.random.default_rng(6)
+        spec = random_semigroup_spec(rng, 1, 1)
+        traj = semigroup_trajectory(spec, np.linspace(0.0, 1.0, 3))
+        payload = trajectory_to_dict(traj)
+        payload["grid"] = [False, 0.5, 1.0]
+        load = trajectory_from_dict
+    with pytest.raises(ValueError, match=f"{key} has the wrong type or value "
+                                         r"\(must be an array of numbers\)"):
+        load(payload)
+
+
 def test_block_operator_round_trip():
     rng = np.random.default_rng(5)
     X = BlockOperator.from_full(random_density(rng, 4), 2, 2)
