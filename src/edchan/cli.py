@@ -10,7 +10,7 @@ CP-divisible), 2 for input or shape errors.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import os
 import sys
 
@@ -52,14 +52,6 @@ def _resolve_tol(args) -> float:
     if not (np.isfinite(tol) and tol >= 0):
         raise ValueError(f"{source} must be finite and non-negative, got {raw}")
     return tol
-
-
-def _load_json(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -119,14 +111,14 @@ def _reconstruction_error(m: EDMap, kraus) -> float:
 
 
 def cmd_verify(args) -> int:
-    m = jsonio.edmap_from_dict(_load_json(args.input))
+    m = jsonio.edmap_from_dict(jsonio.load(args.input))
     report = _verify_report(m, args.tol, args.seed)
     _emit(canonical_dumps(report) + "\n", args.output)
     return 0 if (report["cp"] and report["tp"]) else 1
 
 
 def cmd_kraus(args) -> int:
-    m = jsonio.edmap_from_dict(_load_json(args.input))
+    m = jsonio.edmap_from_dict(jsonio.load(args.input))
     try:
         kraus = explicit_kraus_ed(m, args.tol)
     except NotCompletelyPositiveError as exc:
@@ -157,7 +149,7 @@ def _trajectory_from_input(args):
         raise ValueError("--t-max must be finite and positive")
     if args.steps < 2:
         raise ValueError("--steps must be at least 2")
-    data = _load_json(args.input)
+    data = jsonio.load(args.input)
     kind = data.get("type") if isinstance(data, dict) else None
     if kind == "trajectory":
         return jsonio.trajectory_from_dict(data)
@@ -186,7 +178,7 @@ def _default_initial_state(d_e: int, d_g: int) -> BlockOperator:
 def cmd_evolve(args) -> int:
     traj = _trajectory_from_input(args)
     if args.initial_state:
-        X0 = jsonio.block_operator_from_dict(_load_json(args.initial_state))
+        X0 = jsonio.block_operator_from_dict(jsonio.load(args.initial_state))
         if (X0.d_e, X0.d_g) != (traj.d_e, traj.d_g):
             raise ValueError("initial state dimensions do not match the trajectory")
     else:
@@ -265,6 +257,7 @@ def cmd_demo(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edchan",

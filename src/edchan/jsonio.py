@@ -3,7 +3,9 @@
 Complex numbers are encoded as two-element arrays [re, im]; a vector is a
 list of such pairs and a matrix a list of rows of them. JSON reports sort keys
 and print floats as their shortest round-trip repr, exact to the bit (the sign
-of -0.0 and the float type of 1.0 kept). See docs/formats.md for the schemas.
+of -0.0 and the float type of 1.0 kept). ``load`` turns each matrix field
+into a float array as the decoder closes its object, so a stored trajectory
+never sits in memory as nested lists. See docs/formats.md for the schemas.
 """
 
 from __future__ import annotations
@@ -23,10 +25,39 @@ def matrix_to_json(M) -> list:
     return np.stack([A.real, A.imag], -1).tolist()
 
 
+# Keys whose values are complex matrices (or a vector, or lists of matrices).
+MATRIX_FIELDS = frozenset("phi omega B H G F c psi L K matrix".split())
+
+
+def _matrix_fields(obj: dict) -> dict:
+    """Object hook: each list under a matrix key as the float array the readers build.
+
+    A value the conversion rejects is left as decoded, so the schema reader
+    reports it exactly as it reports plain ``json.load`` output.
+    """
+    for key in MATRIX_FIELDS.intersection(obj):
+        if isinstance(obj[key], list):
+            try:
+                obj[key] = np.array(obj[key], dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                pass
+    return obj
+
+
+def load(path):
+    """Decode a JSON input file, its matrix fields as float arrays (see ``_matrix_fields``)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_hook=_matrix_fields)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+
+
 def _complex_array(data, ndim: int, name: str) -> np.ndarray:
     """Nested [re, im] pairs as a complex array of ``ndim`` axes (``[]``: no pairs)."""
     try:
-        A = np.array(data, dtype=float)
+        # no copy of an array that ``load`` has built
+        A = np.asarray(data, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: entries must be [re, im] pairs") from exc
     if A.shape == (0,):

@@ -95,7 +95,28 @@ def test_verify_truncated_file_exit_two(tmp_path, ad_map):
     bad.write_text(text[: len(text) // 2])
     out = run_cli("verify", "--input", str(bad))
     assert out.returncode == 2
-    assert "error" in out.stderr
+    assert out.stderr.startswith(f"error: {bad}: invalid JSON (")
+
+
+@pytest.mark.parametrize("command, demo, flag", [
+    ("kraus", "amplitude_damping", "--input"),
+    ("evolve", "semigroup", "--input"),
+    ("divisibility", "noncp_divisible", "--input"),
+    ("evolve", "semigroup", "--initial-state"),
+])
+def test_truncated_input_is_invalid_json(command, demo, flag, tmp_path, capsys):
+    from edchan import cli
+
+    good, bad = tmp_path / "good.json", tmp_path / "truncated.json"
+    assert cli.main(["demo", "--name", demo, "--output", str(good)]) == 0
+    text = good.read_text()
+    bad.write_text(text[: len(text) // 2])
+    inputs = {"--input": bad} if flag == "--input" else {"--input": good, flag: bad}
+    argv = [command, *(str(x) for pair in inputs.items() for x in pair)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {bad}: invalid JSON (")
 
 
 def test_verify_missing_file_exit_two():
@@ -110,6 +131,23 @@ def test_verify_is_byte_deterministic(ad_map, tmp_path):
                    str(tmp_path / "r2.json"))
     assert out1.returncode == out2.returncode == 0
     assert (tmp_path / "r1.json").read_bytes() == (tmp_path / "r2.json").read_bytes()
+
+
+def test_main_calls_share_no_state(ad_map, monkeypatch):
+    from edchan import cli
+
+    seen = []
+    report = cli._verify_report
+    monkeypatch.setattr(cli, "_verify_report",
+                        lambda m, tol, seed: seen.append((tol, seed)) or report(m, tol, seed))
+    monkeypatch.delenv("EDCHAN_TOL", raising=False)
+    verify = ["verify", "--input", str(ad_map), "--output", str(ad_map.with_name("out.json"))]
+    assert cli.main([*verify, "--seed", "5", "--tol", "1e-3"]) == 0
+    assert cli.main(verify) == 0
+    monkeypatch.setenv("EDCHAN_TOL", "1e-6")
+    assert cli.main(verify) == 0
+    assert seen == [(1e-3, 5), (1e-9, 0), (1e-6, 0)]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_verify_respects_env_tolerance(tmp_path):

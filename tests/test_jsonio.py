@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from edchan import BlockOperator, EDMap, semigroup_at
+from edchan import BlockOperator, EDMap, jsonio, semigroup_at
 from edchan.jsonio import (
     block_operator_from_dict,
     block_operator_to_dict,
@@ -222,3 +224,133 @@ def test_observables_csv_shape():
     assert lines[0].startswith("t,trace_ee,trace_gg")
     assert len(lines) == 2
     assert len(lines[1].split(",")) == 6
+
+
+def _negate_zeros(x):
+    """Every 0.0 in a decoded payload as -0.0, whose sign the readers must keep."""
+    if isinstance(x, list):
+        return [_negate_zeros(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _negate_zeros(v) for k, v in x.items()}
+    return -0.0 if type(x) is float and x == 0.0 else x
+
+
+def _parity_payloads():
+    rng = np.random.default_rng(12)
+    m = cp_edmap(rng, 2, 2)
+    edmap = edmap_to_dict(EDMap(m.phi, m.omega, np.diag([0.0, 0.5j]), m.gamma))
+    spec = semigroup_spec_to_dict(random_semigroup_spec(rng, 2, 2, n_jumps=2))
+    table = {"type": "generator_table", "d_e": 2, "d_g": 1, "times": [0.0, 1.0, 2.0],
+             "L": [matrix_to_json(rc(rng, 4, 4)) for _ in range(3)],
+             "K": [matrix_to_json(np.diag(rc(rng, 2))) for _ in range(3)],
+             "psi": [matrix_to_json(rc(rng, 1, 4)) for _ in range(3)]}
+    traj = trajectory_to_dict(semigroup_trajectory(random_semigroup_spec(rng, 2, 1),
+                                                   np.linspace(0.0, 1.0, 3)))
+    chi = np.array([1.0, 0.0, 1.0j]) / np.sqrt(2.0)
+    state = block_operator_to_dict(BlockOperator.from_full(np.outer(chi, chi.conj()), 2, 1))
+    return {
+        "edmap": (edmap_from_dict, edmap, [("phi",), ("omega",), ("B",)]),
+        "semigroup_spec": (semigroup_spec_from_dict, spec,
+                           [("H",), ("G",), ("F",), ("F", 1), ("c",), ("psi",)]),
+        "generator_table": (generator_table_from_dict, table,
+                            [("L",), ("L", 1), ("K",), ("K", 0), ("psi",), ("psi", 2)]),
+        "trajectory": (trajectory_from_dict, traj,
+                       [("maps", 1, "phi"), ("maps", 1, "omega"), ("maps", 1, "B")]),
+        "block_operator": (block_operator_from_dict, state, [("matrix",)]),
+    }
+
+
+# Malformed values for one matrix field; inf is written as the literal 1e400.
+MALFORMED = {
+    "ragged_rows": [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+    "third_component": [[[0.8, 0.0, 5.0]]],
+    "null": None,
+    "null_pair": [[[1.0, 0.0], None]],
+    "null_number": [[[None, 0.0]]],
+    "string": "abc",
+    "string_number": [[["0.8", 0.0]]],
+    "boolean": True,
+    "boolean_pair": [[[True, False]]],
+    "1e400": [[[float("inf"), 0.0]]],
+    "huge_integer": [[[10 ** 400, 0]]],
+    "empty": [],
+    "non_list": 5,
+    "object": {"re": 1.0, "im": 0.0},
+}
+
+
+def _leaves(x):
+    """The arrays and numbers a reader returns, in order, as comparable bit strings."""
+    if dataclasses.is_dataclass(x):
+        return [v for f in dataclasses.fields(x) for v in _leaves(getattr(x, f.name))]
+    if isinstance(x, (tuple, list)):
+        return [v for item in x for v in _leaves(item)]
+    if callable(x):  # a generator table's interpolant, on and between its times
+        return [v for t in (0.0, 0.4, 1.0, 1.5, 2.0) for v in _leaves(x(t))]
+    if x is None:
+        return [None]
+    A = np.asarray(x)
+    return [(type(x).__name__, A.dtype.str, A.shape, A.tobytes())]
+
+
+def _read(reader, data):
+    try:
+        return _leaves(reader(data))
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("schema", ["edmap", "semigroup_spec", "generator_table",
+                                    "trajectory", "block_operator"])
+def test_load_reads_like_plain_json(schema, tmp_path):
+    reader, payload, fields = _parity_payloads()[schema]
+    payload = _negate_zeros(payload)
+    cases = [("valid", payload)]
+    for field in fields:
+        for label, bad in MALFORMED.items():
+            case = json.loads(json.dumps(payload))
+            owner = case
+            for key in field[:-1]:
+                owner = owner[key]
+            owner[field[-1]] = bad
+            cases.append((f"{'.'.join(map(str, field))}={label}", case))
+    path = tmp_path / "input.json"
+    mismatches = []
+    for label, case in cases:
+        text = json.dumps(case).replace("Infinity", "1e400")
+        path.write_text(text)
+        want, got = _read(reader, json.loads(text)), _read(reader, jsonio.load(path))
+        if got != want:
+            mismatches.append((label, got, want))
+    assert mismatches == []
+    valid = _read(reader, payload)
+    assert isinstance(valid, list), valid
+    # the valid case holds signed zeros, so the comparison sees their sign bits
+    floats = [np.frombuffer(b, dtype=d).view(float) for _, d, _, b in filter(None, valid)
+              if np.dtype(d).kind in "fc"]
+    assert any(np.any((F == 0) & np.signbit(F)) for F in floats)
+
+
+def test_load_holds_a_stored_trajectory_below_three_file_sizes(tmp_path):
+    rng = np.random.default_rng(13)
+    spec = random_semigroup_spec(rng, 4, 2)
+    traj = semigroup_trajectory(spec, np.linspace(0.0, 1.0, 24) ** 1.5)
+    path = tmp_path / "stored.json"
+    path.write_text(json.dumps(trajectory_to_dict(traj)))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        data = jsonio.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # plain json.load peaks near four file sizes: every float a Python object
+    assert peak < 3 * size, (peak, size)
+    assert len(data["maps"]) == 24
+    assert all(type(m[key]) is np.ndarray
+               for m in data["maps"] for key in ("phi", "omega", "B"))
+    # the readers view the arrays load built, without a copy
+    B = data["maps"][1]["B"]
+    assert np.shares_memory(matrix_from_json(B, (4, 4), "B"), B)
+    assert trajectory_from_dict(data).d_e == 4
