@@ -42,18 +42,23 @@ class NonInvertibleError(ValueError):
     """Raised when an excitation-damping map has no inverse.
 
     ``reason`` records which hypothesis failed: ``"gamma_zero"``,
-    ``"phi_singular"`` or ``"B_singular"``.
+    ``"phi_singular"`` or ``"B_singular"``. ``index`` is the position of the
+    failing map in the stack that was inverted (0 for :func:`invert`).
     """
 
-    def __init__(self, reason: str, message: str):
+    def __init__(self, reason: str, message: str, index: int = 0):
         super().__init__(message)
         self.reason = reason
+        self.index = index
 
 
-def _cond(M: np.ndarray) -> float:
-    """Spectral condition number, infinite for an empty or singular matrix."""
+def _cond(M: np.ndarray):
+    """Spectral condition number of each matrix of a stack, infinite for an empty or singular one."""
+    if not M.shape[-1]:
+        return np.full(M.shape[:-2], np.inf)
     s = np.linalg.svd(M, compute_uv=False)
-    return s[0] / s[-1] if s.size and s[-1] > 0 else np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s[..., -1] > 0, s[..., 0] / s[..., -1], np.inf)
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,19 +304,85 @@ class EDMap:
         return LinearMap(S)
 
 
-def apply(m: EDMap, X: BlockOperator) -> BlockOperator:
-    """Act with an excitation-damping map on a block operator."""
+@dataclass(frozen=True, eq=False)
+class EDStack:
+    """The blocks of excitation-damping maps stacked along a leading axis.
+
+    ``phi`` is (n, d_e^2, d_e^2), ``omega`` (n, d_g^2, d_e^2), ``B``
+    (n, d_e, d_e) and ``gamma`` (n,). The stacked kernels of the package take
+    and return this form, and a single map is the stack of one: every
+    single-map operation runs through the same stacked numpy and LAPACK
+    calls, which treat each matrix of a stack exactly as a call on it alone.
+    """
+
+    phi: np.ndarray
+    omega: np.ndarray
+    B: np.ndarray
+    gamma: np.ndarray
+
+    @classmethod
+    def of(cls, maps) -> "EDStack":
+        """Stack a nonempty sequence of maps on common sectors."""
+        return cls(np.stack([m.phi.mat for m in maps]), np.stack([m.omega.mat for m in maps]),
+                   np.stack([m.B for m in maps]), np.array([m.gamma for m in maps]))
+
+    @classmethod
+    def concat(cls, stacks) -> "EDStack":
+        """One stack of the maps of a nonempty sequence of stacks, in order."""
+        return cls(*(np.concatenate(blocks) for blocks in
+                     zip(*((s.phi, s.omega, s.B, s.gamma) for s in stacks))))
+
+    @classmethod
+    def empty(cls, n: int, d_e: int, d_g: int) -> "EDStack":
+        """Room for n maps, every block zero and every gamma 1."""
+        return cls(np.zeros((n, d_e * d_e, d_e * d_e), dtype=complex),
+                   np.zeros((n, d_g * d_g, d_e * d_e), dtype=complex),
+                   np.zeros((n, d_e, d_e), dtype=complex), np.ones(n))
+
+    @property
+    def d_e(self) -> int:
+        return math.isqrt(self.phi.shape[-1])
+
+    @property
+    def d_g(self) -> int:
+        return math.isqrt(self.omega.shape[-2])
+
+    def __len__(self) -> int:
+        return len(self.gamma)
+
+    def __getitem__(self, index) -> "EDStack":
+        """The sub-stack at a slice or an index array."""
+        return EDStack(self.phi[index], self.omega[index], self.B[index], self.gamma[index])
+
+    def edmap(self, k: int) -> EDMap:
+        """Map k as an :class:`EDMap`."""
+        return EDMap(LinearMap(self.phi[k]), LinearMap(self.omega[k]), self.B[k],
+                     float(self.gamma[k]))
+
+
+def _check_sectors(X: BlockOperator, m: EDMap) -> None:
     if (X.d_e, X.d_g) != (m.d_e, m.d_g):
         raise ValueError(
             f"operator sectors {(X.d_e, X.d_g)} do not match map sectors "
             f"{(m.d_e, m.d_g)}"
         )
-    return BlockOperator(
-        ee=m.phi(X.ee),
-        eg=m.B @ X.eg,
-        ge=X.ge @ m.B.conj().T,
-        gg=m.gamma * X.gg + m.omega(X.ee),
-    )
+
+
+def apply_stack(s: EDStack, X: BlockOperator) -> tuple:
+    """The blocks (ee, eg, ge, gg) of every map of the stack applied to X, stacked likewise."""
+    n, d_e, d_g = len(s), X.d_e, X.d_g
+    x = vectorize(X.ee)
+    # column-stacked images, one per row, back to matrices
+    ee = (s.phi @ x).reshape(n, d_e, d_e).swapaxes(-1, -2)
+    fed = (s.omega @ x).reshape(n, d_g, d_g).swapaxes(-1, -2)
+    return (ee, s.B @ X.eg, X.ge @ s.B.conj().swapaxes(-1, -2),
+            s.gamma[:, None, None] * X.gg + fed)
+
+
+def apply(m: EDMap, X: BlockOperator) -> BlockOperator:
+    """Act with an excitation-damping map on a block operator."""
+    _check_sectors(X, m)
+    return BlockOperator(*(block[0] for block in apply_stack(EDStack.of([m]), X)))
 
 
 def is_trace_preserving(m: EDMap, tol: float = DEFAULT_TOL) -> bool:
@@ -327,6 +398,28 @@ def is_trace_preserving(m: EDMap, tol: float = DEFAULT_TOL) -> bool:
     return float(dev) <= tol
 
 
+def invert_stack(s: EDStack) -> EDStack:
+    """The inverse of every map of the stack, as :func:`invert` gives it.
+
+    Raises :func:`invert`'s error for the first map without an inverse, with
+    that map's position in the stack as ``index``.
+    """
+    failures = (
+        ("gamma_zero", "gamma is zero; the ground block is lost", s.gamma <= 0.0),
+        ("phi_singular", "phi is singular (superoperator condition number above 1e12)",
+         _cond(s.phi) > COND_LIMIT),
+        ("B_singular", "B is singular (condition number above 1e12)", _cond(s.B) > COND_LIMIT),
+    )
+    failed = np.array([bad for _, _, bad in failures])
+    if failed.any():
+        k = int(failed.any(axis=0).argmax())
+        reason, message, _ = failures[int(failed[:, k].argmax())]
+        raise NonInvertibleError(reason, message, k)
+    phi_inv = np.linalg.inv(s.phi)
+    return EDStack(phi_inv, -(1.0 / s.gamma)[:, None, None] * (s.omega @ phi_inv),
+                   np.linalg.inv(s.B), 1.0 / s.gamma)
+
+
 def invert(m: EDMap) -> EDMap:
     """Invert an excitation-damping map.
 
@@ -335,23 +428,13 @@ def invert(m: EDMap) -> EDMap:
     an excitation-damping map with blocks
     (phi^-1, -gamma^-1 omega∘phi^-1, B^-1, gamma^-1).
     """
-    if m.gamma <= 0.0:
-        raise NonInvertibleError("gamma_zero", "gamma is zero; the ground block is lost")
-    if _cond(m.phi.mat) > COND_LIMIT:
-        raise NonInvertibleError(
-            "phi_singular", "phi is singular (superoperator condition number above 1e12)"
-        )
-    if _cond(m.B) > COND_LIMIT:
-        raise NonInvertibleError(
-            "B_singular", "B is singular (condition number above 1e12)"
-        )
-    phi_inv = np.linalg.inv(m.phi.mat)
-    return EDMap(
-        phi=LinearMap(phi_inv),
-        omega=LinearMap(-(1.0 / m.gamma) * (m.omega.mat @ phi_inv)),
-        B=np.linalg.inv(m.B),
-        gamma=1.0 / m.gamma,
-    )
+    return invert_stack(EDStack.of([m])).edmap(0)
+
+
+def compose_stack(s2: EDStack, s1: EDStack) -> EDStack:
+    """The compositions s2[k] ∘ s1[k], as :func:`compose` gives them."""
+    return EDStack(s2.phi @ s1.phi, s2.omega @ s1.phi + s2.gamma[:, None, None] * s1.omega,
+                   s2.B @ s1.B, s2.gamma * s1.gamma)
 
 
 def compose(m2: EDMap, m1: EDMap) -> EDMap:
@@ -364,12 +447,7 @@ def compose(m2: EDMap, m1: EDMap) -> EDMap:
             f"cannot compose maps on different sector dimensions: "
             f"{(m2.d_e, m2.d_g)} vs {(m1.d_e, m1.d_g)}"
         )
-    return EDMap(
-        phi=m2.phi @ m1.phi,
-        omega=LinearMap(m2.omega.mat @ m1.phi.mat + m2.gamma * m1.omega.mat),
-        B=m2.B @ m1.B,
-        gamma=m2.gamma * m1.gamma,
-    )
+    return compose_stack(EDStack.of([m2]), EDStack.of([m1])).edmap(0)
 
 
 def build_tp_omega(phi: LinearMap, Omega, tol: float = 1e-10) -> LinearMap:

@@ -30,6 +30,11 @@ with beta = B flattened row-major, which couples C_phi to the normalized
 maximally entangled vector of the ground sector. Hence
 min eig C_full = min(0, min eig C_omega, min eig M1).
 
+The block kernels take stacks of maps (:class:`~edchan.channel.EDStack`) and
+run one stacked eigensolve per block for the whole stack; :func:`is_cp_ed`,
+:func:`min_full_choi_eigenvalue` and the other single-map functions are
+their stacks of one.
+
 Positivity (as opposed to complete positivity) is decided exactly only where
 a criterion exists: for a one-dimensional ground sector the functional omega
 is positive iff its density W (with omega(X) = tr(WX)) is PSD, and the damped
@@ -46,13 +51,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import BlockOperator, EDMap, LinearMap, apply
+from .channel import BlockOperator, EDMap, EDStack, LinearMap, apply
 from .matcore import (
     DEFAULT_TOL,
     as_complex_matrix,
     freeze,
     hermiticity_deviation,
     hermitian_part,
+    hermitian_parts,
     is_psd,
     require_hermitian,
     vectorize,
@@ -86,13 +92,17 @@ class ChoiMatrix:
         freeze(self, "mat", A)
 
 
+def choi_stack(mats: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """The Choi matrices of a stack of superoperator matrices, stacked likewise."""
+    lead, n = mats.shape[:-2], d_out * d_in
+    # mat[b*d_out + a, l*d_in + k] = <a| map(E_kl) |b> lands at C[a*d_in + k, b*d_in + l]
+    C = mats.reshape(-1, d_out, d_out, d_in, d_in).transpose(0, 2, 4, 1, 3)
+    return C.reshape(lead + (n, n))
+
+
 def choi(m: LinearMap) -> ChoiMatrix:
     """C = sum_{jk} map(E_jk) ⊗ E_jk with (out ⊗ in) index order."""
-    d_in, d_out = m.d_in, m.d_out
-    n = d_out * d_in
-    # mat[b*d_out + a, l*d_in + k] = <a| map(E_kl) |b> lands at C[a*d_in + k, b*d_in + l]
-    C = m.mat.reshape(d_out, d_out, d_in, d_in).transpose(1, 3, 0, 2).reshape(n, n)
-    return ChoiMatrix(C, d_in=d_in, d_out=d_out)
+    return ChoiMatrix(choi_stack(m.mat, m.d_in, m.d_out), d_in=m.d_in, d_out=m.d_out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,30 +168,40 @@ class CPVerdict(NamedTuple):
     min_choi_eigenvalue: float
 
 
+def _min_eigenvalues(C: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the hermitian part of each matrix of a stack (0 if empty)."""
+    if not C.shape[-1]:
+        return np.zeros(C.shape[:-2])
+    return np.linalg.eigvalsh(hermitian_parts(C))[..., 0]
+
+
+def _cp_verdicts(C: np.ndarray, t: float, lo: np.ndarray) -> list:
+    """:func:`is_cp`'s verdicts on a stack of Choi matrices with smallest eigenvalues ``lo``."""
+    hermitian = hermiticity_deviation(C) <= t
+    return [CPVerdict(bool(h) and x >= -t, x) for h, x in zip(hermitian, lo.tolist())]
+
+
+def is_cp_stack(mats: np.ndarray, d_in: int, d_out: int, t: float) -> list:
+    """:func:`is_cp`'s verdicts on a stack of superoperator matrices."""
+    C = choi_stack(mats, d_in, d_out)
+    return _cp_verdicts(C, t, _min_eigenvalues(C))
+
+
 def is_cp(m: LinearMap, tol: float = DEFAULT_TOL) -> CPVerdict:
     """PSD test on the Choi matrix; never raises.
 
     A map whose Choi matrix is not hermitian (not hermiticity-preserving) is
     reported as not CP, with the smallest eigenvalue of the hermitian part.
     """
-    C = choi(m).mat
-    lo = float(np.linalg.eigvalsh(hermitian_part(C))[0]) if C.size else 0.0
-    return _cp_verdict(C, tol, lo)
-
-
-def _cp_verdict(C: np.ndarray, t: float, lo: float) -> CPVerdict:
-    """:func:`is_cp`'s verdict on the Choi matrix ``C`` with smallest eigenvalue ``lo``."""
-    if hermiticity_deviation(C) > t:
-        return CPVerdict(False, lo)
-    return CPVerdict(lo >= -t, lo)
+    return is_cp_stack(m.mat[None], m.d_in, m.d_out, tol)[0]
 
 
 def _cp_with_kraus(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[CPVerdict, tuple]:
     """``is_cp(m, tol)`` and, for a CP map, its canonical Kraus operators, from one ``eigh``."""
-    C = choi(m).mat
-    w, V = np.linalg.eigh(hermitian_part(C))
-    verdict = _cp_verdict(C, tol, float(w[0]) if w.size else 0.0)
-    return verdict, (_canonical_kraus(w, V, m.d_out, m.d_in, tol) if verdict.is_cp else ())
+    C = choi_stack(m.mat[None], m.d_in, m.d_out)
+    w, V = np.linalg.eigh(hermitian_parts(C))
+    verdict = _cp_verdicts(C, tol, w[:, 0] if w.size else np.zeros(1))[0]
+    return verdict, (_canonical_kraus(w[0], V[0], m.d_out, m.d_in, tol) if verdict.is_cp else ())
 
 
 def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
@@ -189,11 +209,27 @@ def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
     return hermiticity_deviation(choi(m).mat) <= tol
 
 
+def _damped_stack(s: EDStack, t: float) -> np.ndarray:
+    """Superoperators of the blocks whose CP the block test decides, one per map of the stack.
+
+    phi - gamma^-1 B(.)B† in the gamma_positive branch (gamma > t), phi itself
+    in the gamma_zero branch.
+    """
+    out = s.phi.copy()
+    positive = s.gamma > t
+    B = s.B[positive]
+    d = B.shape[-1]
+    # kron(B*, B) of each B: entry (i d + k, j d + l) is B*[i, j] B[k, l]
+    kron = (B.conj()[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1, d * d, d * d)
+    out[positive] = s.phi[positive] - kron / s.gamma[positive][:, None, None]
+    return out
+
+
 def damped_excited_map(m: EDMap) -> LinearMap:
     """The excited-sector map phi - gamma^-1 B(.)B† (gamma must be positive)."""
     if m.gamma <= 0.0:
         raise ValueError("damped map requires gamma > 0")
-    return LinearMap(m.phi.mat - np.kron(m.B.conj(), m.B) / m.gamma)
+    return LinearMap(_damped_stack(EDStack.of([m]), 0.0)[0])
 
 
 @dataclass(frozen=True)
@@ -223,10 +259,14 @@ def _damped_block(m: EDMap, t: float) -> LinearMap:
     return damped_excited_map(m) if m.gamma > t else m.phi
 
 
-def _ed_report(m: EDMap, t: float, omega: CPVerdict, damped: CPVerdict) -> EDCPReport:
-    """Block report from the CP verdicts on omega and on :func:`_damped_block`."""
-    positive = m.gamma > t
-    damped_ok = damped.is_cp and (positive or float(np.abs(m.B).max(initial=0.0)) <= t)
+def _ed_report(gamma: float, b_max: float, t: float, omega: CPVerdict,
+               damped: CPVerdict) -> EDCPReport:
+    """Block report from the CP verdicts on omega and on :func:`_damped_block`.
+
+    ``b_max`` is the largest entry modulus of B.
+    """
+    positive = gamma > t
+    damped_ok = damped.is_cp and (positive or b_max <= t)
     return EDCPReport(
         cp=omega.is_cp and damped_ok,
         omega_cp=omega.is_cp,
@@ -237,21 +277,40 @@ def _ed_report(m: EDMap, t: float, omega: CPVerdict, damped: CPVerdict) -> EDCPR
     )
 
 
+def is_cp_ed_stack(s: EDStack, tol: float = DEFAULT_TOL) -> list:
+    """:func:`is_cp_ed`'s report on every map of the stack."""
+    b_max = np.abs(s.B).max(axis=(-2, -1), initial=0.0).tolist()
+    return [_ed_report(gamma, b, tol, omega, damped) for gamma, b, omega, damped in zip(
+        s.gamma.tolist(), b_max, is_cp_stack(s.omega, s.d_e, s.d_g, tol),
+        is_cp_stack(_damped_stack(s, tol), s.d_e, s.d_e, tol))]
+
+
 def is_cp_ed(m: EDMap, tol: float = DEFAULT_TOL) -> EDCPReport:
     """Decide complete positivity from the blocks alone."""
-    return _ed_report(m, tol, is_cp(m.omega, tol), is_cp(_damped_block(m, tol), tol))
+    return is_cp_ed_stack(EDStack.of([m]), tol)[0]
+
+
+def _coupled_min_eigenvalue_stack(s: EDStack) -> np.ndarray:
+    """:func:`_coupled_min_eigenvalue` of every map of the stack."""
+    k, n = len(s), s.d_e * s.d_e
+    beta = np.sqrt(s.d_g) * s.B.reshape(k, -1)
+    M1 = np.empty((k, n + 1, n + 1), dtype=complex)
+    M1[:, :n, :n] = hermitian_parts(choi_stack(s.phi, s.d_e, s.d_e))
+    M1[:, :n, n] = beta
+    M1[:, n, :n] = beta.conj()
+    M1[:, n, n] = s.gamma * s.d_g
+    return np.linalg.eigvalsh(M1)[:, 0]
 
 
 def _coupled_min_eigenvalue(m: EDMap) -> float:
     """Smallest eigenvalue of the (d_e^2 + 1)-square matrix coupling C_phi, B and gamma."""
-    n = m.d_e * m.d_e
-    beta = np.sqrt(m.d_g) * m.B.reshape(-1)
-    M1 = np.empty((n + 1, n + 1), dtype=complex)
-    M1[:n, :n] = hermitian_part(choi(m.phi).mat)
-    M1[:n, n] = beta
-    M1[n, :n] = beta.conj()
-    M1[n, n] = m.gamma * m.d_g
-    return float(np.linalg.eigvalsh(M1)[0])
+    return float(_coupled_min_eigenvalue_stack(EDStack.of([m]))[0])
+
+
+def min_full_choi_eigenvalue_stack(s: EDStack) -> list:
+    """:func:`min_full_choi_eigenvalue` of every map of the stack."""
+    lo_omega = _min_eigenvalues(choi_stack(s.omega, s.d_e, s.d_g)).tolist()
+    return [min(0.0, a, b) for a, b in zip(lo_omega, _coupled_min_eigenvalue_stack(s).tolist())]
 
 
 def min_full_choi_eigenvalue(m: EDMap) -> float:
@@ -261,8 +320,7 @@ def min_full_choi_eigenvalue(m: EDMap) -> float:
     docstring) at the cost of a (d_e^2 + 1)- and a (d_e d_g)-square eigensolve. A caller
     holding ``is_cp_ed(m)`` reuses its ``omega_min_eigenvalue`` in place of the second.
     """
-    lo_omega = np.linalg.eigvalsh(hermitian_part(choi(m.omega).mat))[0]
-    return min(0.0, float(lo_omega), _coupled_min_eigenvalue(m))
+    return min_full_choi_eigenvalue_stack(EDStack.of([m]))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,7 +388,8 @@ def explicit_kraus_ed(m: EDMap, tol: float = DEFAULT_TOL) -> KrausSet:
     """
     omega_verdict, omega_ops = _cp_with_kraus(m.omega, tol)
     damped_verdict, damped_ops = _cp_with_kraus(_damped_block(m, tol), tol)
-    report = _ed_report(m, tol, omega_verdict, damped_verdict)
+    report = _ed_report(m.gamma, float(np.abs(m.B).max(initial=0.0)), tol,
+                        omega_verdict, damped_verdict)
     if not report.cp:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (omega_cp={report.omega_cp}, "

@@ -23,10 +23,16 @@ grid pairs suffices on a grid.
 :func:`build_td_trajectory` steps by the semigroup member of the generators
 at each step's midpoint. Its suppliers must be pure functions of time;
 construction is sequential but independent trajectories may be concurrent.
+
+The grid step is the batch axis: members, propagators, their checks and the
+maps' action on a state are formed CHUNK steps at a time by stacked numpy and
+LAPACK calls, each step getting exactly what a call on it alone would.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field
 
@@ -36,14 +42,25 @@ from .channel import (
     COND_LIMIT,
     BlockOperator,
     EDMap,
+    EDStack,
     LinearMap,
     NonInvertibleError,
+    _check_sectors,
     _cond,
-    apply,
+    apply_stack,
     compose,
+    compose_stack,
     invert,
+    invert_stack,
 )
-from .cpcheck import _coupled_min_eigenvalue, choi, is_cp, is_cp_ed, min_full_choi_eigenvalue
+from .cpcheck import (
+    _coupled_min_eigenvalue_stack,
+    choi,
+    is_cp,
+    is_cp_ed_stack,
+    min_full_choi_eigenvalue,
+    min_full_choi_eigenvalue_stack,
+)
 from .matcore import (
     DEFAULT_TOL,
     _expm,
@@ -54,8 +71,12 @@ from .matcore import (
     hermitian_part,
     is_hermitian,
     is_psd,
-    matexp,
+    require_finite,
 )
+
+# Steps per stacked kernel call: at d_e = 8 a stack of CHUNK phi blocks
+# (64-square, complex) is 1 MB, and so is each temporary built from it.
+CHUNK = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,15 +201,34 @@ def K_from_spec(spec: SemigroupSpec) -> np.ndarray:
     return K
 
 
-def _member(SL: np.ndarray, K: np.ndarray, psi: LinearMap, t: float) -> EDMap:
-    """The map (exp(t L), psi ∘ integral_0^t exp(tau L) dtau, exp(t K), 1) at t >= 0.
+def _members(generators, count: int, d_e: int, d_g: int) -> EDStack:
+    """The maps (exp(t L), psi ∘ integral_0^t exp(tau L) dtau, exp(t K), 1), stacked.
 
-    exp(t L) and the integral, exact also for singular L, come from one
-    exponential kernel call, the upper blocks of exp(t [[L, I], [0, 0]]).
+    ``generators(a, b)`` returns (L, K, psi, t) for members a to b - 1: t has
+    one time per member, and L, K and psi are one matrix for all of them or
+    a stack of one per member. Members are formed CHUNK at a time. exp(t L)
+    and the integral, exact also for singular L, come from one exponential
+    kernel call, the upper blocks of exp(t [[L, I], [0, 0]]), and exp(t K)
+    from a second.
     """
-    t = check_time(t)
-    E, F = _expm(as_complex_matrix(t * SL, "t * L"), t)
-    return EDMap(LinearMap(E), LinearMap(psi.mat @ F), matexp(t * K), 1.0)
+    out = EDStack.empty(count, d_e, d_g)
+    for a in range(0, count, CHUNK):
+        b = min(a + CHUNK, count)
+        L, K, psi, t = generators(a, b)
+        tt = t[:, None, None]
+        out.phi[a:b], F = _expm(require_finite(tt * L, "t * L"), t)
+        out.B[a:b] = _expm(require_finite(tt * K))[0]
+        out.omega[a:b] = psi @ F
+    require_finite(out.phi, "superoperator matrix")
+    require_finite(out.omega, "superoperator matrix")
+    require_finite(out.B, "B")
+    return out
+
+
+def _member(SL: np.ndarray, K: np.ndarray, psi: LinearMap, t: float) -> EDMap:
+    """The member of :func:`_members` at one time t >= 0."""
+    t = np.array([check_time(t)])
+    return _members(lambda a, b: (SL, K, psi.mat, t), 1, psi.d_in, psi.d_out).edmap(0)
 
 
 def semigroup_at(spec: SemigroupSpec, t: float) -> EDMap:
@@ -269,9 +309,7 @@ class ChannelTrajectory:
 
     grid: np.ndarray
     maps: tuple
-    # set only by the builders: step k is the map with maps[k+1] = step ∘ maps[k],
-    # one shared object per distinct step; None means propagators come by inversion
-    _steps: tuple | None = field(default=None, init=False, repr=False)
+    _steps = None  # the builders' trajectories keep their steps; None means propagators come by inversion
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float).reshape(-1)
@@ -307,15 +345,58 @@ class ChannelTrajectory:
     def __len__(self) -> int:
         return len(self.maps)
 
+    def _map_chunks(self):
+        """The maps stacked CHUNK at a time, in grid order."""
+        for a in range(0, len(self), CHUNK):
+            yield EDStack.of(self.maps[a:a + CHUNK])
 
-def _from_steps(grid: np.ndarray, d_e: int, d_g: int, steps: list) -> ChannelTrajectory:
-    """The trajectory with maps[0] the identity and maps[k+1] = steps[k] ∘ maps[k]."""
-    maps = [EDMap.identity(d_e, d_g)]
-    for step in steps:
-        maps.append(compose(step, maps[-1]))
-    traj = ChannelTrajectory(grid, tuple(maps))
-    object.__setattr__(traj, "_steps", tuple(steps))
-    return traj
+
+class _SteppedTrajectory(ChannelTrajectory):
+    """A built trajectory: maps[0] is the identity and maps[k+1] = step_k ∘ maps[k].
+
+    It keeps its distinct steps stacked as ``_members``, with ``_index[k]``
+    the member that is step k, and composes the maps only when they are read.
+    """
+
+    def __init__(self, grid: np.ndarray, members: EDStack, index: np.ndarray):
+        for block in (members.phi, members.omega, members.B, members.gamma):
+            block.flags.writeable = False
+        freeze(self, "grid", grid)
+        freeze(self, "_index", index)
+        object.__setattr__(self, "_members", members)
+
+    @property
+    def d_e(self) -> int:
+        return self._members.d_e
+
+    @property
+    def d_g(self) -> int:
+        return self._members.d_g
+
+    def __len__(self) -> int:
+        return self.grid.size
+
+    def _map_chunks(self):
+        """The maps stacked CHUNK at a time, each step composed onto its predecessor
+        as :func:`compose` does; one chunk is held at a time until ``maps`` is read."""
+        if "maps" in self.__dict__:
+            yield from super()._map_chunks()
+            return
+        maps = itertools.accumulate(self._index.tolist(),
+                                    lambda m, j: compose_stack(self._members[j:j + 1], m),
+                                    initial=EDStack.of([EDMap.identity(self.d_e, self.d_g)]))
+        while chunk := list(itertools.islice(maps, CHUNK)):
+            yield EDStack.concat(chunk)
+
+    @functools.cached_property
+    def maps(self) -> tuple:
+        return tuple(chunk.edmap(k) for chunk in self._map_chunks() for k in range(len(chunk)))
+
+    @functools.cached_property
+    def _steps(self) -> tuple:
+        """Step k as an :class:`EDMap`, one shared object per distinct step."""
+        members = [self._members.edmap(j) for j in range(len(self._members))]
+        return tuple(members[j] for j in self._index.tolist())
 
 
 def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
@@ -324,23 +405,27 @@ def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
     By the semigroup law each map is the member at dt composed with the map
     before it, from the identity at grid[0]. The member at dt is the one
     :func:`semigroup_at` returns, from the same constructor; it is built once
-    per distinct step and kept as the trajectory's propagator over every step
-    of that length.
+    per distinct step, CHUNK members per stacked kernel call, and kept as the
+    trajectory's propagator over every step of that length. The maps are
+    composed when first read.
     ``evolve`` and ``divisibility`` sample a spec on ``--steps`` points of
     ``linspace(0, t_max)``; on three seeded random specs at d_e = 8 and
     t_max = 1 the maps differ from :func:`semigroup_at` by at most 2.3e-14
     per entry at 101 points, 2.9e-13 at 1001 and 2.7e-12 at 10^4.
 
-    Memory: a grid whose steps all differ keeps one step map, about one more
-    phi, per point. On ``linspace(0, 1, 2000)**1.5`` at d_e = 6, d_g = 2 the
-    tracemalloc peak is 97.6 MB, of which the returned trajectory holds 97.2 MB.
+    Memory: a grid whose steps all differ keeps one step map, about one
+    phi, per point; reading ``maps`` adds one composed map per point, while
+    :func:`trajectory_observables` composes them CHUNK at a time and keeps
+    none. On ``linspace(0, 1, 2000)**1.5`` at d_e = 6, d_g = 2 the
+    tracemalloc peak is 51.9 MB, of which the returned trajectory holds
+    47.3 MB; once ``maps`` has been read it holds 96.1 MB.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
-    SL, K = gkls_superop(spec.gen).mat, K_from_spec(spec)
-    dts = np.diff(grid).tolist()
-    members = {dt: _member(SL, K, spec.psi, dt) for dt in set(dts)}
-    return _from_steps(grid, spec.d_e, spec.d_g, [members[dt] for dt in dts])
+    SL, K, psi = gkls_superop(spec.gen).mat, K_from_spec(spec), spec.psi.mat
+    dts, index = np.unique(np.diff(grid), return_inverse=True)
+    members = _members(lambda a, b: (SL, K, psi, dts[a:b]), dts.size, spec.d_e, spec.d_g)
+    return _SteppedTrajectory(grid, members, index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,14 +437,17 @@ class TimeLocalGenerators:
     psi: LinearMap
 
 
+def _at_grid_point(traj: ChannelTrajectory, j: int, exc: NonInvertibleError) -> NonInvertibleError:
+    """``exc`` for the map at grid index j, naming the grid point."""
+    return NonInvertibleError(exc.reason, f"{exc} at grid index {j} (t = {traj.grid[j]:.6g})")
+
+
 def _invert_at(traj: ChannelTrajectory, j: int) -> EDMap:
     """The inverse of the map at grid index j; a failure names the grid point."""
     try:
         return invert(traj.maps[j])
     except NonInvertibleError as exc:
-        raise NonInvertibleError(
-            exc.reason, f"{exc} at grid index {j} (t = {traj.grid[j]:.6g})"
-        ) from exc
+        raise _at_grid_point(traj, j, exc) from exc
 
 
 def time_local_generators(traj: ChannelTrajectory, i: int) -> TimeLocalGenerators:
@@ -390,33 +478,43 @@ def propagator(traj: ChannelTrajectory, i: int, j: int) -> EDMap:
     return compose(traj.maps[i], _invert_at(traj, j))
 
 
-def _consecutive_steps(traj: ChannelTrajectory, *kernels):
-    """Yield the kernels' values on each propagator Phi_{t_{i+1}} ∘ Phi_{t_i}^-1.
+def _step_values(traj: ChannelTrajectory, kernel) -> list:
+    """The kernel's values on the propagators Phi_{t_{i+1}} ∘ Phi_{t_i}^-1, in grid order.
 
-    A stored trajectory inverts every map. A built one uses its steps, each
-    distinct one evaluated once; maps[:-1] must still pass invert's condition
-    check, with the same error. The bound cond(maps[k+1]) <= cond(step_k)
-    cond(maps[k]), for phi and B alike, certifies maps[k] up to COND_LIMIT *
-    1e-4, a margin for roundoff; past that maps[k]'s own condition numbers
-    are computed.
+    ``kernel`` takes an :class:`EDStack` and returns one value per map; it
+    gets the propagators CHUNK at a time. A stored trajectory forms them by
+    stacked inversion and composition, each equal to :func:`propagator`'s,
+    and fails as it would at the first map without an inverse. A built one
+    uses its steps, each distinct one evaluated once; maps[:-1] must still
+    pass invert's condition check, with the same error. The bound
+    cond(maps[k+1]) <= cond(step_k) cond(maps[k]), for phi and B alike,
+    certifies maps[k] up to COND_LIMIT * 1e-4, a margin for roundoff; past
+    that maps[k]'s own condition numbers are computed.
     """
-    if traj._steps is None:
-        for i in range(len(traj) - 1):
-            step = propagator(traj, i + 1, i)
-            yield tuple(kernel(step) for kernel in kernels)
-        return
-    seen, bound = {}, (1.0, 1.0)  # maps[0] is the identity
-    for k, step in enumerate(traj._steps):
+    steps = len(traj) - 1
+    if not isinstance(traj, _SteppedTrajectory):
+        values = []
+        for a in range(0, steps, CHUNK):
+            maps = EDStack.of(traj.maps[a:min(a + CHUNK, steps) + 1])
+            try:
+                inverses = invert_stack(maps[:-1])
+            except NonInvertibleError as exc:
+                raise _at_grid_point(traj, a + exc.index, exc) from exc
+            values += kernel(compose_stack(maps[1:], inverses))
+        return values
+    members = traj._members
+    conds = np.stack((_cond(members.phi), _cond(members.B)), axis=-1).tolist()
+    bound = (1.0, 1.0)  # maps[0] is the identity
+    for k, j in enumerate(traj._index.tolist()):
         if max(bound) > COND_LIMIT * 1e-4:
             bound = (_cond(traj.maps[k].phi.mat), _cond(traj.maps[k].B))
             if max(bound) > COND_LIMIT:
                 _invert_at(traj, k)  # raises as propagator would
-        if step not in seen:
-            seen[step] = (tuple(kernel(step) for kernel in kernels),
-                          (_cond(step.phi.mat), _cond(step.B)))
-        values, conds = seen[step]
-        bound = (conds[0] * bound[0], conds[1] * bound[1])
-        yield values
+        bound = (conds[j][0] * bound[0], conds[j][1] * bound[1])
+    values = []
+    for a in range(0, len(members), CHUNK):
+        values += kernel(members[a:a + CHUNK])
+    return [values[j] for j in traj._index.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -441,11 +539,10 @@ def is_cp_divisible(traj: ChannelTrajectory, tol: float = DEFAULT_TOL) -> CPDivi
     block-level CP criterion. ``worst_pair`` names that step as (i + 1, i)
     only when its eigenvalue lies below -tol; a roundoff minimum names none.
     """
-    reports, mins = [], []
-    for report, coupled in _consecutive_steps(traj, lambda step: is_cp_ed(step, tol),
-                                              _coupled_min_eigenvalue):
-        reports.append(report)
-        mins.append(min(0.0, report.omega_min_eigenvalue, coupled))
+    steps = _step_values(traj, lambda s: list(zip(is_cp_ed_stack(s, tol),
+                                                   _coupled_min_eigenvalue_stack(s).tolist())))
+    reports = [report for report, _ in steps]
+    mins = [min(0.0, report.omega_min_eigenvalue, coupled) for report, coupled in steps]
     worst = int(np.argmin(mins)) if mins else None
     lo = 0.0 if worst is None else float(mins[worst])
     return CPDivisibilityReport(
@@ -505,19 +602,32 @@ def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
     constructor :func:`semigroup_at` uses, and maps[k+1] = step_k ∘ maps[k].
     So a step is exactly trace preserving when its midpoint triple is and
     completely positive when that triple is valid, and constant suppliers
-    give exactly :func:`semigroup_trajectory`'s maps. The trajectory keeps
-    the steps as its propagators, about one more phi per point in memory.
+    give exactly :func:`semigroup_trajectory`'s maps. Steps are formed in
+    chunks of CHUNK: the suppliers are called for a chunk's midpoints, in
+    grid order, and its members come from stacked kernel calls. The
+    trajectory keeps the steps as its propagators, about one more phi per
+    point in memory, and composes the maps when they are first read.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
     psi0 = LinearMap(as_complex_matrix(psi_fn(grid[0]), "psi supplier output"))
-    steps = []
-    for t0, t1 in zip(grid[:-1], grid[1:]):
-        mid = 0.5 * (t0 + t1)
-        L, K, psi = (as_complex_matrix(fn(mid), f"{name} supplier output")
-                     for fn, name in ((L_fn, "L"), (K_fn, "K"), (psi_fn, "psi")))
-        steps.append(_member(L, K, LinearMap(psi), t1 - t0))
-    return _from_steps(grid, psi0.d_in, psi0.d_out, steps)
+    d_e, d_g = psi0.d_in, psi0.d_out
+    suppliers = ((L_fn, "L", (d_e * d_e, d_e * d_e)), (K_fn, "K", (d_e, d_e)),
+                 (psi_fn, "psi", (d_g * d_g, d_e * d_e)))
+    mids, dts = 0.5 * (grid[:-1] + grid[1:]), np.diff(grid)
+
+    def supplied(t, fn, name, shape):
+        M = as_complex_matrix(fn(t), f"{name} supplier output")
+        if M.shape != shape:
+            raise ValueError(f"{name} supplier output must have shape {shape}, got {M.shape}")
+        return M
+
+    def generators(a, b):
+        L, K, psi = zip(*[[supplied(t, *s) for s in suppliers] for t in mids[a:b]])
+        return np.stack(L), np.stack(K), np.stack(psi), dts[a:b]
+
+    members = _members(generators, dts.size, d_e, d_g)
+    return _SteppedTrajectory(grid, members, np.arange(dts.size))
 
 
 def trajectory_observables(traj: ChannelTrajectory, X0: BlockOperator) -> list:
@@ -526,19 +636,23 @@ def trajectory_observables(traj: ChannelTrajectory, X0: BlockOperator) -> list:
     Rows carry the time, the sector populations, the Frobenius norm of the
     coherence block, the total trace and the smallest full-space Choi
     eigenvalue of the propagator from the previous grid point (the identity
-    propagator at t = 0), computed from the blocks.
+    propagator at t = 0), computed from the blocks. The maps act on X0
+    CHUNK at a time, as stacked matmuls.
     """
     lams = [min_full_choi_eigenvalue(EDMap.identity(traj.d_e, traj.d_g))]
-    lams += [lam for (lam,) in _consecutive_steps(traj, min_full_choi_eigenvalue)]
+    lams += _step_values(traj, min_full_choi_eigenvalue_stack)
+    _check_sectors(X0, traj)
     rows = []
-    for t, m, lam in zip(traj.grid, traj.maps, lams):
-        X = apply(m, X0)
-        rows.append({
-            "t": float(t),
-            "trace_ee": float(np.trace(X.ee).real),
-            "trace_gg": float(np.trace(X.gg).real),
-            "coherence_norm": float(np.linalg.norm(X.eg)),
-            "total_trace": float(X.trace().real),
-            "min_propagator_choi_eigenvalue": float(lam),
-        })
+    for a, maps in zip(range(0, len(traj), CHUNK), traj._map_chunks()):
+        ee, eg, _, gg = apply_stack(maps, X0)
+        trace_ee, trace_gg = np.trace(ee, axis1=1, axis2=2), np.trace(gg, axis1=1, axis2=2)
+        for k in range(len(maps)):
+            rows.append({
+                "t": float(traj.grid[a + k]),
+                "trace_ee": float(trace_ee[k].real),
+                "trace_gg": float(trace_gg[k].real),
+                "coherence_norm": float(np.linalg.norm(eg[k])),
+                "total_trace": float((trace_ee[k] + trace_gg[k]).real),
+                "min_propagator_choi_eigenvalue": float(lams[a + k]),
+            })
     return rows

@@ -20,7 +20,8 @@ Conventions, fixed once for the whole package:
   Higham's thresholds theta_m (N. J. Higham, SIAM J. Matrix Anal. Appl.
   26(4), 1179 (2005)): one linear solve, then one squaring per halving.
   The same kernel gives the integral of e^{sA} beside e^A, as the upper
-  blocks of exp([[A, c I], [0, 0]]), on n-square blocks only.
+  blocks of exp([[A, c I], [0, 0]]), on n-square blocks only. It takes a
+  stack of matrices, and a single matrix is the stack of one.
   Eigendecomposition is reserved for test oracles since generators may be
   defective.
 """
@@ -34,14 +35,19 @@ import numpy as np
 DEFAULT_TOL = 1e-9
 
 
+def require_finite(A: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Return ``A``, raising ``ValueError`` if any entry is NaN or infinite."""
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return A
+
+
 def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D complex array, rejecting NaN/Inf entries."""
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return A
+    return require_finite(A, name)
 
 
 def _require_square(A: np.ndarray, name: str = "matrix") -> None:
@@ -53,12 +59,21 @@ def hermitian_part(M) -> np.ndarray:
     """Return (M + M†) / 2."""
     A = as_complex_matrix(M)
     _require_square(A)
-    return (A + A.conj().T) / 2
+    return hermitian_parts(A)
 
 
-def hermiticity_deviation(A: np.ndarray) -> float:
-    """Max-entry deviation of a square array from its conjugate transpose."""
-    return float(np.abs(A - A.conj().T).max(initial=0.0))
+def hermitian_parts(A: np.ndarray) -> np.ndarray:
+    """(A + A†) / 2 for each square matrix of a stack."""
+    return (A + A.conj().swapaxes(-1, -2)) / 2
+
+
+def hermiticity_deviation(A: np.ndarray):
+    """Max-entry deviation of a square array from its conjugate transpose.
+
+    A float for one matrix, an array of one value per matrix for a stack.
+    """
+    dev = np.abs(A - A.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    return float(dev) if A.ndim == 2 else dev
 
 
 def require_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> None:
@@ -127,23 +142,9 @@ _THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
 _THETA_13 = 5.371920351148152
 
 
-def _expm(A: np.ndarray, c: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Upper blocks (e^A, F) of exp([[A, c I], [0, 0]]) for a finite square complex A.
-
-    F = c times the integral of e^{sA} for s from 0 to 1, exact for singular A
-    too; at A = t L and c = t it is the integral of e^{tau L} over [0, t]. The
-    block matrix is never formed: its 1-norm max(|A|_1, |c|) picks the degree
-    and scaling, its powers are [[A^k, c A^(k-1)], [0, 0]], and one solve
-    gives both blocks.
-    """
-    if A.shape == (1, 1):  # closed forms, exact to rounding where squaring would amplify it
-        a = A[0, 0]
-        return np.exp(A), np.full_like(A, c * np.expm1(a) / a if a and c else c)
-    norm = max(float(np.abs(A).sum(axis=0).max(initial=0.0)), abs(c))
-    s = 0
-    m = next((deg for deg, theta in _THETA if norm <= theta), 13)
-    if m == 13 and norm > _THETA_13:
-        s = int(np.ceil(np.log2(norm / _THETA_13)))
+def _pade(A: np.ndarray, c: np.ndarray, m: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_expm` on a stack of n-square A sharing the Padé degree m and the scaling s."""
+    if s:
         A, c = A / 2.0 ** s, c / 2.0 ** s
     b = _PADE[m]
     # p_m(A) = U + V with U = A u(A^2) odd and V even; the b_1 and b_0 terms of
@@ -160,18 +161,53 @@ def _expm(A: np.ndarray, c: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         A6 = A4 @ A2
         u = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
         V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2
-    n = A.shape[0]
-    u.flat[::n + 1] += b[1]
-    V.flat[::n + 1] += b[0]
+    n = A.shape[-1]
+    diag = np.arange(n)
+    u[:, diag, diag] += b[1]
+    V[:, diag, diag] += b[0]
     U = A @ u
     # the block Padé quotient is [[E, F], [0, I]]: the odd part's upper-right
     # block is c u, and the even part's cancels
-    R = np.linalg.solve(V - U, np.hstack((V + U, 2 * c * u)))
-    E, F = R[:, :n], R[:, n:]
+    R = np.linalg.solve(V - U, np.concatenate((V + U, 2 * c[:, None, None] * u), axis=-1))
+    E, F = R[..., :n], R[..., n:]
     for _ in range(s):
         F = E @ F + F
         E = E @ E
     return E, F
+
+
+def _expm(A: np.ndarray, c=0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Upper blocks (e^A, F) of exp([[A, c I], [0, 0]]) for finite square complex A.
+
+    ``A`` is one n-square matrix or a stack of them along leading axes, and
+    ``c`` a real scalar or one per matrix; both blocks come back with A's
+    shape. F = c times the integral of e^{sA} for s from 0 to 1, exact for
+    singular A too; at A = t L and c = t it is the integral of e^{tau L} over
+    [0, t]. The block matrix is never formed: its 1-norm max(|A|_1, |c|)
+    picks each matrix's degree and scaling, its powers are
+    [[A^k, c A^(k-1)], [0, 0]], and one solve gives both blocks. The
+    matrices sharing a degree and scaling go through one pass of stacked
+    matmuls and one stacked solve, so each gets exactly what it would alone.
+    """
+    shape, n = A.shape, A.shape[-1]
+    A = A.reshape((int(np.prod(shape[:-2])), n, n))
+    c = np.broadcast_to(np.asarray(c, dtype=float), shape[:-2]).reshape(-1)
+    if n == 1:  # closed forms, exact to rounding where squaring would amplify it
+        a = A[:, 0, 0]
+        live = (a != 0) & (c != 0)
+        F = c.astype(complex)
+        F[live] = c[live] * np.expm1(a[live]) / a[live]
+        return np.exp(A).reshape(shape), F.reshape(shape)
+    norms = np.maximum(np.abs(A).sum(axis=-2).max(axis=-1, initial=0.0), np.abs(c)).tolist()
+    groups = {}
+    for i, norm in enumerate(norms):
+        m = next((deg for deg, theta in _THETA if norm <= theta), 13)
+        s = int(np.ceil(np.log2(norm / _THETA_13))) if m == 13 and norm > _THETA_13 else 0
+        groups.setdefault((m, s), []).append(i)
+    E, F = np.empty_like(A), np.empty_like(A)
+    for (m, s), members in groups.items():
+        E[members], F[members] = _pade(A[members], c[members], m, s)
+    return E.reshape(shape), F.reshape(shape)
 
 
 def check_time(t) -> float:

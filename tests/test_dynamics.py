@@ -10,6 +10,7 @@ from edchan import (
     LinearMap,
     NonInvertibleError,
     SemigroupSpec,
+    apply,
     build_td_trajectory,
     check_tp_condition,
     compose,
@@ -457,26 +458,29 @@ def test_semigroup_trajectory_long_grid_drift():
         assert edmap_maxdiff(traj.maps[i], semigroup_at(spec, grid[i])) <= 1e-11
 
 
+def stacked(A) -> int:
+    """The number of matrices in a stack: the product of its leading dimensions."""
+    return int(np.prod(np.shape(A)[:-2]))
+
+
 def test_semigroup_trajectory_one_exponential_pair_per_distinct_step(monkeypatch):
     from edchan import dynamics
 
-    sizes = {"_expm": [], "matexp": []}
+    matrices = {4: 0, 2: 0}  # exponentiated matrices, by side
+    expm = dynamics._expm
 
-    def counted(name, fn):
-        def wrapper(M, *args):
-            sizes[name].append(len(M))
-            return fn(M, *args)
-        return wrapper
+    def counted(A, *args):
+        matrices[A.shape[-1]] += stacked(A)
+        return expm(A, *args)
 
-    monkeypatch.setattr(dynamics, "_expm", counted("_expm", dynamics._expm))
-    monkeypatch.setattr(dynamics, "matexp", counted("matexp", matexp))
+    monkeypatch.setattr(dynamics, "_expm", counted)
     spec = random_semigroup_spec(np.random.default_rng(34), 2, 2)
     grid = np.linspace(0.0, 1.0, 101)
     semigroup_trajectory(spec, grid)
     distinct = len(set(np.diff(grid)))
     assert distinct < 20
-    # e^{dt L} and its integral from one n-square kernel call, e^{dt K} from another
-    assert sizes == {"_expm": [4] * distinct, "matexp": [2] * distinct}
+    # e^{dt L} and its integral from one n-square kernel matrix, e^{dt K} from another
+    assert matrices == {4: distinct, 2: distinct}
 
 
 def test_semigroup_at_is_the_trajectory_step_bit_for_bit():
@@ -597,23 +601,25 @@ def test_built_steps_match_inversion_oracle(kind):
 def test_is_cp_divisible_runs_block_test_once_per_distinct_step(monkeypatch):
     from edchan import channel, dynamics
 
-    calls = []
+    matrices = []
+    block_test = dynamics.is_cp_ed_stack
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return is_cp_ed(*args, **kwargs)
+    def counted(s, *args):
+        matrices.append(len(s))
+        return block_test(s, *args)
 
     def no_inverse(m):
         raise AssertionError("a built trajectory needs no inversion")
 
-    monkeypatch.setattr(dynamics, "is_cp_ed", counted)
-    monkeypatch.setattr(dynamics, "invert", no_inverse)
-    monkeypatch.setattr(channel, "invert", no_inverse)
+    monkeypatch.setattr(dynamics, "is_cp_ed_stack", counted)
+    for module in (channel, dynamics):
+        monkeypatch.setattr(module, "invert", no_inverse)
+        monkeypatch.setattr(module, "invert_stack", no_inverse)
     grid = np.linspace(0.0, 1.0, 101)
     traj = semigroup_trajectory(random_semigroup_spec(np.random.default_rng(38), 2, 2), grid)
     report = is_cp_divisible(traj)
     assert report.cp_divisible and len(report.step_min_eigenvalues) == 100
-    assert len(calls) == len(set(np.diff(grid))) < 20
+    assert sum(matrices) == len(set(np.diff(grid))) < 20
 
 
 def test_is_cp_divisible_eigensolves_three_blocks_per_distinct_step(monkeypatch):
@@ -621,12 +627,13 @@ def test_is_cp_divisible_eigensolves_three_blocks_per_distinct_step(monkeypatch)
     # minimum is is_cp_ed's, not a second eigensolve
     grid = np.linspace(0.0, 1.0, 101)
     traj = semigroup_trajectory(random_semigroup_spec(np.random.default_rng(39), 2, 2), grid)
-    calls = []
+    matrices = []
     for name in ("eigh", "eigvalsh"):
         fn = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda *a, fn=fn, **kw: calls.append(fn) or fn(*a, **kw))
+        monkeypatch.setattr(np.linalg, name,
+                            lambda A, *a, fn=fn, **kw: matrices.append(stacked(A)) or fn(A, *a, **kw))
     assert is_cp_divisible(traj).cp_divisible
-    assert len(calls) == 3 * len(set(np.diff(grid)))
+    assert sum(matrices) == 3 * len(set(np.diff(grid)))
 
 
 def decay_spec(rate):
@@ -657,16 +664,125 @@ def test_condition_bound_falls_back_to_exact_check(monkeypatch):
     # (COND_LIMIT * 1e-4), still invertible
     from edchan import dynamics
 
-    traj = semigroup_trajectory(decay_spec(20.0), np.linspace(0.0, 1.0, 101))
+    grid = np.linspace(0.0, 1.0, 101)
+    traj = semigroup_trajectory(decay_spec(20.0), grid)
     checked, cond = [], dynamics._cond
     monkeypatch.setattr(dynamics, "_cond", lambda M: checked.append(M) or cond(M))
     report = is_cp_divisible(traj)
     assert report.cp_divisible
     exact = [k for k, m in enumerate(traj.maps) if any(M is m.phi.mat for M in checked)]
     assert exact and max(exact) == len(traj) - 2
+    # phi and B of every distinct step, then of each maps[k] checked exactly
+    assert sum(stacked(M) for M in checked) == 2 * len(set(np.diff(grid))) + 2 * len(exact)
     assert cond(traj.maps[-2].phi.mat) > 1e8
     plain = is_cp_divisible(ChannelTrajectory(traj.grid, traj.maps))
     assert plain.cp_divisible
+
+
+# ---------------------------------------------------------------------------
+# step-batched kernels against the per-step path
+# ---------------------------------------------------------------------------
+
+def per_step_propagators(traj):
+    """One map per grid step, as the per-step path forms them: a built
+    trajectory's own steps, a stored one's consecutive propagators."""
+    if traj._steps is not None:
+        return list(traj._steps)
+    return [propagator(traj, i + 1, i) for i in range(len(traj) - 1)]
+
+
+def observable_row(t, m, X0, lam):
+    X = apply(m, X0)
+    return {"t": float(t), "trace_ee": float(np.trace(X.ee).real),
+            "trace_gg": float(np.trace(X.gg).real),
+            "coherence_norm": float(np.linalg.norm(X.eg)),
+            "total_trace": float(X.trace().real),
+            "min_propagator_choi_eigenvalue": float(lam)}
+
+
+def assert_matches_per_step(traj, X0, tol=1e-9):
+    """Every divisibility and observables value equals its single-map oracle bit for bit."""
+    from edchan.cpcheck import min_full_choi_eigenvalue
+
+    report = is_cp_divisible(traj, tol)
+    rows = trajectory_observables(traj, X0)
+    steps = per_step_propagators(traj)
+    assert len(steps) == len(report.step_reports) == len(traj) - 1 == len(rows) - 1
+    lams = [min_full_choi_eigenvalue(EDMap.identity(traj.d_e, traj.d_g))]
+    for i, step in enumerate(steps):
+        # repr tells every float apart, -0.0 from 0.0 included
+        assert repr(report.step_reports[i]) == repr(is_cp_ed(step, tol)), i
+        lams.append(min_full_choi_eigenvalue(step))
+        assert repr(report.step_min_eigenvalues[i]) == repr(np.float64(lams[-1])), i
+    for k, (t, m) in enumerate(zip(traj.grid, traj.maps)):
+        assert repr(rows[k]) == repr(observable_row(t, m, X0, lams[k])), k
+    return report
+
+
+def oracle_trajectories(rng, d_e, d_g, points):
+    """A spec on a uniform and a power-law grid, a varying table, and the stored copy of each."""
+    spec = random_semigroup_spec(rng, d_e, d_g)
+    SL, K = gkls_superop(spec.gen).mat, K_from_spec(spec)
+    grid = np.linspace(0.0, 1.0, points)
+    built = [
+        semigroup_trajectory(spec, grid),
+        semigroup_trajectory(spec, grid ** 1.5),
+        build_td_trajectory(lambda t: (1.0 + 0.3 * np.sin(3 * t)) * SL,
+                            lambda t: (1.0 + 0.2 * np.cos(t)) * K,
+                            lambda t: (1.0 + 0.5 * t) * spec.psi.mat, grid),
+    ]
+    return built + [ChannelTrajectory(traj.grid, traj.maps) for traj in built]
+
+
+@pytest.mark.parametrize("d_e", [1, 2, 4])
+@pytest.mark.parametrize("d_g", [1, 2, 3])
+def test_step_batched_kernels_match_single_map_oracle(d_e, d_g):
+    from edchan.dynamics import CHUNK
+
+    rng = np.random.default_rng([61, d_e, d_g])
+    X0 = BlockOperator.from_full(random_density(rng, d_e + d_g), d_e, d_g)
+    for traj in oracle_trajectories(rng, d_e, d_g, 2 * CHUNK + 4):
+        assert_matches_per_step(traj, X0)
+
+
+@pytest.mark.parametrize("steps_from_chunk", [None, -1, 0, 1])
+def test_chunk_edges_match_single_map_oracle(steps_from_chunk):
+    # 1 and 2 grid points, then CHUNK - 1, CHUNK and CHUNK + 1 steps
+    from edchan.dynamics import CHUNK
+
+    rng = np.random.default_rng([62, 2 + (steps_from_chunk or 0)])
+    X0 = BlockOperator.from_full(random_density(rng, 3), 2, 1)
+    counts = (1, 2) if steps_from_chunk is None else (CHUNK + steps_from_chunk + 1,)
+    for points in counts:
+        for traj in oracle_trajectories(rng, 2, 1, points) + [identity_trajectory(2, 1, points)]:
+            report = assert_matches_per_step(traj, X0)
+            assert len(report.step_min_eigenvalues) == points - 1
+
+
+@pytest.mark.parametrize("reason", ["gamma_zero", "phi_singular", "B_singular"])
+def test_singular_map_in_second_chunk_fails_as_per_step_path(reason):
+    from edchan.dynamics import CHUNK
+
+    d_e, d_g = 2, 1
+    ident = EDMap.identity(d_e, d_g)
+    bad = {
+        "gamma_zero": EDMap(ident.phi, ident.omega, ident.B, 0.0),
+        "phi_singular": EDMap(LinearMap(np.diag([1.0, 0, 0, 1])), ident.omega, ident.B, 1.0),
+        "B_singular": EDMap(ident.phi, ident.omega, np.diag([1.0, 0.0]), 1.0),
+    }[reason]
+    where = CHUNK + 3
+    maps = [ident] * (2 * CHUNK + 2)
+    maps[where] = maps[where + 2] = bad
+    traj = ChannelTrajectory(np.linspace(0.0, 1.0, len(maps)), tuple(maps))
+    with pytest.raises(NonInvertibleError) as oracle:
+        per_step_propagators(traj)
+    X0 = BlockOperator.identity(d_e, d_g)
+    for check in (is_cp_divisible, lambda tr: trajectory_observables(tr, X0)):
+        with pytest.raises(NonInvertibleError) as err:
+            check(traj)
+        assert err.value.reason == oracle.value.reason == reason
+        assert str(err.value) == str(oracle.value)
+        assert f"at grid index {where} (t = " in str(err.value)
 
 
 # ---------------------------------------------------------------------------

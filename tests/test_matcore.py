@@ -186,6 +186,50 @@ def test_expm_kernel_1x1_matches_closed_forms():
         assert relative_1norm_error(F, np.array([[30.0 * np.expm1(a) / a]])) <= 1e-15, a
 
 
+def test_expm_kernel_stack_equals_separate_calls_bit_for_bit(monkeypatch):
+    # one stack mixing every Padé degree, scaled norms (s >= 1) and c = 0 rows
+    from edchan import matcore
+    from edchan.matcore import _THETA, _THETA_13
+
+    rng = np.random.default_rng(15)
+    n = 5
+    thetas = [0.0] + [theta for _, theta in _THETA] + [_THETA_13]
+    norms = [rng.uniform(lo, hi) for lo, hi in zip(thetas[:-1], thetas[1:])]  # degrees 3 to 13
+    norms += [_THETA_13, 2.5 * _THETA_13, 40.0, 900.0]  # s = 0, 2, 3 and 8
+    mats, cs = [], []
+    for norm in norms:
+        for c_scale in (0.0, 0.5, 2.0):
+            A = rc(rng, n, n)
+            mats.append(A * norm / np.abs(A).sum(axis=0).max())
+            cs.append(c_scale * norm)
+    order = rng.permutation(len(mats))
+    A, c = np.stack(mats)[order], np.array(cs)[order]
+    groups, pade = [], matcore._pade
+    monkeypatch.setattr(matcore, "_pade", lambda A, c, m, s: groups.append((m, s)) or pade(A, c, m, s))
+    E, F = _expm(A, c)
+    assert {m for m, _ in groups} == {3, 5, 7, 9, 13} and max(s for _, s in groups) >= 1
+    for k in range(len(A)):
+        E1, F1 = _expm(A[k], c[k])
+        assert np.array_equal(E[k], E1) and np.array_equal(F[k], F1), k
+    # leading axes beyond one, and one c broadcast over the stack
+    E2, F2 = _expm(A.reshape(3, -1, n, n), 0.7)
+    for k in range(len(A)):
+        E1, F1 = _expm(A[k], 0.7)
+        assert np.array_equal(E2.reshape(-1, n, n)[k], E1), k
+        assert np.array_equal(F2.reshape(-1, n, n)[k], F1), k
+
+
+def test_expm_kernel_1x1_stack_equals_separate_calls_bit_for_bit():
+    rng = np.random.default_rng(16)
+    a = np.concatenate([[0.0, 1e-300, -3e4, 30000j], rc(rng, 12) * 10.0 ** rng.uniform(-8, 3, 12)])
+    c = np.concatenate([[1.0, 0.0, 30.0, 30.0], rng.uniform(0.0, 2.0, 11), [0.0]])
+    E, F = _expm(a.reshape(-1, 1, 1), c)
+    for k in range(len(a)):
+        E1, F1 = _expm(np.array([[a[k]]]), c[k])
+        assert np.array_equal(E[k], E1) and np.array_equal(F[k], F1), k
+    assert F[0, 0, 0] == 1.0 and F[1, 0, 0] == 0.0  # a = 0 and c = 0 rows
+
+
 def test_semigroup_at_matches_scipy_oracle():
     # phi, omega and B of one member against scipy's e^{tL}, psi ∘ integral and e^{tK}
     rng = np.random.default_rng(13)
