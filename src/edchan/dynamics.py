@@ -209,7 +209,9 @@ def _members(generators, count: int, d_e: int, d_g: int) -> EDStack:
     a stack of one per member. Members are formed CHUNK at a time. exp(t L)
     and the integral, exact also for singular L, come from one exponential
     kernel call, the upper blocks of exp(t [[L, I], [0, 0]]), and exp(t K)
-    from a second.
+    from a second. Each chunk is checked for non-finite entries as it is
+    formed, in the order a single member is, before the next chunk's
+    generators are asked for.
     """
     out = EDStack.empty(count, d_e, d_g)
     for a in range(0, count, CHUNK):
@@ -217,11 +219,10 @@ def _members(generators, count: int, d_e: int, d_g: int) -> EDStack:
         L, K, psi, t = generators(a, b)
         tt = t[:, None, None]
         out.phi[a:b], F = _expm(require_finite(tt * L, "t * L"), t)
-        out.B[a:b] = _expm(require_finite(tt * K))[0]
         out.omega[a:b] = psi @ F
-    require_finite(out.phi, "superoperator matrix")
-    require_finite(out.omega, "superoperator matrix")
-    require_finite(out.B, "B")
+        require_finite(out.phi[a:b], "superoperator matrix")
+        require_finite(out.omega[a:b], "superoperator matrix")
+        out.B[a:b] = require_finite(_expm(require_finite(tt * K))[0], "B")
     return out
 
 
@@ -378,10 +379,7 @@ class _SteppedTrajectory(ChannelTrajectory):
 
     def _map_chunks(self):
         """The maps stacked CHUNK at a time, each step composed onto its predecessor
-        as :func:`compose` does; one chunk is held at a time until ``maps`` is read."""
-        if "maps" in self.__dict__:
-            yield from super()._map_chunks()
-            return
+        as :func:`compose` does; one chunk is held at a time."""
         maps = itertools.accumulate(self._index.tolist(),
                                     lambda m, j: compose_stack(self._members[j:j + 1], m),
                                     initial=EDStack.of([EDMap.identity(self.d_e, self.d_g)]))
@@ -604,7 +602,8 @@ def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
     completely positive when that triple is valid, and constant suppliers
     give exactly :func:`semigroup_trajectory`'s maps. Steps are formed in
     chunks of CHUNK: the suppliers are called for a chunk's midpoints, in
-    grid order, and its members come from stacked kernel calls. The
+    grid order, and its members come from stacked kernel calls and are
+    checked for non-finite entries before the next chunk's are asked for. The
     trajectory keeps the steps as its propagators, about one more phi per
     point in memory, and composes the maps when they are first read.
     """

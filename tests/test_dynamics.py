@@ -720,18 +720,22 @@ def assert_matches_per_step(traj, X0, tol=1e-9):
 
 
 def oracle_trajectories(rng, d_e, d_g, points):
-    """A spec on a uniform and a power-law grid, a varying table, and the stored copy of each."""
+    """A spec on a uniform and a power-law grid, a varying table, and the stored copy of each.
+
+    Each stored copy reads the maps of a second build, so the built
+    trajectories returned have not had their maps read."""
     spec = random_semigroup_spec(rng, d_e, d_g)
     SL, K = gkls_superop(spec.gen).mat, K_from_spec(spec)
     grid = np.linspace(0.0, 1.0, points)
-    built = [
-        semigroup_trajectory(spec, grid),
-        semigroup_trajectory(spec, grid ** 1.5),
-        build_td_trajectory(lambda t: (1.0 + 0.3 * np.sin(3 * t)) * SL,
-                            lambda t: (1.0 + 0.2 * np.cos(t)) * K,
-                            lambda t: (1.0 + 0.5 * t) * spec.psi.mat, grid),
+    builders = [
+        lambda: semigroup_trajectory(spec, grid),
+        lambda: semigroup_trajectory(spec, grid ** 1.5),
+        lambda: build_td_trajectory(lambda t: (1.0 + 0.3 * np.sin(3 * t)) * SL,
+                                    lambda t: (1.0 + 0.2 * np.cos(t)) * K,
+                                    lambda t: (1.0 + 0.5 * t) * spec.psi.mat, grid),
     ]
-    return built + [ChannelTrajectory(traj.grid, traj.maps) for traj in built]
+    stored = [ChannelTrajectory(build().grid, build().maps) for build in builders]
+    return [build() for build in builders] + stored
 
 
 @pytest.mark.parametrize("d_e", [1, 2, 4])
@@ -757,6 +761,29 @@ def test_chunk_edges_match_single_map_oracle(steps_from_chunk):
         for traj in oracle_trajectories(rng, 2, 1, points) + [identity_trajectory(2, 1, points)]:
             report = assert_matches_per_step(traj, X0)
             assert len(report.step_min_eigenvalues) == points - 1
+
+
+@pytest.mark.parametrize("later", ["raises", "non_finite_output", "t_L_overflow"])
+def test_overflow_in_first_chunk_fails_before_later_chunks_run(later):
+    # step 3's exponential overflows; a failure of any later chunk must not
+    # be reported first, and its supplier must not be called
+    from edchan.dynamics import CHUNK
+
+    grid = 2.0 * np.arange(2 * CHUNK + 1)
+    asked = []
+
+    def L_fn(t):
+        asked.append(t)
+        if t < 2 * CHUNK:
+            return 1000.0 * np.eye(4) if t == 7.0 else np.zeros((4, 4))
+        if later == "raises":
+            raise RuntimeError("supplier failed")
+        return np.full((4, 4), np.inf if later == "non_finite_output" else 1e308)
+
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match="^superoperator matrix contains non-finite entries$"):
+        build_td_trajectory(L_fn, lambda t: np.zeros((2, 2)), lambda t: np.zeros((1, 4)), grid)
+    assert max(asked) == 2 * CHUNK - 1
 
 
 @pytest.mark.parametrize("reason", ["gamma_zero", "phi_singular", "B_singular"])
