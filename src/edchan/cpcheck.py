@@ -149,18 +149,15 @@ def kraus_from_choi(C: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
 def _canonical_kraus(w: np.ndarray, V: np.ndarray, d_out: int, d_in: int,
                      t: float) -> tuple:
     """The operators of :func:`kraus_from_choi` from a Choi ``eigh`` result."""
-    order = sorted(range(len(w)), key=lambda i: (-w[i], tuple(V[:, i].real)))
-    ops = []
-    for i in order:
-        if w[i] <= t:
-            continue
-        v = V[:, i].copy()
-        k = int(np.argmax(np.abs(v) > 1e-12))
-        phase = v[k] / abs(v[k])
-        v *= phase.conjugate()
-        # (out ⊗ in) ordering makes the eigenvector a row-major flattened operator
-        ops.append(np.sqrt(w[i]) * v.reshape(d_out, d_in))
-    return tuple(ops)
+    # eigenvalue descending, then the real parts in order; both sorts are stable
+    order = np.lexsort((*V.real[::-1], -w))
+    keep = order[w[order] > t]
+    Vk = V[:, keep]
+    k = np.argmax(np.abs(Vk) > 1e-12, axis=0)
+    lead = Vk[k, np.arange(keep.size)]
+    Vk = Vk * (lead / np.abs(lead)).conj()
+    # (out ⊗ in) ordering makes each eigenvector a row-major flattened operator
+    return tuple((np.sqrt(w[keep]) * Vk).T.reshape(-1, d_out, d_in))
 
 
 class CPVerdict(NamedTuple):

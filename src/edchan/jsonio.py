@@ -1,16 +1,23 @@
 """File formats: JSON schemas for maps, specs and trajectories, CSV export.
 
 Complex numbers are encoded as two-element arrays [re, im]; a vector is a
-list of such pairs and a matrix a list of rows of them. JSON reports sort keys
-and print floats as their shortest round-trip repr, exact to the bit (the sign
-of -0.0 and the float type of 1.0 kept). ``load`` turns each matrix field
-into a float array as the decoder closes its object, so a stored trajectory
-never sits in memory as nested lists. See docs/formats.md for the schemas.
+list of such pairs and a matrix a list of rows of them. JSON reports are the
+bytes of ``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``:
+keys sorted, floats as their shortest round-trip repr, exact to the bit (the
+sign of -0.0 and the float type of 1.0 kept). ``canonical_dumps`` writes
+them itself, each list of floats or of [re, im] pairs with one join. ``load``
+turns each matrix field into a float array as the decoder closes its object,
+so a stored trajectory never sits in memory as nested lists; a matrix of
+strings or of booleans alone is an input error. See docs/formats.md for the
+schemas.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from operator import index
 
 import numpy as np
@@ -38,9 +45,11 @@ def _matrix_fields(obj: dict) -> dict:
     for key in MATRIX_FIELDS.intersection(obj):
         if isinstance(obj[key], list):
             try:
-                obj[key] = np.array(obj[key], dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                pass
+                A = np.array(obj[key])
+            except ValueError:  # ragged
+                continue
+            if A.dtype.kind in "fi":
+                obj[key] = A.astype(float, copy=False)
     return obj
 
 
@@ -57,9 +66,13 @@ def _complex_array(data, ndim: int, name: str) -> np.ndarray:
     """Nested [re, im] pairs as a complex array of ``ndim`` axes (``[]``: no pairs)."""
     try:
         # no copy of an array that ``load`` has built
-        A = np.asarray(data, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        A = np.asarray(data)
+    except ValueError as exc:  # ragged
         raise ValueError(f"{name}: entries must be [re, im] pairs") from exc
+    # strings, booleans, null and integers beyond int64 give another dtype
+    if A.dtype.kind not in "fi":
+        raise ValueError(f"{name}: entries must be [re, im] pairs of numbers")
+    A = A.astype(float, copy=False)
     if A.shape == (0,):
         A = A.reshape(0, 2)
     if A.ndim != ndim + 1 or A.shape[-1] != 2:
@@ -270,9 +283,96 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError(f"cannot serialize non-finite float {x!r}")
+    return float.__repr__(x)
+
+
+def _float_list_text(items, nl: str):
+    """A nonempty list of floats, or of [float, float] pairs, as JSON at line prefix ``nl``.
+
+    Returns None for any other list, which the general walk writes.
+    """
+    inner = nl + "  "
+    if isinstance(items[0], float):
+        head, sep, tail = "[" + inner, "," + inner, nl + "]"
+        reprs = map(float.__repr__, items)
+    elif set(map(type, items)) <= {list, tuple} and set(map(len, items)) == {2}:
+        pair = inner + "  "
+        head, sep = "[" + inner + "[" + pair, inner + "]," + inner + "[" + pair
+        tail = inner + "]" + nl + "]"
+        floats = map(float.__repr__, chain.from_iterable(items))
+        reprs = map(("," + pair).join, zip(floats, floats))
+    else:
+        return None
+    try:
+        text = head + sep.join(reprs) + tail
+    except TypeError:  # an entry that is not a float
+        return None
+    # float reprs hold no letter n but those of inf and nan
+    if "n" in text:
+        raise ValueError("cannot serialize non-finite float")
+    return text
+
+
+def _write(obj, nl: str, out) -> None:
+    """Append the JSON text of ``obj``, whose lines start with ``nl``, to ``out``."""
+    if isinstance(obj, str):
+        out(encode_basestring_ascii(obj))
+    elif obj is None:
+        out("null")
+    elif obj is True:
+        out("true")
+    elif obj is False:
+        out("false")
+    elif isinstance(obj, int):
+        out(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out(_float_text(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out("[]")
+            return
+        text = _float_list_text(obj, nl)
+        if text is not None:
+            out(text)
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in obj:
+            out(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out(nl + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out(sep + encode_basestring_ascii(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = "," + inner
+        out(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def canonical_dumps(obj) -> str:
-    """Byte-deterministic JSON, exact to the bit; NaN and infinities raise ValueError."""
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    """Byte-deterministic JSON, exact to the bit; NaN and infinities raise ValueError.
+
+    The text is exactly ``json.dumps(obj, indent=2, sort_keys=True,
+    allow_nan=False)``, which runs the standard library's pure-Python encoder
+    because of ``indent``. This walk writes each list of floats or of
+    [float, float] pairs, every matrix row of ``matrix_to_json``, with one join.
+    """
+    chunks = []
+    _write(obj, "\n", chunks.append)
+    return "".join(chunks)
 
 
 CSV_COLUMNS = ("t", "trace_ee", "trace_gg", "coherence_norm",

@@ -231,6 +231,89 @@ def test_kraus_rejects_noncp(tmp_path):
     assert json.loads(out.stdout)["cp"] is False
 
 
+def _full_space_reconstruction_error(m, operators):
+    """The full-space oracle: Kraus superoperator against ``m.to_linear_map()``."""
+    from edchan import KrausSet
+
+    d = m.d_e + m.d_g
+    rebuilt = KrausSet(tuple(operators)).to_linear_map(d_in=d, d_out=d)
+    return float(np.abs(rebuilt.mat - m.to_linear_map().mat).max())
+
+
+def _block_cp_map(rng, d_e, d_g, positive):
+    from conftest import cp_edmap, random_cp_map
+    from edchan import EDMap
+
+    if positive:
+        return cp_edmap(rng, d_e, d_g, fill=float(rng.uniform(0.2, 0.9)))
+    return EDMap(random_cp_map(rng, d_e, d_e), random_cp_map(rng, d_e, d_g),
+                 np.zeros((d_e, d_e)), 0.0)
+
+
+@pytest.mark.parametrize("positive", [False, True], ids=["gamma_zero", "gamma_positive"])
+@pytest.mark.parametrize("d_g", [1, 2, 3])
+@pytest.mark.parametrize("d_e", [1, 2, 4, 8])
+def test_block_reconstruction_error_matches_full_space_oracle(d_e, d_g, positive):
+    from edchan import cli, explicit_kraus_ed
+
+    rng = np.random.default_rng([17, d_e, d_g, positive])
+    m = _block_cp_map(rng, d_e, d_g, positive)
+    ops = explicit_kraus_ed(m).operators
+    assert (m.gamma > 0) == positive
+    err = cli._reconstruction_error(m, ops)
+    assert abs(err - _full_space_reconstruction_error(m, ops)) <= 1e-15
+
+
+def test_block_reconstruction_error_sees_every_pair_of_blocks():
+    """A 1e-6 change of one operator shows up whichever (output, input) block pair it hits."""
+    from edchan import cli, explicit_kraus_ed
+
+    rng = np.random.default_rng(23)
+    m = _block_cp_map(rng, 2, 2, positive=True)
+    ops = np.array(explicit_kraus_ed(m).operators)
+    d, eps = 4, 1e-6
+    sector = (slice(0, 2), slice(2, 4))
+
+    def action(family):
+        from edchan import KrausSet
+
+        S = KrausSet(tuple(family)).to_linear_map(d_in=d, d_out=d).mat
+        # T[a, b, i, j]: coefficient of X[i, j] in the image's entry [a, b]
+        return S.reshape(d, d, d, d).transpose(1, 0, 3, 2)
+
+    base = action(ops)
+    perturbed = []
+    for mu, p, q in np.ndindex(len(ops), d, d):
+        family = ops.copy()
+        family[mu, p, q] += eps
+        perturbed.append((family, np.abs(action(family) - base)))
+    for a, b, i, j in np.ndindex(2, 2, 2, 2):
+        block = (sector[a], sector[b], sector[i], sector[j])
+        # the single-entry change whose effect on this block is largest
+        family, change = max(perturbed, key=lambda fc: fc[1][block].max())
+        hit = change[block].max()
+        assert hit >= 0.5 * eps ** 2, (a, b, i, j)
+        err = cli._reconstruction_error(m, family)
+        assert err >= hit - 1e-15
+        assert abs(err - _full_space_reconstruction_error(m, family)) <= 1e-15
+
+
+def test_kraus_builds_no_full_space_superoperator(tmp_path, monkeypatch, capsys):
+    from edchan import EDMap, LinearMap, cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("full-space superoperator built")
+
+    monkeypatch.setattr(EDMap, "to_linear_map", forbidden)
+    assert cli.main(["demo"]) == 0
+    path = tmp_path / "ad.json"
+    assert cli.main(["demo", "--name", "amplitude_damping", "--output", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(LinearMap, "from_kraus", classmethod(forbidden))
+    assert cli.main(["kraus", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["reconstruction_error"] < 1e-15
+
+
 @pytest.mark.parametrize("name, code", [("amplitude_damping", 0), ("noncp_qubit", 1)])
 def test_kraus_forms_damped_map_once(name, code, tmp_path, monkeypatch):
     """One damped map and one Choi eigensolve per block, for the verdict and the operators."""
@@ -517,10 +600,13 @@ def _trajectory_payload():
     ("divisibility", "semigroup", {"epsilon": False}, "semigroup spec", "epsilon"),
     ("divisibility", None, _table(["0", "1"]), "generator table", "times"),
     ("divisibility", None, {"grid": [False, True, True]}, "trajectory", "grid"),
+    ("verify", "amplitude_damping", {"B": [[["0.8", False]]]}, "B", "entries"),
+    ("kraus", "amplitude_damping", {"B": [[[True, False]]]}, "B", "entries"),
+    ("verify", "phase_damping", {"omega": [[["1", "0"]]]}, "omega", "entries"),
 ], ids=["d_e_null", "d_e_fraction", "gamma_list", "maps_int", "F_int", "spec_d_g_zero",
         "table_d_g_zero", "d_e_true", "B_three_numbers", "trajectory_d_g_zero",
         "gamma_string", "gamma_true", "kappa_string", "epsilon_false", "times_strings",
-        "grid_booleans"])
+        "grid_booleans", "B_string_and_false", "B_booleans", "omega_strings"])
 def test_wrong_field_type_exit_two(command, demo, changes, what, field, tmp_path, capsys):
     from edchan import cli
 

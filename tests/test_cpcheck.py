@@ -246,6 +246,44 @@ def _canonical_kraus_rank2(rng, d):
     return kraus_from_choi(choi(m))
 
 
+def _canonical_kraus_loop(w, V, d_out, d_in, t):
+    """The reference for ``cpcheck._canonical_kraus``: a sorted key and one eigenvector at a time."""
+    order = sorted(range(len(w)), key=lambda i: (-w[i], tuple(V[:, i].real)))
+    ops = []
+    for i in order:
+        if w[i] <= t:
+            continue
+        v = V[:, i].copy()
+        k = int(np.argmax(np.abs(v) > 1e-12))
+        phase = v[k] / abs(v[k])
+        v *= phase.conjugate()
+        ops.append(np.sqrt(w[i]) * v.reshape(d_out, d_in))
+    return tuple(ops)
+
+
+def test_canonical_kraus_matches_the_loop_bit_for_bit():
+    from edchan.demos import amplitude_damping_qubit, phase_damping_qubit
+
+    rng = np.random.default_rng(29)
+    pd, ad = phase_damping_qubit(), amplitude_damping_qubit()
+    # X -> tr(X) I has Choi matrix I: every eigenvalue tied
+    trace_times_identity = LinearMap(np.outer(np.eye(3).reshape(-1), np.eye(3).reshape(-1)))
+    # degenerate Choi spectra (tied eigenvalues, zero eigenvalues) and random ones
+    maps = [pd.phi, pd.omega, ad.phi, ad.omega, LinearMap.identity(1), LinearMap.identity(3),
+            LinearMap.zero(2, 3), damped_excited_map(ad), trace_times_identity]
+    for _ in range(40):
+        d_in, d_out = (int(x) for x in rng.integers(1, 5, 2))
+        maps.append(random_cp_map(rng, d_in, d_out, int(rng.integers(1, 4))))
+    for m in maps:
+        w, V = np.linalg.eigh(choi(m).mat)
+        for t in (1e-9, 0.0, 0.5):
+            got = cpcheck._canonical_kraus(w, V, m.d_out, m.d_in, t)
+            want = _canonical_kraus_loop(w, V, m.d_out, m.d_in, t)
+            assert len(got) == len(want)
+            for A, B in zip(got, want):
+                assert A.shape == B.shape and A.tobytes() == B.tobytes()
+
+
 def test_ball_decompose_single_operator_member():
     rng = np.random.default_rng(8)
     ks = _canonical_kraus_rank2(rng, 2)

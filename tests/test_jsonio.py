@@ -214,6 +214,90 @@ def test_canonical_dumps_rejects_non_finite():
         canonical_dumps(float("nan"))
 
 
+def _json_dumps(obj) -> str:
+    """The writer's oracle: the standard library's encoder with the same settings."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _random_payload(rng, depth=0):
+    """A seeded nested payload of every kind the writer takes, pair rows among them."""
+    leaves = [
+        lambda: float(rng.standard_normal() * 10.0 ** int(rng.integers(-320, 300))),
+        lambda: np.float64(rng.standard_normal()),
+        lambda: float(rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e308, 2.0, -17.0, 1e16])),
+        lambda: int(rng.integers(-10 ** 6, 10 ** 6)) * 10 ** int(rng.integers(0, 30)),
+        lambda: [True, False, None][int(rng.integers(3))],
+        lambda: "".join(rng.choice(list('aZ"\\/\n\t\x00\x7fé€😀 '), int(rng.integers(0, 6)))),
+        lambda: matrix_to_json(rc(rng, *rng.integers(0, 3, int(rng.integers(1, 4))))),
+        lambda: [float(x) for x in rng.standard_normal(int(rng.integers(0, 4)))],
+    ]
+    kind = int(rng.integers(len(leaves) + (3 if depth < 4 else 0)))
+    if kind < len(leaves):
+        return leaves[kind]()
+    items = [_random_payload(rng, depth + 1) for _ in range(int(rng.integers(0, 4)))]
+    if kind == len(leaves):
+        return items
+    if kind == len(leaves) + 1:
+        return tuple(items)
+    return {"".join(rng.choice(list("abcé\n"), 3)): x for x in items}
+
+
+WRITER_CASES = {
+    "empty_dict": {},
+    "empty_list": [],
+    "list_of_empty": [[]],
+    "nested_empties": {"a": [[], {}, [[]]], "b": {}},
+    "scalars": [-0.0, 0.0, 5e-324, 1e308, -1e308, 1.0, 2.0 ** 53, 10 ** 40, -7, True, False, None],
+    "numpy_float": [np.float64(0.1), np.float64(-0.0), [np.float64(1.5), np.float64(2.5)]],
+    "tuples": ((1.0, 2.0), (3.0, 4.0), ((1.0, 2.0),)),
+    "matrix_1x1": matrix_to_json(np.array([[1.0 - 0.5j]])),
+    "matrix_empty": matrix_to_json(np.zeros((0, 0))),
+    "matrix_2x2": matrix_to_json(np.array([[1.0, -0.0j], [5e-324, 1e308j]])),
+    "pairs_then_ints": [[1.0, 2.0], [1, 2.0]],
+    "pairs_then_bool": [[1.0, 2.0], [True, 2.0]],
+    "pairs_then_triple": [[1.0, 2.0], [1.0, 2.0, 3.0]],
+    "pairs_then_string": [[1.0, 2.0], "ab"],
+    "pair_then_float": [[1.0, 2.0], 3.0],
+    "pair_of_strings": [["a", "b"]],
+    "floats_then_int": [1.0, 2],
+    "floats_then_list": [1.0, [2.0]],
+    "strings": {"é": "snowman ☃, emoji 😀", "esc": "\"\\\n\r\t\b\f\x00\x1f/", "": ""},
+    "keys_sorted": {"b": 1, "a": 2, "B": 3, "é": 4, "aa": 5},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_canonical_dumps_matches_json_dumps_on_edge_cases(name):
+    obj = WRITER_CASES[name]
+    assert canonical_dumps(obj) == _json_dumps(obj)
+
+
+def test_canonical_dumps_matches_json_dumps_on_random_payloads():
+    rng = np.random.default_rng(31)
+    for _ in range(400):
+        obj = _random_payload(rng)
+        assert canonical_dumps(obj) == _json_dumps(obj), obj
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["top", "pair", "flat_list", "dict_value", "deep"])
+def test_canonical_dumps_rejects_non_finite_anywhere(bad, where):
+    obj = {"top": bad, "pair": [[1.0, 2.0], [1.0, bad]], "flat_list": [1.0, bad, 2.0],
+           "dict_value": {"x": bad}, "deep": {"a": [[{"b": (bad,)}]]}}[where]
+    with pytest.raises(ValueError):
+        _json_dumps(obj)
+    with pytest.raises(ValueError):
+        canonical_dumps(obj)
+
+
+@pytest.mark.parametrize("bad", [{1.0}, 1j, np.int64(3), np.bool_(True), {1: 2.0}, [object()]],
+                         ids=["set", "complex", "int64", "numpy_bool", "int_key", "object"])
+def test_canonical_dumps_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        canonical_dumps(bad)
+
+
 def test_observables_csv_shape():
     rows = [
         {"t": 0.0, "trace_ee": 0.5, "trace_gg": 0.5, "coherence_norm": 0.5,
