@@ -298,6 +298,18 @@ def test_block_reconstruction_error_sees_every_pair_of_blocks():
         assert abs(err - _full_space_reconstruction_error(m, family)) <= 1e-15
 
 
+def test_kraus_of_the_zero_map_is_an_empty_family(tmp_path, capsys):
+    from edchan import EDMap, LinearMap, cli
+    from edchan.jsonio import edmap_to_dict
+
+    path = tmp_path / "zero.json"
+    zero = EDMap(LinearMap.zero(2, 2), LinearMap.zero(2, 1), np.zeros((2, 2)), 0.0)
+    path.write_text(json.dumps(edmap_to_dict(zero)))
+    assert cli.main(["kraus", "--input", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["count"], report["operators"], report["reconstruction_error"]) == (0, [], 0.0)
+
+
 def test_kraus_builds_no_full_space_superoperator(tmp_path, monkeypatch, capsys):
     from edchan import EDMap, LinearMap, cli
 
