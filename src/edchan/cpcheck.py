@@ -247,18 +247,9 @@ class EDCPReport:
     damped_min_eigenvalue: float
 
 
-def _damped_block(m: EDMap, t: float) -> LinearMap:
-    """The excited-sector block whose CP the block test decides.
-
-    phi - gamma^-1 B(.)B† in the gamma_positive branch (gamma > t), phi itself
-    in the gamma_zero branch.
-    """
-    return damped_excited_map(m) if m.gamma > t else m.phi
-
-
 def _ed_report(gamma: float, b_max: float, t: float, omega: CPVerdict,
                damped: CPVerdict) -> EDCPReport:
-    """Block report from the CP verdicts on omega and on :func:`_damped_block`.
+    """Block report from the CP verdicts on omega and on the :func:`_damped_stack` block.
 
     ``b_max`` is the largest entry modulus of B.
     """
@@ -384,7 +375,8 @@ def explicit_kraus_ed(m: EDMap, tol: float = DEFAULT_TOL) -> KrausSet:
     carries) and its operators come from one eigensolve of its Choi matrix.
     """
     omega_verdict, omega_ops = _cp_with_kraus(m.omega, tol)
-    damped_verdict, damped_ops = _cp_with_kraus(_damped_block(m, tol), tol)
+    damped_verdict, damped_ops = _cp_with_kraus(
+        LinearMap(_damped_stack(EDStack.of([m]), tol)[0]), tol)
     report = _ed_report(m.gamma, float(np.abs(m.B).max(initial=0.0)), tol,
                         omega_verdict, damped_verdict)
     if not report.cp:
@@ -462,6 +454,16 @@ def haar_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 _BATCH = 20000
 
 
+def _rank_one_images(mat: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
+    """Hermitian parts of map(x x†) for the rows x of ``xs``, one per row."""
+    n, d_in = xs.shape
+    # column-stacked projectors
+    proj = xs[:, :, None] * xs.conj()[:, None, :]
+    vecs = proj.transpose(0, 2, 1).reshape(n, d_in * d_in)
+    out = (vecs @ mat.T).reshape(n, d_out, d_out).transpose(0, 2, 1)
+    return (out + out.conj().transpose(0, 2, 1)) / 2
+
+
 def is_positive_sampled(m: LinearMap, samples: int = 1000,
                         tol: float = DEFAULT_TOL, seed: int = 0) -> PositivityVerdict:
     """Probe positivity on Haar-random pure states.
@@ -479,12 +481,7 @@ def is_positive_sampled(m: LinearMap, samples: int = 1000,
     while seen < samples:
         n = min(_BATCH, samples - seen)
         xi = haar_states(rng, n, d_in)
-        # column-stacked projectors, one per row
-        proj = xi[:, :, None] * xi.conj()[:, None, :]
-        vecs = proj.transpose(0, 2, 1).reshape(n, d_in * d_in)
-        out = (vecs @ m.mat.T).reshape(n, d_out, d_out).transpose(0, 2, 1)
-        out = (out + out.conj().transpose(0, 2, 1)) / 2
-        mins = np.linalg.eigvalsh(out)[:, 0]
+        mins = np.linalg.eigvalsh(_rank_one_images(m.mat, xi, d_out))[:, 0]
         worst = min(worst, float(mins.min()))
         bad = np.nonzero(mins < -tol)[0]
         if bad.size:
@@ -498,15 +495,6 @@ def is_positive_sampled(m: LinearMap, samples: int = 1000,
 
 _STARTS = 8  # lowest screened states the seesaw refines
 _ROUNDS = 40  # most seesaw rounds per refined state
-
-
-def _rank_one_images(mat: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
-    """Hermitian parts of map(x x†) for the rows x of ``xs``, with the sampler's arithmetic."""
-    n, d_in = xs.shape
-    proj = xs[:, :, None] * xs.conj()[:, None, :]
-    vecs = proj.transpose(0, 2, 1).reshape(n, d_in * d_in)
-    out = (vecs @ mat.T).reshape(n, d_out, d_out).transpose(0, 2, 1)
-    return (out + out.conj().transpose(0, 2, 1)) / 2
 
 
 def _seesaw(m: LinearMap, samples: int, tol: float, seed: int) -> PositivityVerdict:

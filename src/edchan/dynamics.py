@@ -304,17 +304,25 @@ def _check_grid(grid: np.ndarray, name: str = "grid") -> None:
         raise ValueError(f"{name} must be strictly increasing")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ChannelTrajectory:
-    """Maps sampled on a strictly increasing time grid starting at 0."""
+    """Maps sampled on a strictly increasing time grid starting at 0.
+
+    It holds the grid and one read-only :class:`EDStack`. With ``_index``
+    None the stack is the maps themselves, as ``ChannelTrajectory(grid,
+    maps)`` stacks them. A builder's trajectory stacks its distinct steps
+    instead, ``_index[k]`` naming the step between grid points k and k+1;
+    maps[0] is the identity and maps[k+1] = step_k ∘ maps[k]. Either way
+    ``maps`` is formed when first read.
+    """
 
     grid: np.ndarray
-    maps: tuple
-    _steps = None  # the builders' trajectories keep their steps; None means propagators come by inversion
+    _stack: EDStack
+    _index: np.ndarray | None
 
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float).reshape(-1)
-        maps = tuple(self.maps)
+    def __init__(self, grid, maps):
+        grid = np.asarray(grid, dtype=float).reshape(-1)
+        maps = tuple(maps)
         _check_grid(grid)
         if grid.size != len(maps):
             raise ValueError("grid and maps must have equal length")
@@ -332,69 +340,55 @@ class ChannelTrajectory:
         )
         if dev > 1e-8:
             raise ValueError(f"maps[0] must be the identity channel (deviation {dev:.3e})")
-        freeze(self, "grid", grid)
-        object.__setattr__(self, "maps", maps)
+        self._hold(grid, EDStack.of(maps), None)
 
-    @property
-    def d_e(self) -> int:
-        return self.maps[0].d_e
+    @classmethod
+    def _stepped(cls, grid: np.ndarray, steps: EDStack, index: np.ndarray) -> "ChannelTrajectory":
+        """A builder's trajectory on a checked grid: step k is ``steps[index[k]]``."""
+        traj = cls.__new__(cls)
+        index.flags.writeable = False
+        traj._hold(grid, steps, index)
+        return traj
 
-    @property
-    def d_g(self) -> int:
-        return self.maps[0].d_g
-
-    def __len__(self) -> int:
-        return len(self.maps)
-
-    def _map_chunks(self):
-        """The maps stacked CHUNK at a time, in grid order."""
-        for a in range(0, len(self), CHUNK):
-            yield EDStack.of(self.maps[a:a + CHUNK])
-
-
-class _SteppedTrajectory(ChannelTrajectory):
-    """A built trajectory: maps[0] is the identity and maps[k+1] = step_k ∘ maps[k].
-
-    It keeps its distinct steps stacked as ``_members``, with ``_index[k]``
-    the member that is step k, and composes the maps only when they are read.
-    """
-
-    def __init__(self, grid: np.ndarray, members: EDStack, index: np.ndarray):
-        for block in (members.phi, members.omega, members.B, members.gamma):
+    def _hold(self, grid: np.ndarray, stack: EDStack, index) -> None:
+        """Set the fields, making the stack's blocks read-only in place."""
+        for block in (stack.phi, stack.omega, stack.B, stack.gamma):
             block.flags.writeable = False
         freeze(self, "grid", grid)
-        freeze(self, "_index", index)
-        object.__setattr__(self, "_members", members)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_index", index)
 
     @property
     def d_e(self) -> int:
-        return self._members.d_e
+        return self._stack.d_e
 
     @property
     def d_g(self) -> int:
-        return self._members.d_g
+        return self._stack.d_g
 
     def __len__(self) -> int:
         return self.grid.size
 
     def _map_chunks(self):
-        """The maps stacked CHUNK at a time, each step composed onto its predecessor
-        as :func:`compose` does; one chunk is held at a time."""
+        """The maps stacked CHUNK at a time, in grid order; one chunk is held at a time.
+
+        Maps the trajectory holds are slices of its stack; a builder's are
+        each step composed onto its predecessor as :func:`compose` does.
+        """
+        if self._index is None:
+            for a in range(0, len(self), CHUNK):
+                yield self._stack[a:a + CHUNK]
+            return
         maps = itertools.accumulate(self._index.tolist(),
-                                    lambda m, j: compose_stack(self._members[j:j + 1], m),
+                                    lambda m, j: compose_stack(self._stack[j:j + 1], m),
                                     initial=EDStack.of([EDMap.identity(self.d_e, self.d_g)]))
         while chunk := list(itertools.islice(maps, CHUNK)):
             yield EDStack.concat(chunk)
 
     @functools.cached_property
     def maps(self) -> tuple:
+        """The maps as :class:`EDMap` objects, formed when first read."""
         return tuple(chunk.edmap(k) for chunk in self._map_chunks() for k in range(len(chunk)))
-
-    @functools.cached_property
-    def _steps(self) -> tuple:
-        """Step k as an :class:`EDMap`, one shared object per distinct step."""
-        members = [self._members.edmap(j) for j in range(len(self._members))]
-        return tuple(members[j] for j in self._index.tolist())
 
 
 def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
@@ -403,9 +397,9 @@ def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
     By the semigroup law each map is the member at dt composed with the map
     before it, from the identity at grid[0]. The member at dt is the one
     :func:`semigroup_at` returns, from the same constructor; it is built once
-    per distinct step, CHUNK members per stacked kernel call, and kept as the
-    trajectory's propagator over every step of that length. The maps are
-    composed when first read.
+    per distinct step, CHUNK members per stacked kernel call, and the
+    trajectory's stack holds it as the propagator over every step of that
+    length. The maps are composed when first read.
     ``evolve`` and ``divisibility`` sample a spec on ``--steps`` points of
     ``linspace(0, t_max)``; on three seeded random specs at d_e = 8 and
     t_max = 1 the maps differ from :func:`semigroup_at` by at most 2.3e-14
@@ -416,14 +410,14 @@ def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
     :func:`trajectory_observables` composes them CHUNK at a time and keeps
     none. On ``linspace(0, 1, 2000)**1.5`` at d_e = 6, d_g = 2 the
     tracemalloc peak is 51.9 MB, of which the returned trajectory holds
-    47.3 MB; once ``maps`` has been read it holds 96.1 MB.
+    47.3 MB; once ``maps`` has been read it holds 95.9 MB.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
     SL, K, psi = gkls_superop(spec.gen).mat, K_from_spec(spec), spec.psi.mat
     dts, index = np.unique(np.diff(grid), return_inverse=True)
     members = _members(lambda a, b: (SL, K, psi, dts[a:b]), dts.size, spec.d_e, spec.d_g)
-    return _SteppedTrajectory(grid, members, index)
+    return ChannelTrajectory._stepped(grid, members, index)
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,27 +474,28 @@ def _step_values(traj: ChannelTrajectory, kernel) -> list:
     """The kernel's values on the propagators Phi_{t_{i+1}} ∘ Phi_{t_i}^-1, in grid order.
 
     ``kernel`` takes an :class:`EDStack` and returns one value per map; it
-    gets the propagators CHUNK at a time. A stored trajectory forms them by
-    stacked inversion and composition, each equal to :func:`propagator`'s,
-    and fails as it would at the first map without an inverse. A built one
-    uses its steps, each distinct one evaluated once; maps[:-1] must still
-    pass invert's condition check, with the same error. The bound
+    gets the propagators CHUNK at a time. A trajectory that holds its maps
+    forms them from slices of its stack by stacked inversion and composition,
+    each equal to :func:`propagator`'s, and fails as it would at the first map
+    without an inverse. A built one uses its steps, each distinct one
+    evaluated once; maps[:-1] must still pass invert's condition check, with
+    the same error. The bound
     cond(maps[k+1]) <= cond(step_k) cond(maps[k]), for phi and B alike,
     certifies maps[k] up to COND_LIMIT * 1e-4, a margin for roundoff; past
     that maps[k]'s own condition numbers are computed.
     """
     steps = len(traj) - 1
-    if not isinstance(traj, _SteppedTrajectory):
+    if traj._index is None:
         values = []
         for a in range(0, steps, CHUNK):
-            maps = EDStack.of(traj.maps[a:min(a + CHUNK, steps) + 1])
+            maps = traj._stack[a:min(a + CHUNK, steps) + 1]
             try:
                 inverses = invert_stack(maps[:-1])
             except NonInvertibleError as exc:
                 raise _at_grid_point(traj, a + exc.index, exc) from exc
             values += kernel(compose_stack(maps[1:], inverses))
         return values
-    members = traj._members
+    members = traj._stack
     conds = np.stack((_cond(members.phi), _cond(members.B)), axis=-1).tolist()
     bound = (1.0, 1.0)  # maps[0] is the identity
     for k, j in enumerate(traj._index.tolist()):
@@ -604,8 +599,8 @@ def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
     chunks of CHUNK: the suppliers are called for a chunk's midpoints, in
     grid order, and its members come from stacked kernel calls and are
     checked for non-finite entries before the next chunk's are asked for. The
-    trajectory keeps the steps as its propagators, about one more phi per
-    point in memory, and composes the maps when they are first read.
+    trajectory's stack holds the steps as its propagators, about one phi per
+    point in memory, and the maps are composed when they are first read.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
@@ -626,7 +621,7 @@ def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
         return np.stack(L), np.stack(K), np.stack(psi), dts[a:b]
 
     members = _members(generators, dts.size, d_e, d_g)
-    return _SteppedTrajectory(grid, members, np.arange(dts.size))
+    return ChannelTrajectory._stepped(grid, members, np.arange(dts.size))
 
 
 def trajectory_observables(traj: ChannelTrajectory, X0: BlockOperator) -> list:

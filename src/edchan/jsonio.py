@@ -7,8 +7,8 @@ keys sorted, floats as their shortest round-trip repr, exact to the bit (the
 sign of -0.0 and the float type of 1.0 kept). ``canonical_dumps`` writes
 them itself, each list of floats or of [re, im] pairs with one join. ``load``
 turns each matrix field into a float array as the decoder closes its object,
-so a stored trajectory never sits in memory as nested lists; a matrix of
-strings or of booleans alone is an input error. See docs/formats.md for the
+so a stored trajectory never sits in memory as nested lists; a matrix entry
+that is a string or a boolean is an input error. See docs/formats.md for the
 schemas.
 """
 
@@ -36,11 +36,17 @@ def matrix_to_json(M) -> list:
 MATRIX_FIELDS = frozenset("phi omega B H G F c psi L K matrix".split())
 
 
-def _matrix_fields(obj: dict) -> dict:
+def _holds_bool(v) -> bool:
+    """True iff a rectangular nested list holds a boolean, which numpy would read as 1.0 or 0.0."""
+    return any(isinstance(x, bool) for x in np.asarray(v, dtype=object).flat)
+
+
+def _matrix_fields(obj: dict, exact: bool) -> dict:
     """Object hook: each list under a matrix key as the float array the readers build.
 
     A value the conversion rejects is left as decoded, so the schema reader
-    reports it exactly as it reports plain ``json.load`` output.
+    reports it exactly as it reports plain ``json.load`` output. Booleans
+    mixed with numbers are looked for only when ``exact``.
     """
     for key in MATRIX_FIELDS.intersection(obj):
         if isinstance(obj[key], list):
@@ -48,7 +54,7 @@ def _matrix_fields(obj: dict) -> dict:
                 A = np.array(obj[key])
             except ValueError:  # ragged
                 continue
-            if A.dtype.kind in "fi":
+            if A.dtype.kind in "fi" and not (exact and _holds_bool(obj[key])):
                 obj[key] = A.astype(float, copy=False)
     return obj
 
@@ -56,10 +62,14 @@ def _matrix_fields(obj: dict) -> dict:
 def load(path):
     """Decode a JSON input file, its matrix fields as float arrays (see ``_matrix_fields``)."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_hook=_matrix_fields)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+        text = fh.read()
+    # every boolean literal holds a u (true) or an f (false), so a text with
+    # neither letter skips the element check
+    exact = "u" in text or "f" in text
+    try:
+        return json.loads(text, object_hook=lambda obj: _matrix_fields(obj, exact))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
 
 
 def _complex_array(data, ndim: int, name: str) -> np.ndarray:
@@ -69,8 +79,9 @@ def _complex_array(data, ndim: int, name: str) -> np.ndarray:
         A = np.asarray(data)
     except ValueError as exc:  # ragged
         raise ValueError(f"{name}: entries must be [re, im] pairs") from exc
-    # strings, booleans, null and integers beyond int64 give another dtype
-    if A.dtype.kind not in "fi":
+    # strings, booleans, null and integers beyond int64 give another dtype;
+    # ``load``'s arrays have had their booleans looked for already
+    if A.dtype.kind not in "fi" or (A is not data and _holds_bool(data)):
         raise ValueError(f"{name}: entries must be [re, im] pairs of numbers")
     A = A.astype(float, copy=False)
     if A.shape == (0,):
@@ -123,9 +134,7 @@ def _dims(data: dict, what: str) -> tuple:
 
 def _floats(v) -> np.ndarray:
     A = np.asarray(v)
-    # numpy reads [true, 1.0] as [1.0, 1.0], so booleans are looked for one by one
-    elements = np.asarray(v, dtype=object).reshape(-1)
-    if A.dtype.kind not in "fi" or any(isinstance(x, bool) for x in elements):
+    if A.dtype.kind not in "fi" or _holds_bool(v):
         raise ValueError("must be an array of numbers")
     return A.astype(float).reshape(-1)
 

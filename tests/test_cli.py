@@ -332,7 +332,7 @@ def test_kraus_forms_damped_map_once(name, code, tmp_path, monkeypatch):
     from edchan import cli, cpcheck
 
     calls = {"damped": 0, "eig": 0}
-    damped_excited_map = cpcheck.damped_excited_map
+    damped_stack = cpcheck._damped_stack
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def counted(key, fn):
@@ -341,7 +341,7 @@ def test_kraus_forms_damped_map_once(name, code, tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cpcheck, "damped_excited_map", counted("damped", damped_excited_map))
+    monkeypatch.setattr(cpcheck, "_damped_stack", counted("damped", damped_stack))
     monkeypatch.setattr(np.linalg, "eigh", counted("eig", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eig", eigvalsh))
     path = dump_demo(name, tmp_path / "map.json")
@@ -595,6 +595,12 @@ def _trajectory_payload():
                                                             for _ in grid)))
 
 
+def _maps_with_phi(phi):
+    maps = _trajectory_payload()["maps"]
+    maps[1]["phi"] = phi
+    return maps
+
+
 @pytest.mark.parametrize("command, demo, changes, what, field", [
     ("verify", "amplitude_damping", {"d_e": None}, "excitation-damping map", "d_e"),
     ("verify", "amplitude_damping", {"d_e": 1.9}, "excitation-damping map", "d_e"),
@@ -615,10 +621,13 @@ def _trajectory_payload():
     ("verify", "amplitude_damping", {"B": [[["0.8", False]]]}, "B", "entries"),
     ("kraus", "amplitude_damping", {"B": [[[True, False]]]}, "B", "entries"),
     ("verify", "phase_damping", {"omega": [[["1", "0"]]]}, "omega", "entries"),
+    ("verify", "amplitude_damping", {"B": [[[True, 0.0]]]}, "B", "entries"),
+    ("divisibility", None, {"maps": _maps_with_phi([[[True, 0.0]]])}, "phi", "entries"),
 ], ids=["d_e_null", "d_e_fraction", "gamma_list", "maps_int", "F_int", "spec_d_g_zero",
         "table_d_g_zero", "d_e_true", "B_three_numbers", "trajectory_d_g_zero",
         "gamma_string", "gamma_true", "kappa_string", "epsilon_false", "times_strings",
-        "grid_booleans", "B_string_and_false", "B_booleans", "omega_strings"])
+        "grid_booleans", "B_string_and_false", "B_booleans", "omega_strings",
+        "B_true_and_number", "phi_true_and_number"])
 def test_wrong_field_type_exit_two(command, demo, changes, what, field, tmp_path, capsys):
     from edchan import cli
 

@@ -27,6 +27,7 @@ from edchan import (
     trajectory_observables,
     wigner_weisskopf_at,
 )
+from edchan.channel import EDStack
 from edchan.demos import noncp_divisible_trajectory
 from edchan.matcore import hermitian_part, vectorize
 from conftest import (
@@ -51,6 +52,11 @@ def edmap_maxdiff(m1: EDMap, m2: EDMap) -> float:
         maxdiff(m1.B, m2.B),
         abs(m1.gamma - m2.gamma),
     )
+
+
+def built_steps(traj) -> list:
+    """A built trajectory's step k as an EDMap: the map of its stack at ``_index[k]``."""
+    return [traj._stack.edmap(j) for j in traj._index.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -340,16 +346,40 @@ def identity_trajectory(d_e, d_g, n=5):
 
 
 def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        ChannelTrajectory(np.array([0.0, 0.0, 1.0]),
-                          tuple(EDMap.identity(1, 1) for _ in range(3)))
-    with pytest.raises(ValueError):
-        ChannelTrajectory(np.array([0.5, 1.0]),
-                          tuple(EDMap.identity(1, 1) for _ in range(2)))
+    def ids(n, d_e=1, d_g=1):
+        return tuple(EDMap.identity(d_e, d_g) for _ in range(n))
+
+    grid = np.array([0.0, 1.0])
+    with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
+        ChannelTrajectory(np.array([0.0, 0.0, 1.0]), ids(3))
+    with pytest.raises(ValueError, match="^grid must start at 0, got 0.5$"):
+        ChannelTrajectory(np.array([0.5, 1.0]), ids(2))
+    with pytest.raises(ValueError, match="^grid and maps must have equal length$"):
+        ChannelTrajectory(grid, ids(3))
+    with pytest.raises(ValueError, match="^maps must be EDMap instances$"):
+        ChannelTrajectory(grid, (EDMap.identity(1, 1), LinearMap.identity(1)))
+    with pytest.raises(ValueError, match="^all maps must share the sector dimensions$"):
+        ChannelTrajectory(grid, (EDMap.identity(1, 1), EDMap.identity(1, 2)))
     bad_first = EDMap(LinearMap(np.array([[0.5]])), LinearMap.zero(1, 1),
                       np.eye(1, dtype=complex), 1.0)
-    with pytest.raises(ValueError):
-        ChannelTrajectory(np.array([0.0, 1.0]), (bad_first, bad_first))
+    with pytest.raises(ValueError, match=r"^maps\[0\] must be the identity channel "
+                                         r"\(deviation 5\.000e-01\)$"):
+        ChannelTrajectory(grid, (bad_first, bad_first))
+
+    # the blocks a built and a hand-built trajectory hold are read-only
+    spec = random_semigroup_spec(np.random.default_rng(19), 2, 2)
+    built = semigroup_trajectory(spec, np.linspace(0.0, 1.0, 5))
+    for traj in (built, ChannelTrajectory(built.grid, built.maps), identity_trajectory(2, 1)):
+        blocks = []
+        for value in vars(traj).values():
+            if isinstance(value, EDStack):
+                blocks += [value.phi, value.omega, value.B, value.gamma]
+            elif isinstance(value, tuple):
+                blocks += [A for m in value for A in (m.phi.mat, m.omega.mat, m.B)]
+        assert len(blocks) >= 4
+        for A in blocks:
+            with pytest.raises(ValueError, match="read-only"):
+                A.flat[0] = 0
 
 
 def test_extraction_recovers_constant_generators():
@@ -489,7 +519,7 @@ def test_semigroup_at_is_the_trajectory_step_bit_for_bit():
     for seed, (d_e, d_g) in ((41, (1, 1)), (42, (2, 1)), (43, (3, 2)), (44, (4, 3))):
         spec = random_semigroup_spec(np.random.default_rng(seed), d_e, d_g)
         traj = semigroup_trajectory(spec, grid)
-        for dt, step in zip(np.diff(grid), traj._steps):
+        for dt, step in zip(np.diff(grid), built_steps(traj)):
             member = semigroup_at(spec, dt)
             assert np.array_equal(member.phi.mat, step.phi.mat), (seed, dt)
             assert np.array_equal(member.omega.mat, step.omega.mat), (seed, dt)
@@ -573,7 +603,7 @@ def _built_trajectory(kind):
 def test_built_maps_are_steps_composed(kind):
     traj = _built_trajectory(kind)
     assert edmap_maxdiff(traj.maps[0], EDMap.identity(traj.d_e, traj.d_g)) == 0.0
-    for k, step in enumerate(traj._steps):
+    for k, step in enumerate(built_steps(traj)):
         assert edmap_maxdiff(traj.maps[k + 1], compose(step, traj.maps[k])) == 0.0
 
 
@@ -583,8 +613,8 @@ def test_built_steps_match_inversion_oracle(kind):
 
     traj = _built_trajectory(kind)
     plain = ChannelTrajectory(traj.grid, traj.maps)
-    assert len(traj._steps) == len(traj) - 1 and plain._steps is None
-    for k, step in enumerate(traj._steps):
+    assert len(traj._index) == len(traj) - 1 and plain._index is None
+    for k, step in enumerate(built_steps(traj)):
         assert edmap_maxdiff(step, propagator(plain, k + 1, k)) <= 1e-12
 
     stored = trajectory_from_dict(trajectory_to_dict(traj))
@@ -686,8 +716,8 @@ def test_condition_bound_falls_back_to_exact_check(monkeypatch):
 def per_step_propagators(traj):
     """One map per grid step, as the per-step path forms them: a built
     trajectory's own steps, a stored one's consecutive propagators."""
-    if traj._steps is not None:
-        return list(traj._steps)
+    if traj._index is not None:
+        return built_steps(traj)
     return [propagator(traj, i + 1, i) for i in range(len(traj) - 1)]
 
 
@@ -927,7 +957,7 @@ def test_td_trajectory_of_valid_table_has_cptp_steps(d_e, d_g):
     from edchan import is_trace_preserving
 
     traj = valid_table_trajectory(np.random.default_rng([49, d_e, d_g]), d_e, d_g)
-    for k, step in enumerate(traj._steps):
+    for k, step in enumerate(built_steps(traj)):
         assert is_cp_ed(step).cp, k
         assert is_trace_preserving(step, 1e-12), k
     assert is_cp_divisible(traj).cp_divisible

@@ -355,6 +355,7 @@ MALFORMED = {
     "string_number": [[["0.8", 0.0]]],
     "boolean": True,
     "boolean_pair": [[[True, False]]],
+    "boolean_and_number": [[[True, 0.0]]],
     "1e400": [[[float("inf"), 0.0]]],
     "huge_integer": [[[10 ** 400, 0]]],
     "empty": [],
