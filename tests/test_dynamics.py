@@ -346,8 +346,8 @@ def identity_trajectory(d_e, d_g, n=5):
 
 
 def test_trajectory_validation():
-    def ids(n, d_e=1, d_g=1):
-        return tuple(EDMap.identity(d_e, d_g) for _ in range(n))
+    def ids(n):
+        return tuple(EDMap.identity(1, 1) for _ in range(n))
 
     grid = np.array([0.0, 1.0])
     with pytest.raises(ValueError, match="^grid must be strictly increasing$"):
