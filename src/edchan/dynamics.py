@@ -310,9 +310,9 @@ class ChannelTrajectory:
 
     It holds the grid and one read-only :class:`EDStack`. With ``_index``
     None the stack is the maps themselves, as ``ChannelTrajectory(grid,
-    maps)`` stacks them. A builder's trajectory stacks its distinct steps
-    instead, ``_index[k]`` naming the step between grid points k and k+1;
-    maps[0] is the identity and maps[k+1] = step_k ∘ maps[k]. Either way
+    maps)`` stacks them. A builder's trajectory stacks one step per step
+    length instead, ``_index[k]`` naming the step between grid points k and
+    k+1; maps[0] is the identity and maps[k+1] = step_k ∘ maps[k]. Either way
     ``maps`` is formed when first read.
     """
 
@@ -391,19 +391,45 @@ class ChannelTrajectory:
         return tuple(chunk.edmap(k) for chunk in self._map_chunks() for k in range(len(chunk)))
 
 
+def _step_lengths(grid: np.ndarray) -> tuple:
+    """One length per group of step lengths that differ by rounding, and each step's group.
+
+    The sorted lengths form anchored groups: a group starts at its smallest
+    length and takes every length within 4 spacings of grid[-1] of it, so
+    groups never chain. A ``linspace`` grid's rounding spreads its lengths
+    by at most 2 such spacings, so they form one group. A group's length is
+    its mean, taken from its smallest length, so that a group of equal
+    lengths, one alone included, keeps that length bit for bit. Groups come
+    in increasing order of length.
+    """
+    dts = np.diff(grid)
+    s = np.sort(dts)
+    ends = np.searchsorted(s, s + 4 * np.spacing(grid[-1]), side="right").tolist()
+    starts, k = [], 0
+    while k < s.size:
+        starts.append(k)
+        k = ends[k]
+    lo = s[starts]  # each group's smallest length
+    group = np.searchsorted(lo, dts, side="right") - 1
+    return lo + np.bincount(group, weights=dts - lo[group]) / np.bincount(group), group
+
+
 def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
     """Sample a semigroup on a grid by the one-step recurrence.
 
     By the semigroup law each map is the member at dt composed with the map
     before it, from the identity at grid[0]. The member at dt is the one
-    :func:`semigroup_at` returns, from the same constructor; it is built once
-    per distinct step, CHUNK members per stacked kernel call, and the
-    trajectory's stack holds it as the propagator over every step of that
-    length. The maps are composed when first read.
+    :func:`semigroup_at` returns, from the same constructor. Step lengths
+    that differ only by the grid's rounding share one member, at their mean
+    (see :func:`_step_lengths`); a length alone in its group keeps its own
+    value bit for bit. Members are built CHUNK per stacked kernel call, and
+    the trajectory's stack holds each as the propagator over every step of
+    its group. The maps are composed when first read.
     ``evolve`` and ``divisibility`` sample a spec on ``--steps`` points of
-    ``linspace(0, t_max)``; on three seeded random specs at d_e = 8 and
-    t_max = 1 the maps differ from :func:`semigroup_at` by at most 2.3e-14
-    per entry at 101 points, 2.9e-13 at 1001 and 2.7e-12 at 10^4.
+    ``linspace(0, t_max)``, which builds one member; on three seeded random
+    specs at d_e = 8 (d_g 1 to 3) and t_max = 1 the maps differ from
+    :func:`semigroup_at` by at most 2.3e-14 per entry at 101 points, 2.7e-13
+    at 1001 and 2.5e-12 at 10^4, as they do with one member per float length.
 
     Memory: a grid whose steps all differ keeps one step map, about one
     phi, per point; reading ``maps`` adds one composed map per point, while
@@ -415,7 +441,7 @@ def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
     SL, K, psi = gkls_superop(spec.gen).mat, K_from_spec(spec), spec.psi.mat
-    dts, index = np.unique(np.diff(grid), return_inverse=True)
+    dts, index = _step_lengths(grid)
     members = _members(lambda a, b: (SL, K, psi, dts[a:b]), dts.size, spec.d_e, spec.d_g)
     return ChannelTrajectory._stepped(grid, members, index)
 
@@ -477,12 +503,13 @@ def _step_values(traj: ChannelTrajectory, kernel) -> list:
     gets the propagators CHUNK at a time. A trajectory that holds its maps
     forms them from slices of its stack by stacked inversion and composition,
     each equal to :func:`propagator`'s, and fails as it would at the first map
-    without an inverse. A built one uses its steps, each distinct one
+    without an inverse. A built one uses its steps, each member of its stack
     evaluated once; maps[:-1] must still pass invert's condition check, with
     the same error. The bound
     cond(maps[k+1]) <= cond(step_k) cond(maps[k]), for phi and B alike,
     certifies maps[k] up to COND_LIMIT * 1e-4, a margin for roundoff; past
-    that maps[k]'s own condition numbers are computed.
+    that maps[k]'s own condition numbers are computed, the maps composed
+    CHUNK at a time as far as needed and none kept.
     """
     steps = len(traj) - 1
     if traj._index is None:
@@ -497,12 +524,19 @@ def _step_values(traj: ChannelTrajectory, kernel) -> list:
         return values
     members = traj._stack
     conds = np.stack((_cond(members.phi), _cond(members.B)), axis=-1).tolist()
-    bound = (1.0, 1.0)  # maps[0] is the identity
+    # maps[k] one at a time, composed only as far as the bound needs them
+    maps = (chunk[i:i + 1] for chunk in traj._map_chunks() for i in range(len(chunk)))
+    bound, formed = (1.0, 1.0), 0  # maps[0] is the identity
     for k, j in enumerate(traj._index.tolist()):
         if max(bound) > COND_LIMIT * 1e-4:
-            bound = (_cond(traj.maps[k].phi.mat), _cond(traj.maps[k].B))
+            m = next(itertools.islice(maps, k - formed, None))
+            formed = k + 1
+            bound = (float(_cond(m.phi)[0]), float(_cond(m.B)[0]))
             if max(bound) > COND_LIMIT:
-                _invert_at(traj, k)  # raises as propagator would
+                try:
+                    invert_stack(m)  # raises as propagator would
+                except NonInvertibleError as exc:
+                    raise _at_grid_point(traj, k, exc) from exc
         bound = (conds[j][0] * bound[0], conds[j][1] * bound[1])
     values = []
     for a in range(0, len(members), CHUNK):

@@ -505,12 +505,18 @@ def test_semigroup_trajectory_one_exponential_pair_per_distinct_step(monkeypatch
 
     monkeypatch.setattr(dynamics, "_expm", counted)
     spec = random_semigroup_spec(np.random.default_rng(34), 2, 2)
+    # a linspace grid's 8 float step lengths differ only by rounding: one member
     grid = np.linspace(0.0, 1.0, 101)
+    assert len(set(np.diff(grid))) == 8
     semigroup_trajectory(spec, grid)
-    distinct = len(set(np.diff(grid)))
-    assert distinct < 20
     # e^{dt L} and its integral from one n-square kernel matrix, e^{dt K} from another
-    assert matrices == {4: distinct, 2: distinct}
+    assert matrices == {4: 1, 2: 1}
+    # a non-uniform grid keeps one member per step length
+    matrices.update({4: 0, 2: 0})
+    grid = np.linspace(0.0, 1.0, 40) ** 1.5
+    assert len(set(np.diff(grid))) == 39
+    semigroup_trajectory(spec, grid)
+    assert matrices == {4: 39, 2: 39}
 
 
 def test_semigroup_at_is_the_trajectory_step_bit_for_bit():
@@ -524,6 +530,93 @@ def test_semigroup_at_is_the_trajectory_step_bit_for_bit():
             assert np.array_equal(member.phi.mat, step.phi.mat), (seed, dt)
             assert np.array_equal(member.omega.mat, step.omega.mat), (seed, dt)
             assert np.array_equal(member.B, step.B), (seed, dt)
+
+
+def builder_mean(dts):
+    """The mean of one group of step lengths as the builder takes it: from the
+    smallest, the offsets summed in grid order."""
+    lo = dts.min()
+    return lo + np.cumsum(dts - lo)[-1] / dts.size
+
+
+def assert_member_is(spec, m: EDMap, dt: float):
+    member = semigroup_at(spec, dt)
+    assert np.array_equal(member.phi.mat, m.phi.mat), dt
+    assert np.array_equal(member.omega.mat, m.omega.mat), dt
+    assert np.array_equal(member.B, m.B), dt
+
+
+@pytest.mark.parametrize("t_max, points",
+                         [(1.0, 101), (1.0, 50), (2.0, 21), (1.0, 1001), (3.7, 101)])
+def test_linspace_grid_builds_one_member_at_the_mean_step(t_max, points):
+    spec = random_semigroup_spec(np.random.default_rng(45), 3, 2)
+    grid = np.linspace(0.0, t_max, points)
+    dts = np.diff(grid)
+    assert len(set(dts)) > 1  # the grid's rounding makes several float lengths
+    traj = semigroup_trajectory(spec, grid)
+    assert len(traj._stack) == 1 and traj._index.tolist() == [0] * (points - 1)
+    assert_member_is(spec, traj._stack.edmap(0), builder_mean(dts))
+
+
+def test_linspace_step_lengths_spread_by_at_most_two_spacings():
+    # the grids evolve and divisibility make, over twelve decades of t_max:
+    # one group each, with a margin of 2x under the 4-spacing window
+    from edchan.dynamics import _step_lengths
+
+    for t_max in np.logspace(-6, 6, 37):
+        for points in (2, 3, 7, 21, 50, 101, 333, 1001, 4097, 10**4):
+            grid = np.linspace(0.0, t_max, points)
+            dts = np.diff(grid)
+            assert dts.max() - dts.min() <= 2 * np.spacing(grid[-1]), (t_max, points)
+            lengths, index = _step_lengths(grid)
+            assert lengths.size == 1 and not index.any(), (t_max, points)
+
+
+def test_step_length_groups_are_anchored():
+    spec = random_semigroup_spec(np.random.default_rng(46), 2, 1)
+    u = np.spacing(2.0)  # the spacing of every grid end below
+
+    def grouped(lengths):
+        grid = np.concatenate(([0.0], np.cumsum(lengths)))
+        assert np.array_equal(np.diff(grid), lengths) and np.spacing(grid[-1]) == u
+        return grid, semigroup_trajectory(spec, grid)
+
+    # 5 spacings apart: two members, each its own length bit for bit
+    grid, traj = grouped([1.0, 1.0 + 5 * u])
+    assert len(traj._stack) == 2 and traj._index.tolist() == [0, 1]
+    for dt, step in zip(np.diff(grid), built_steps(traj)):
+        assert_member_is(spec, step, dt)
+    # 4 spacings apart: one member at the mean
+    grid, traj = grouped([1.0, 1.0 + 4 * u])
+    assert len(traj._stack) == 1
+    assert_member_is(spec, traj._stack.edmap(0), builder_mean(np.diff(grid)))
+    # 0, 3 and 6 spacings above the smallest: the group anchored at the smallest
+    # takes the second length only, so groups never chain
+    grid, traj = grouped([1.0 + 6 * u, 1.0, 1.0 + 3 * u])
+    assert len(traj._stack) == 2 and traj._index.tolist() == [1, 0, 0]
+    dts = np.diff(grid)
+    assert_member_is(spec, traj._stack.edmap(0), builder_mean(dts[1:]))
+    assert_member_is(spec, traj._stack.edmap(1), dts[0])
+    # three equal lengths whose plain mean rounds away from them keep their value
+    grid = np.array([0.0, 0.7, 1.4, 1.41, 2.11])
+    dts = np.diff(grid)
+    assert dts[[0, 1, 3]].tolist() == [0.7] * 3 and (0.7 + 0.7 + 0.7) / 3 != 0.7
+    traj = semigroup_trajectory(spec, grid)
+    assert traj._index.tolist() == [1, 1, 0, 1]
+    assert_member_is(spec, traj._stack.edmap(1), 0.7)
+
+
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 0.5]], ids=["one_point", "two_points"])
+def test_semigroup_trajectory_on_the_shortest_grids(grid):
+    spec = random_semigroup_spec(np.random.default_rng(47), 2, 2)
+    traj = semigroup_trajectory(spec, grid)
+    assert len(traj._stack) == len(traj) - 1
+    for t, m in zip(grid, traj.maps):
+        assert edmap_maxdiff(m, semigroup_at(spec, t)) == 0.0
+    report = is_cp_divisible(traj)
+    assert report.cp_divisible and len(report.step_min_eigenvalues) == len(grid) - 1
+    rows = trajectory_observables(traj, BlockOperator.identity(2, 2))
+    assert [row["t"] for row in rows] == grid
 
 
 def test_semigroup_trajectory_nonuniform_grid():
@@ -645,11 +738,13 @@ def test_is_cp_divisible_runs_block_test_once_per_distinct_step(monkeypatch):
     for module in (channel, dynamics):
         monkeypatch.setattr(module, "invert", no_inverse)
         monkeypatch.setattr(module, "invert_stack", no_inverse)
-    grid = np.linspace(0.0, 1.0, 101)
-    traj = semigroup_trajectory(random_semigroup_spec(np.random.default_rng(38), 2, 2), grid)
-    report = is_cp_divisible(traj)
-    assert report.cp_divisible and len(report.step_min_eigenvalues) == 100
-    assert sum(matrices) == len(set(np.diff(grid))) < 20
+    spec = random_semigroup_spec(np.random.default_rng(38), 2, 2)
+    # one step length on a linspace grid, one per step on a non-uniform one
+    for grid, members in ((np.linspace(0.0, 1.0, 101), 1), (np.linspace(0.0, 1.0, 40) ** 1.5, 39)):
+        matrices.clear()
+        report = is_cp_divisible(semigroup_trajectory(spec, grid))
+        assert report.cp_divisible and len(report.step_min_eigenvalues) == len(grid) - 1
+        assert sum(matrices) == members
 
 
 def test_is_cp_divisible_eigensolves_three_blocks_per_distinct_step(monkeypatch):
@@ -663,15 +758,17 @@ def test_is_cp_divisible_eigensolves_three_blocks_per_distinct_step(monkeypatch)
         monkeypatch.setattr(np.linalg, name,
                             lambda A, *a, fn=fn, **kw: matrices.append(stacked(A)) or fn(A, *a, **kw))
     assert is_cp_divisible(traj).cp_divisible
-    assert sum(matrices) == 3 * len(set(np.diff(grid)))
+    assert sum(matrices) == 3  # the grid's one step length
 
 
-def decay_spec(rate):
-    """d_e = 2, d_g = 1: the second excited level decays at ``rate``, so phi_t
-    has condition number exp(rate t)."""
-    G = np.diag([0.0, rate])
-    gen = GKLSGenerator(np.zeros((2, 2)), G)
-    return SemigroupSpec(gen, 0.0, 0.0, np.zeros(0), LinearMap(np.array([[0.0, 0, 0, rate]])))
+def decay_spec(rate, d_e=2):
+    """d_g = 1: the last excited level decays at ``rate`` into the ground level,
+    so phi_t has condition number exp(rate t)."""
+    G = np.diag([0.0] * (d_e - 1) + [rate])
+    psi = np.zeros((1, d_e * d_e))
+    psi[0, -1] = rate  # X -> rate X[d_e - 1, d_e - 1]
+    gen = GKLSGenerator(np.zeros((d_e, d_e)), G)
+    return SemigroupSpec(gen, 0.0, 0.0, np.zeros(0), LinearMap(psi))
 
 
 @pytest.mark.parametrize("steps, index", [(101, 62), (37, 23)])
@@ -700,13 +797,37 @@ def test_condition_bound_falls_back_to_exact_check(monkeypatch):
     monkeypatch.setattr(dynamics, "_cond", lambda M: checked.append(M) or cond(M))
     report = is_cp_divisible(traj)
     assert report.cp_divisible
-    exact = [k for k, m in enumerate(traj.maps) if any(M is m.phi.mat for M in checked)]
+    # the maps checked exactly, found by value after the step's phi and B: the
+    # bound forms them without keeping them
+    exact = [k for k, m in enumerate(traj.maps)
+             if any(M.shape == (1, *m.phi.mat.shape) and np.array_equal(M[0], m.phi.mat)
+                    for M in checked[2:])]
     assert exact and max(exact) == len(traj) - 2
-    # phi and B of every distinct step, then of each maps[k] checked exactly
-    assert sum(stacked(M) for M in checked) == 2 * len(set(np.diff(grid))) + 2 * len(exact)
+    assert exact == list(range(exact[0], len(traj) - 1))
+    # phi and B of the grid's one step length, then of each maps[k] checked exactly
+    assert sum(stacked(M) for M in checked) == 2 + 2 * len(exact)
     assert cond(traj.maps[-2].phi.mat) > 1e8
     plain = is_cp_divisible(ChannelTrajectory(traj.grid, traj.maps))
     assert plain.cp_divisible
+
+
+def test_condition_bound_keeps_no_maps():
+    # past the certified bound from t ~ 0.92 on; the exact checks compose the
+    # maps CHUNK at a time and keep none (the maps of 2001 points are ~137 MB)
+    import tracemalloc
+
+    traj = semigroup_trajectory(decay_spec(20.0, d_e=8), np.linspace(0.0, 1.0, 2001))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert is_cp_divisible(traj).cp_divisible
+        rows = trajectory_observables(traj, BlockOperator.identity(8, 1))
+        assert len(rows) == 2001
+        del rows
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 5e6
 
 
 # ---------------------------------------------------------------------------
