@@ -30,8 +30,8 @@ from .cpcheck import (
     is_positive_ed_dg1,
     is_trace_nonincreasing,
 )
-from .dynamics import (build_td_trajectory, is_cp_divisible, semigroup_trajectory,
-                       trajectory_observables)
+from .dynamics import (_check_grid, _midpoint_trajectory, is_cp_divisible,
+                       semigroup_trajectory, trajectory_observables)
 from .jsonio import canonical_dumps
 from .matcore import DEFAULT_TOL
 
@@ -174,9 +174,10 @@ def _trajectory_from_input(args):
         grid = np.linspace(0.0, args.t_max, args.steps)
         return semigroup_trajectory(spec, grid)
     if kind == "generator_table":
-        L_fn, K_fn, psi_fn, _, _, table_t_max = jsonio.generator_table_from_dict(data)
-        grid = np.linspace(0.0, min(args.t_max, table_t_max), args.steps)
-        return build_td_trajectory(L_fn, K_fn, psi_fn, grid)
+        table = jsonio.generator_table_from_dict(data)
+        grid = np.linspace(0.0, min(args.t_max, float(table.times[-1])), args.steps)
+        _check_grid(grid)
+        return _midpoint_trajectory(grid, table.at, table.d_e, table.d_g)
     raise ValueError(
         "input must declare type trajectory, semigroup_spec or generator_table"
     )

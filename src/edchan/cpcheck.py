@@ -464,6 +464,18 @@ def _rank_one_images(mat: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
     return (out + out.conj().transpose(0, 2, 1)) / 2
 
 
+def _screened(m: LinearMap, samples: int, seed: int):
+    """The seeded stream of ``samples`` Haar states, _BATCH at a time.
+
+    Yields (states screened so far, the batch, the smallest eigenvalue of
+    each state's image).
+    """
+    rng = np.random.default_rng(seed)
+    for seen in range(0, samples, _BATCH):
+        xi = haar_states(rng, min(_BATCH, samples - seen), m.d_in)
+        yield seen + len(xi), xi, np.linalg.eigvalsh(_rank_one_images(m.mat, xi, m.d_out))[:, 0]
+
+
 def is_positive_sampled(m: LinearMap, samples: int = 1000,
                         tol: float = DEFAULT_TOL, seed: int = 0) -> PositivityVerdict:
     """Probe positivity on Haar-random pure states.
@@ -474,22 +486,14 @@ def is_positive_sampled(m: LinearMap, samples: int = 1000,
     """
     if not is_hermiticity_preserving(m, max(tol, 1e-8)):
         raise ValueError("positivity sampling requires a hermiticity-preserving map")
-    rng = np.random.default_rng(seed)
-    d_in, d_out = m.d_in, m.d_out
-    seen = 0
-    worst = np.inf
-    while seen < samples:
-        n = min(_BATCH, samples - seen)
-        xi = haar_states(rng, n, d_in)
-        mins = np.linalg.eigvalsh(_rank_one_images(m.mat, xi, d_out))[:, 0]
+    seen, worst = 0, np.inf
+    for seen, xi, mins in _screened(m, samples, seed):
         worst = min(worst, float(mins.min()))
         bad = np.nonzero(mins < -tol)[0]
         if bad.size:
             k = int(bad[0])
-            return PositivityVerdict(
-                witness=xi[k], min_eigenvalue=float(mins[k]), samples_used=seen + k + 1
-            )
-        seen += n
+            return PositivityVerdict(witness=xi[k], min_eigenvalue=float(mins[k]),
+                                     samples_used=seen - len(xi) + k + 1)
     return PositivityVerdict(witness=None, min_eigenvalue=worst, samples_used=seen)
 
 
@@ -512,18 +516,13 @@ def _seesaw(m: LinearMap, samples: int, tol: float, seed: int) -> PositivityVerd
     """
     if not is_hermiticity_preserving(m, max(tol, 1e-8)):
         raise ValueError("positivity search requires a hermiticity-preserving map")
-    rng = np.random.default_rng(seed)
     d_in, d_out = m.d_in, m.d_out
     xs, lows = np.empty((0, d_in), dtype=complex), np.empty(0)
     seen = 0
-    while seen < samples:
-        n = min(_BATCH, samples - seen)
-        batch = haar_states(rng, n, d_in)
-        mins = np.linalg.eigvalsh(_rank_one_images(m.mat, batch, d_out))[:, 0]
+    for seen, batch, mins in _screened(m, samples, seed):
         xs, lows = np.concatenate([xs, batch]), np.concatenate([lows, mins])
         keep = np.argsort(lows, kind="stable")[:_STARTS]
         xs, lows = xs[keep], lows[keep]
-        seen += n
         if lows[0] < -tol:
             break
     if not seen:

@@ -23,7 +23,8 @@ from operator import index
 import numpy as np
 
 from .channel import BlockOperator, EDMap, LinearMap
-from .dynamics import ChannelTrajectory, GKLSGenerator, SemigroupSpec, _check_grid
+from .dynamics import (ChannelTrajectory, GeneratorTable, GKLSGenerator, SemigroupSpec,
+                       _check_grid)
 
 
 def matrix_to_json(M) -> list:
@@ -202,11 +203,11 @@ def semigroup_spec_from_dict(data) -> SemigroupSpec:
     )
 
 
-def generator_table_from_dict(data):
-    """Piecewise-linear generator suppliers from a sampled table.
+def generator_table_from_dict(data) -> GeneratorTable:
+    """A sampled generator table as a :class:`GeneratorTable`.
 
-    Returns (L_fn, K_fn, psi_fn, d_e, d_g, t_max). The table must sample all
-    three generators on a common strictly increasing time grid starting at 0.
+    The table must sample all three generators on a common strictly
+    increasing time grid starting at 0.
     """
     if not isinstance(data, dict):
         raise ValueError("generator table: expected a JSON object")
@@ -217,25 +218,12 @@ def generator_table_from_dict(data):
     if times.size < 2:
         raise ValueError("generator table: times needs at least two samples")
     _check_grid(times, "generator table: times")
-    n = times.size
-    L, K, psi = (_field(data, key, list, what) for key in ("L", "K", "psi"))
-    if not (len(L) == len(K) == len(psi) == n):
+    shapes = {"L": (d_e * d_e, d_e * d_e), "K": (d_e, d_e), "psi": (d_g * d_g, d_e * d_e)}
+    samples = {key: _field(data, key, list, what) for key in shapes}
+    if any(len(v) != times.size for v in samples.values()):
         raise ValueError("generator table: need one L, K, psi sample per time")
-    Ls = np.stack([matrix_from_json(M, (d_e * d_e, d_e * d_e), "L") for M in L])
-    Ks = np.stack([matrix_from_json(M, (d_e, d_e), "K") for M in K])
-    psis = np.stack([matrix_from_json(M, (d_g * d_g, d_e * d_e), "psi") for M in psi])
-
-    def interpolate(stack):
-        def fn(t):
-            t = float(np.clip(t, times[0], times[-1]))
-            i = int(np.searchsorted(times, t, side="right") - 1)
-            i = min(i, n - 2)
-            lam = (t - times[i]) / (times[i + 1] - times[i])
-            return (1 - lam) * stack[i] + lam * stack[i + 1]
-        return fn
-
-    return (interpolate(Ls), interpolate(Ks), interpolate(psis),
-            d_e, d_g, float(times[-1]))
+    return GeneratorTable(times, *(np.stack([matrix_from_json(M, shapes[key], key) for M in v])
+                                   for key, v in samples.items()))
 
 
 def trajectory_to_dict(traj: ChannelTrajectory, spec: dict | None = None) -> dict:

@@ -143,16 +143,27 @@ def test_generator_table_interpolation():
         "K": [matrix_to_json(np.array([[-0.5]])), matrix_to_json(np.array([[-0.5]]))],
         "psi": [matrix_to_json(np.array([[1.0]])), matrix_to_json(np.array([[1.0]]))],
     }
-    L_fn, K_fn, psi_fn, de, dg, t_max = generator_table_from_dict(table)
-    assert (de, dg, t_max) == (1, 1, 1.0)
-    assert abs(L_fn(0.5)[0, 0] + 2.0) < 1e-14
-    assert abs(L_fn(2.0)[0, 0] + 3.0) < 1e-14  # clamped beyond the table
+    value = generator_table_from_dict(table)
+    assert (value.d_e, value.d_g, value.times[-1]) == (1, 1, 1.0)
+    L = value.at(np.array([0.5, 2.0]))[0]
+    assert abs(L[0, 0, 0] + 2.0) < 1e-14
+    assert abs(L[1, 0, 0] + 3.0) < 1e-14  # clamped beyond the table
 
 
 def test_generator_table_validation():
     with pytest.raises(ValueError):
         generator_table_from_dict({"d_e": 1, "d_g": 1, "times": [0.0],
                                    "L": [], "K": [], "psi": []})
+
+
+@pytest.mark.parametrize("short", ["L", "K", "psi"])
+def test_generator_table_needs_one_sample_of_each_generator_per_time(short):
+    sample = matrix_to_json(np.array([[-1.0]]))
+    table = {"d_e": 1, "d_g": 1, "times": [0.0, 1.0, 2.0],
+             "L": [sample] * 3, "K": [sample] * 3, "psi": [sample] * 3}
+    table[short] = table[short][:2]
+    with pytest.raises(ValueError, match="^generator table: need one L, K, psi sample per time$"):
+        generator_table_from_dict(table)
 
 
 def test_canonical_dumps_is_deterministic_and_sorted():
@@ -370,8 +381,6 @@ def _leaves(x):
         return [v for f in dataclasses.fields(x) for v in _leaves(getattr(x, f.name))]
     if isinstance(x, (tuple, list)):
         return [v for item in x for v in _leaves(item)]
-    if callable(x):  # a generator table's interpolant, on and between its times
-        return [v for t in (0.0, 0.4, 1.0, 1.5, 2.0) for v in _leaves(x(t))]
     if x is None:
         return [None]
     A = np.asarray(x)
