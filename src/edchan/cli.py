@@ -193,14 +193,13 @@ def _default_initial_state(d_e: int, d_g: int) -> BlockOperator:
 
 
 def cmd_evolve(args) -> int:
-    traj = _trajectory_from_input(args)
+    # the state is read first, so a malformed one fails before the input is decoded;
+    # trajectory_observables checks its sectors against the maps'
+    X0 = None
     if args.initial_state:
         X0 = jsonio.block_operator_from_dict(jsonio.load(args.initial_state))
-        if (X0.d_e, X0.d_g) != (traj.d_e, traj.d_g):
-            raise ValueError("initial state dimensions do not match the trajectory")
-    else:
-        X0 = _default_initial_state(traj.d_e, traj.d_g)
-    rows = trajectory_observables(traj, X0)
+    traj = _trajectory_from_input(args)
+    rows = trajectory_observables(traj, X0 or _default_initial_state(traj.d_e, traj.d_g))
     _emit(jsonio.observables_to_csv(rows), args.output)
     return 0
 

@@ -338,19 +338,15 @@ def ball_decompose(B, kraus: KrausSet, gamma: float,
     """
     Bm = as_complex_matrix(B, "B")
     target = vectorize(Bm)
-    if kraus.count == 0:
-        residual = float(np.linalg.norm(target))
-        return BallDecomposition(
-            beta=np.zeros(0, dtype=complex),
-            residual=residual,
-            norm_sq=0.0,
-            member=(residual <= tol) and (0.0 <= gamma + tol),
-        )
-    if kraus.operators[0].shape != Bm.shape:
+    if kraus.count and kraus.operators[0].shape != Bm.shape:
         raise ValueError(
             f"B shape {Bm.shape} does not match Kraus shape {kraus.operators[0].shape}"
         )
-    V = np.stack([vectorize(A) for A in kraus.operators], axis=1)
+    # one column per operator, C-ordered: the layout decides how V @ beta rounds,
+    # and verify reports the residual; an empty family gives an (n, 0) V, an
+    # empty beta and the residual |B|
+    V = np.ascontiguousarray(np.array([vectorize(A) for A in kraus.operators], dtype=complex)
+                             .reshape(kraus.count, target.size).T)
     beta, *_ = np.linalg.lstsq(V, target, rcond=None)
     residual = float(np.linalg.norm(V @ beta - target))
     norm_sq = float(np.sum(np.abs(beta) ** 2))

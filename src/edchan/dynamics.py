@@ -51,7 +51,6 @@ from .channel import (
     apply_stack,
     compose,
     compose_stack,
-    invert,
     invert_stack,
 )
 from .cpcheck import (
@@ -451,17 +450,18 @@ class TimeLocalGenerators:
     psi: LinearMap
 
 
-def _at_grid_point(traj: ChannelTrajectory, j: int, exc: NonInvertibleError) -> NonInvertibleError:
-    """``exc`` for the map at grid index j, naming the grid point."""
-    return NonInvertibleError(exc.reason, f"{exc} at grid index {j} (t = {traj.grid[j]:.6g})")
+def _inverses(traj: ChannelTrajectory, a: int, maps: EDStack) -> EDStack:
+    """The inverses of ``maps``, the trajectory's maps from grid index a on.
 
-
-def _invert_at(traj: ChannelTrajectory, j: int) -> EDMap:
-    """The inverse of the map at grid index j; a failure names the grid point."""
+    A map without an inverse raises :func:`invert_stack`'s error, naming its
+    grid point.
+    """
     try:
-        return invert(traj.maps[j])
+        return invert_stack(maps)
     except NonInvertibleError as exc:
-        raise _at_grid_point(traj, j, exc) from exc
+        j = a + exc.index
+        raise NonInvertibleError(
+            exc.reason, f"{exc} at grid index {j} (t = {traj.grid[j]:.6g})") from exc
 
 
 def time_local_generators(traj: ChannelTrajectory, i: int) -> TimeLocalGenerators:
@@ -472,7 +472,7 @@ def time_local_generators(traj: ChannelTrajectory, i: int) -> TimeLocalGenerator
     """
     if not 0 < i < len(traj) - 1:
         raise ValueError(f"index {i} is not an interior grid point")
-    inv = _invert_at(traj, i)
+    inv = _inverses(traj, i, EDStack.of(traj.maps[i:i + 1])).edmap(0)
     lo, hi = traj.maps[i - 1], traj.maps[i + 1]
     dt = traj.grid[i + 1] - traj.grid[i - 1]
     dphi = (hi.phi.mat - lo.phi.mat) / dt
@@ -489,7 +489,7 @@ def propagator(traj: ChannelTrajectory, i: int, j: int) -> EDMap:
     """The two-time map Phi_{t_i} ∘ Phi_{t_j}^-1 for j <= i."""
     if not 0 <= j <= i < len(traj):
         raise ValueError(f"need 0 <= j <= i < {len(traj)}, got (i, j) = ({i}, {j})")
-    return compose(traj.maps[i], _invert_at(traj, j))
+    return compose(traj.maps[i], _inverses(traj, j, EDStack.of(traj.maps[j:j + 1])).edmap(0))
 
 
 def _step_values(traj: ChannelTrajectory, kernel) -> list:
@@ -501,43 +501,32 @@ def _step_values(traj: ChannelTrajectory, kernel) -> list:
     each equal to :func:`propagator`'s, and fails as it would at the first map
     without an inverse. A built one uses its steps, each member of its stack
     evaluated once; maps[:-1] must still pass invert's condition check, with
-    the same error. The bound
-    cond(maps[k+1]) <= cond(step_k) cond(maps[k]), for phi and B alike,
-    certifies maps[k] up to COND_LIMIT * 1e-4, a margin for roundoff; past
-    that maps[k]'s own condition numbers are computed, the maps composed
-    CHUNK at a time as far as needed and none kept.
+    the same error. The steps' condition numbers bound the maps':
+    cond(maps[k+1]) <= cond(step_k) cond(maps[k]), for phi and B alike, from
+    maps[0], the identity. The bound certifies a map up to COND_LIMIT * 1e-4,
+    a margin for roundoff. From the first map past that, every map before the
+    last is inverted as a stored map is, the maps composed CHUNK at a time
+    and none kept.
     """
     steps = len(traj) - 1
     if traj._index is None:
         values = []
         for a in range(0, steps, CHUNK):
             maps = traj._stack[a:min(a + CHUNK, steps) + 1]
-            try:
-                inverses = invert_stack(maps[:-1])
-            except NonInvertibleError as exc:
-                raise _at_grid_point(traj, a + exc.index, exc) from exc
-            values += kernel(compose_stack(maps[1:], inverses))
+            values += kernel(compose_stack(maps[1:], _inverses(traj, a, maps[:-1])))
         return values
-    members = traj._stack
-    conds = np.stack((_cond(members.phi), _cond(members.B)), axis=-1).tolist()
-    # maps[k] one at a time, composed only as far as the bound needs them
-    maps = (chunk[i:i + 1] for chunk in traj._map_chunks() for i in range(len(chunk)))
-    bound, formed = (1.0, 1.0), 0  # maps[0] is the identity
-    for k, j in enumerate(traj._index.tolist()):
-        if max(bound) > COND_LIMIT * 1e-4:
-            m = next(itertools.islice(maps, k - formed, None))
-            formed = k + 1
-            bound = (float(_cond(m.phi)[0]), float(_cond(m.B)[0]))
-            if max(bound) > COND_LIMIT:
-                try:
-                    invert_stack(m)  # raises as propagator would
-                except NonInvertibleError as exc:
-                    raise _at_grid_point(traj, k, exc) from exc
-        bound = (conds[j][0] * bound[0], conds[j][1] * bound[1])
+    members, index = traj._stack, traj._index
+    conds = np.stack((_cond(members.phi), _cond(members.B)), axis=-1)[index[:-1]]
+    past = np.flatnonzero(np.cumprod(conds, axis=0).max(axis=1) > COND_LIMIT * 1e-4)
+    if past.size:
+        first = int(past[0]) + 1  # the bound on maps[k + 1] is the product up to step k
+        for a, maps in zip(range(0, steps, CHUNK), traj._map_chunks()):
+            if (lo := max(first, a)) < a + CHUNK:
+                _inverses(traj, lo, maps[lo - a:steps - a])
     values = []
     for a in range(0, len(members), CHUNK):
         values += kernel(members[a:a + CHUNK])
-    return [values[j] for j in traj._index.tolist()]
+    return [values[j] for j in index.tolist()]
 
 
 @dataclass(frozen=True, eq=False)

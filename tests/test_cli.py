@@ -415,6 +415,32 @@ def test_evolve_with_initial_state_file(scalar_decay_spec, tmp_path):
     assert abs(rows[-1][1] - np.exp(-g0)) < 1e-9
 
 
+def test_evolve_rejects_state_of_other_sectors(tmp_path, capsys):
+    # a 4-dimensional state split (3, 1) against the demo's (2, 2) sectors
+    from edchan import cli
+
+    spec, state = tmp_path / "sg.json", tmp_path / "state.json"
+    assert cli.main(["demo", "--name", "semigroup", "--output", str(spec)]) == 0
+    state.write_text(json.dumps({"d_e": 3, "d_g": 1, "matrix": matrix_to_json(np.eye(4) / 4)}))
+    capsys.readouterr()
+    assert cli.main(["evolve", "--input", str(spec), "--initial-state", str(state)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: operator sectors (3, 1) do not match map sectors (2, 2)\n"
+
+
+def test_evolve_reads_initial_state_before_input(tmp_path, capsys):
+    from edchan import cli
+
+    state = tmp_path / "state.json"
+    state.write_text('{"d_e": 1,')
+    argv = ["evolve", "--input", str(tmp_path / "missing.json"), "--initial-state", str(state)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {state}: invalid JSON (")
+
+
 def test_evolve_rejects_bad_spec(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text(json.dumps({"type": "unknown"}))

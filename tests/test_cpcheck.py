@@ -316,12 +316,28 @@ def test_ball_decompose_recovers_coefficients_and_flips():
             assert bd.member == expect
 
 
+def test_ball_decompose_residual_rounds_as_stacked_columns():
+    # verify reports the residual, so its bits hold: V @ beta is taken with V's
+    # columns laid out as np.stack(axis=1) lays them out
+    rng = np.random.default_rng(46)
+    for d, n in ((2, 3), (3, 5), (4, 9), (8, 12)):
+        ops = [rc(rng, d, d) for _ in range(n)]
+        B = rc(rng, d, d)
+        bd = ball_decompose(B, KrausSet(ops), gamma=1.0)
+        V = np.stack([A.T.reshape(-1) for A in ops], axis=1)
+        assert bd.residual == float(np.linalg.norm(V @ bd.beta - B.T.reshape(-1)))
+
+
 def test_ball_decompose_empty_family():
     ks = KrausSet(())
     bd = ball_decompose(np.zeros((2, 2)), ks, gamma=1.0)
     assert bd.member and bd.norm_sq == 0.0
-    bd = ball_decompose(np.eye(2), ks, gamma=1.0)
+    B = np.eye(2)
+    bd = ball_decompose(B, ks, gamma=1.0)
     assert not bd.member
+    assert bd.residual == np.linalg.norm(B) and bd.beta.shape == (0,)
+    bd = ball_decompose(np.zeros((2, 2)), ks, gamma=0.0)
+    assert bd.member and (bd.residual, bd.norm_sq) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +472,26 @@ def test_sampler_finds_witness_on_screened_noncp_instances():
         assert not is_cp_ed(m).cp  # screened by the exact criterion
         verdict = is_positive_sampled(damped_excited_map(m), samples=20000, seed=k)
         assert verdict.not_positive
+
+
+def test_sampler_stream_batch_layout_is_pinned():
+    # X -> tr(W X) with W = diag(1, -eps) is negative exactly on the states with
+    # |x_0|^2 < eps / (1 + eps); seed 0's first such state is state 26711, in
+    # the second batch, so the batch size and the order of the draws decide it
+    eps, samples, batch = 3e-5, 100000, 20000
+    rng = np.random.default_rng(0)
+    states = []
+    for seen in range(0, samples, batch):  # each batch's real parts, then its imaginary parts
+        z = rng.standard_normal((batch, 2)) + 1j * rng.standard_normal((batch, 2))
+        states.append(z / np.linalg.norm(z, axis=1, keepdims=True))
+    states = np.concatenate(states)
+    values = np.abs(states[:, 0]) ** 2 - eps * np.abs(states[:, 1]) ** 2
+    first = int(np.flatnonzero(values < -1e-9)[0])
+    assert first >= batch
+    verdict = is_positive_sampled(LinearMap(np.array([[1.0, 0.0, 0.0, -eps]])),
+                                  samples=samples, seed=0)
+    assert verdict.samples_used == first + 1
+    assert np.array_equal(verdict.witness, states[first])
 
 
 def test_sampler_requires_hermiticity_preserving():

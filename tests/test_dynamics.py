@@ -29,7 +29,7 @@ from edchan import (
 )
 from edchan.channel import EDStack
 from edchan.demos import noncp_divisible_trajectory
-from edchan.dynamics import GeneratorTable, _midpoint_trajectory
+from edchan.dynamics import CHUNK, GeneratorTable, _midpoint_trajectory
 from edchan.matcore import hermitian_part, vectorize
 from conftest import (
     rc,
@@ -737,8 +737,9 @@ def test_is_cp_divisible_runs_block_test_once_per_distinct_step(monkeypatch):
         raise AssertionError("a built trajectory needs no inversion")
 
     monkeypatch.setattr(dynamics, "is_cp_ed_stack", counted)
+    # dynamics inverts only through invert_stack
+    monkeypatch.setattr(channel, "invert", no_inverse)
     for module in (channel, dynamics):
-        monkeypatch.setattr(module, "invert", no_inverse)
         monkeypatch.setattr(module, "invert_stack", no_inverse)
     spec = random_semigroup_spec(np.random.default_rng(38), 2, 2)
     # one step length on a linspace grid, one per step on a non-uniform one
@@ -791,18 +792,20 @@ def test_singular_edge_error_matches_inversion(steps, index):
 def test_condition_bound_falls_back_to_exact_check(monkeypatch):
     # cond(phi) reaches exp(20) ~ 5e8 at t = 1: past the certified bound
     # (COND_LIMIT * 1e-4), still invertible
-    from edchan import dynamics
+    from edchan import channel, dynamics
 
     grid = np.linspace(0.0, 1.0, 101)
     traj = semigroup_trajectory(decay_spec(20.0), grid)
     checked, cond = [], dynamics._cond
-    monkeypatch.setattr(dynamics, "_cond", lambda M: checked.append(M) or cond(M))
+    # the step's phi and B in dynamics, then the exact checks inside invert_stack
+    for module in (channel, dynamics):
+        monkeypatch.setattr(module, "_cond", lambda M: checked.append(M) or cond(M))
     report = is_cp_divisible(traj)
     assert report.cp_divisible
-    # the maps checked exactly, found by value after the step's phi and B: the
-    # bound forms them without keeping them
+    # the maps checked exactly, found by value in the checked stacks after the
+    # step's phi and B: the check forms them without keeping them
     exact = [k for k, m in enumerate(traj.maps)
-             if any(M.shape == (1, *m.phi.mat.shape) and np.array_equal(M[0], m.phi.mat)
+             if any(M.shape[1:] == m.phi.mat.shape and any(np.array_equal(P, m.phi.mat) for P in M)
                     for M in checked[2:])]
     assert exact and max(exact) == len(traj) - 2
     assert exact == list(range(exact[0], len(traj) - 1))
@@ -830,6 +833,85 @@ def test_condition_bound_keeps_no_maps():
     finally:
         tracemalloc.stop()
     assert held < 5e6
+
+
+def built_against_stored(monkeypatch, traj):
+    """The outcomes of is_cp_divisible and trajectory_observables on a built
+    trajectory, each a verdict or row count or a (reason, text) error, once the
+    stored copy is asserted to give the same; and the grid indices whose maps
+    each check inverts."""
+    from edchan import dynamics
+
+    inverted, inverses = [], dynamics._inverses
+
+    def record(tr, a, maps):
+        if tr is traj:
+            inverted.extend(range(a, a + len(maps)))
+        return inverses(tr, a, maps)
+
+    monkeypatch.setattr(dynamics, "_inverses", record)
+    X0 = BlockOperator.identity(traj.d_e, traj.d_g)
+    outcomes = []
+    for check in (lambda tr: is_cp_divisible(tr).cp_divisible,
+                  lambda tr: len(trajectory_observables(tr, X0))):
+        for tr in (traj, ChannelTrajectory(traj.grid, traj.maps)):
+            try:
+                outcomes.append(check(tr))
+            except NonInvertibleError as exc:
+                outcomes.append((exc.reason, str(exc)))
+    assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
+    half = len(inverted) // 2
+    assert inverted[:half] == inverted[half:]  # both checks invert the same maps
+    return outcomes[0], outcomes[2], inverted[:half]
+
+
+@pytest.mark.parametrize("rate_dt, points, first", [
+    (0.585, 2 * CHUNK + 9, 2 * CHUNK),  # a chunk's first map
+    (0.604, 2 * CHUNK + 9, 2 * CHUNK - 1),  # a chunk's last map
+    (0.585, 2 * CHUNK + 2, 2 * CHUNK),  # map steps - 1, the last one before the last point
+])
+def test_bound_crossing_at_chunk_edges_matches_stored_trajectory(monkeypatch, rate_dt,
+                                                                 points, first):
+    # cond(phi) of maps[k] is exp(rate_dt * k): past 1e8 from k = first on and
+    # below 1e12 up to maps[-2]
+    traj = semigroup_trajectory(decay_spec(rate_dt * (points - 1)), np.linspace(0.0, 1.0, points))
+    verdict, rows, inverted = built_against_stored(monkeypatch, traj)
+    assert (verdict, rows) == (True, points)
+    assert inverted == list(range(first, points - 1))
+
+
+def test_bound_crossing_then_singular_map_fails_as_stored_trajectory(monkeypatch):
+    # cond(phi) of maps[k] is exp(0.585 k): past 1e8 from maps[32], past 1e12 at
+    # maps[48], the first map of the chunk that is then inverted whole
+    traj = semigroup_trajectory(decay_spec(0.585 * 60), np.linspace(0.0, 1.0, 61))
+    verdict, rows, inverted = built_against_stored(monkeypatch, traj)
+    assert verdict == rows
+    assert verdict[0] == "phi_singular" and "at grid index 48 (t = 0.8)" in verdict[1]
+    assert inverted == list(range(2 * CHUNK, 60))
+
+
+@pytest.mark.parametrize("rate, t_max", [(20.0, 1.0), (30.0, 1.5)])
+def test_bound_crossing_on_nonuniform_grid_matches_stored_trajectory(monkeypatch, rate, t_max):
+    # every step its own member; cond(phi) of the map at t is exp(rate t)
+    grid = t_max * np.linspace(0.0, 1.0, 60) ** 1.5
+    traj = semigroup_trajectory(decay_spec(rate), grid)
+    verdict, rows, inverted = built_against_stored(monkeypatch, traj)
+    first = int(np.argmax(rate * grid > np.log(1e8)))
+    assert inverted == list(range(first, first + len(inverted)))
+    singular = np.flatnonzero(rate * grid > np.log(1e12))
+    if singular.size:
+        assert verdict == rows and verdict[0] == "phi_singular"
+        assert f"at grid index {singular[0]} (t = " in verdict[1]
+    else:
+        assert (verdict, rows, inverted[-1]) == (True, 60, 58)
+
+
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0]])
+def test_one_and_two_point_grids_invert_nothing(monkeypatch, grid):
+    # no map but the identity lies before the last; at decay rate 40 the last
+    # map's phi has condition number exp(40) and needs no inverse
+    traj = semigroup_trajectory(decay_spec(40.0), grid)
+    assert built_against_stored(monkeypatch, traj) == (True, len(grid), [])
 
 
 # ---------------------------------------------------------------------------
