@@ -464,6 +464,11 @@ def _inverses(traj: ChannelTrajectory, a: int, maps: EDStack) -> EDStack:
             exc.reason, f"{exc} at grid index {j} (t = {traj.grid[j]:.6g})") from exc
 
 
+def _inverse(traj: ChannelTrajectory, j: int) -> EDMap:
+    """The inverse of the map at grid index j, failing as :func:`_inverses` does."""
+    return _inverses(traj, j, EDStack.of(traj.maps[j:j + 1])).edmap(0)
+
+
 def time_local_generators(traj: ChannelTrajectory, i: int) -> TimeLocalGenerators:
     """Recover the time-local generators at interior grid point i.
 
@@ -472,7 +477,7 @@ def time_local_generators(traj: ChannelTrajectory, i: int) -> TimeLocalGenerator
     """
     if not 0 < i < len(traj) - 1:
         raise ValueError(f"index {i} is not an interior grid point")
-    inv = _inverses(traj, i, EDStack.of(traj.maps[i:i + 1])).edmap(0)
+    inv = _inverse(traj, i)
     lo, hi = traj.maps[i - 1], traj.maps[i + 1]
     dt = traj.grid[i + 1] - traj.grid[i - 1]
     dphi = (hi.phi.mat - lo.phi.mat) / dt
@@ -489,7 +494,7 @@ def propagator(traj: ChannelTrajectory, i: int, j: int) -> EDMap:
     """The two-time map Phi_{t_i} ∘ Phi_{t_j}^-1 for j <= i."""
     if not 0 <= j <= i < len(traj):
         raise ValueError(f"need 0 <= j <= i < {len(traj)}, got (i, j) = ({i}, {j})")
-    return compose(traj.maps[i], _inverses(traj, j, EDStack.of(traj.maps[j:j + 1])).edmap(0))
+    return compose(traj.maps[i], _inverse(traj, j))
 
 
 def _step_values(traj: ChannelTrajectory, kernel) -> list:
@@ -502,11 +507,13 @@ def _step_values(traj: ChannelTrajectory, kernel) -> list:
     without an inverse. A built one uses its steps, each member of its stack
     evaluated once; maps[:-1] must still pass invert's condition check, with
     the same error. The steps' condition numbers bound the maps':
-    cond(maps[k+1]) <= cond(step_k) cond(maps[k]), for phi and B alike, from
-    maps[0], the identity. The bound certifies a map up to COND_LIMIT * 1e-4,
-    a margin for roundoff. From the first map past that, every map before the
-    last is inverted as a stored map is, the maps composed CHUNK at a time
-    and none kept.
+    cond(maps[k+1]) <= cond(step_k) cond(maps[k]), for phi and B alike, so
+    the larger of a map's two is at most the product of the steps' larger
+    ones, from maps[0], the identity. The bound certifies a map up to
+    COND_LIMIT * 1e-4, a margin for roundoff. A map past that gets its own
+    condition numbers, failing through :func:`invert_stack` above COND_LIMIT,
+    and the bound restarts from the larger. The maps are composed CHUNK at a
+    time, only as far as a map is left uncertified, and none is kept.
     """
     steps = len(traj) - 1
     if traj._index is None:
@@ -516,13 +523,24 @@ def _step_values(traj: ChannelTrajectory, kernel) -> list:
             values += kernel(compose_stack(maps[1:], _inverses(traj, a, maps[:-1])))
         return values
     members, index = traj._stack, traj._index
-    conds = np.stack((_cond(members.phi), _cond(members.B)), axis=-1)[index[:-1]]
-    past = np.flatnonzero(np.cumprod(conds, axis=0).max(axis=1) > COND_LIMIT * 1e-4)
-    if past.size:
-        first = int(past[0]) + 1  # the bound on maps[k + 1] is the product up to step k
-        for a, maps in zip(range(0, steps, CHUNK), traj._map_chunks()):
-            if (lo := max(first, a)) < a + CHUNK:
-                _inverses(traj, lo, maps[lo - a:steps - a])
+    logs = np.log(np.maximum(_cond(members.phi), _cond(members.B)))
+    # growth[k] bounds the rise of log cond from maps[k - 1] to maps[k], and rest[a]
+    # from maps[a - 1] to maps[-2]; logs, so that no product overflows
+    growth = [0.0] + logs[index[:-1]].tolist()
+    rest = np.cumsum(growth[::-1])[::-1].tolist()
+    bound, chunks, limit = 0.0, traj._map_chunks(), math.log(COND_LIMIT * 1e-4)
+    for a in range(0, steps, CHUNK):
+        if bound + rest[a] <= limit:
+            break  # every map left is certified
+        maps = next(chunks)[:steps - a]
+        for k in range(len(maps)):
+            bound += growth[a + k]
+            if bound > limit:
+                m = maps[k:k + 1]
+                cond = max(_cond(m.phi)[0], _cond(m.B)[0])
+                if cond > COND_LIMIT:
+                    _inverses(traj, a + k, m)  # raises as a stored map's inverse does
+                bound = math.log(cond)
     values = []
     for a in range(0, len(members), CHUNK):
         values += kernel(members[a:a + CHUNK])

@@ -792,20 +792,18 @@ def test_singular_edge_error_matches_inversion(steps, index):
 def test_condition_bound_falls_back_to_exact_check(monkeypatch):
     # cond(phi) reaches exp(20) ~ 5e8 at t = 1: past the certified bound
     # (COND_LIMIT * 1e-4), still invertible
-    from edchan import channel, dynamics
+    from edchan import dynamics
 
     grid = np.linspace(0.0, 1.0, 101)
     traj = semigroup_trajectory(decay_spec(20.0), grid)
     checked, cond = [], dynamics._cond
-    # the step's phi and B in dynamics, then the exact checks inside invert_stack
-    for module in (channel, dynamics):
-        monkeypatch.setattr(module, "_cond", lambda M: checked.append(M) or cond(M))
+    monkeypatch.setattr(dynamics, "_cond", lambda M: checked.append(M) or cond(M))
     report = is_cp_divisible(traj)
     assert report.cp_divisible
-    # the maps checked exactly, found by value in the checked stacks after the
-    # step's phi and B: the check forms them without keeping them
+    # the maps checked exactly, found by value after the step's phi and B: the
+    # bound forms them without keeping them
     exact = [k for k, m in enumerate(traj.maps)
-             if any(M.shape[1:] == m.phi.mat.shape and any(np.array_equal(P, m.phi.mat) for P in M)
+             if any(M.shape == (1, *m.phi.mat.shape) and np.array_equal(M[0], m.phi.mat)
                     for M in checked[2:])]
     assert exact and max(exact) == len(traj) - 2
     assert exact == list(range(exact[0], len(traj) - 1))
@@ -839,30 +837,31 @@ def built_against_stored(monkeypatch, traj):
     """The outcomes of is_cp_divisible and trajectory_observables on a built
     trajectory, each a verdict or row count or a (reason, text) error, once the
     stored copy is asserted to give the same; and the grid indices whose maps
-    each check inverts."""
+    each check gives their own condition numbers."""
     from edchan import dynamics
 
-    inverted, inverses = [], dynamics._inverses
-
-    def record(tr, a, maps):
-        if tr is traj:
-            inverted.extend(range(a, a + len(maps)))
-        return inverses(tr, a, maps)
-
-    monkeypatch.setattr(dynamics, "_inverses", record)
+    checked, cond = [], dynamics._cond
+    monkeypatch.setattr(dynamics, "_cond", lambda M: checked.append(M) or cond(M))
+    stored = ChannelTrajectory(traj.grid, traj.maps)
+    phis = [m.phi.mat for m in traj.maps]
     X0 = BlockOperator.identity(traj.d_e, traj.d_g)
-    outcomes = []
+    outcomes, exact = [], []
     for check in (lambda tr: is_cp_divisible(tr).cp_divisible,
                   lambda tr: len(trajectory_observables(tr, X0))):
-        for tr in (traj, ChannelTrajectory(traj.grid, traj.maps)):
+        for tr in (traj, stored):
+            start = len(checked)
             try:
                 outcomes.append(check(tr))
             except NonInvertibleError as exc:
                 outcomes.append((exc.reason, str(exc)))
+            # after the members' phi and B, each exact check's phi then B
+            stacks = checked[start + 2::2]
+            exact.append([k for k, P in enumerate(phis)
+                          if any(np.array_equal(P, Q) for M in stacks for Q in M)])
     assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
-    half = len(inverted) // 2
-    assert inverted[:half] == inverted[half:]  # both checks invert the same maps
-    return outcomes[0], outcomes[2], inverted[:half]
+    assert exact[1] == exact[3] == []  # a stored trajectory checks by inversion alone
+    assert exact[0] == exact[2]  # both checks check the same maps
+    return outcomes[0], outcomes[2], exact[0]
 
 
 @pytest.mark.parametrize("rate_dt, points, first", [
@@ -875,19 +874,19 @@ def test_bound_crossing_at_chunk_edges_matches_stored_trajectory(monkeypatch, ra
     # cond(phi) of maps[k] is exp(rate_dt * k): past 1e8 from k = first on and
     # below 1e12 up to maps[-2]
     traj = semigroup_trajectory(decay_spec(rate_dt * (points - 1)), np.linspace(0.0, 1.0, points))
-    verdict, rows, inverted = built_against_stored(monkeypatch, traj)
+    verdict, rows, exact = built_against_stored(monkeypatch, traj)
     assert (verdict, rows) == (True, points)
-    assert inverted == list(range(first, points - 1))
+    assert exact == list(range(first, points - 1))
 
 
 def test_bound_crossing_then_singular_map_fails_as_stored_trajectory(monkeypatch):
     # cond(phi) of maps[k] is exp(0.585 k): past 1e8 from maps[32], past 1e12 at
-    # maps[48], the first map of the chunk that is then inverted whole
+    # maps[48], where the exact checks stop
     traj = semigroup_trajectory(decay_spec(0.585 * 60), np.linspace(0.0, 1.0, 61))
-    verdict, rows, inverted = built_against_stored(monkeypatch, traj)
+    verdict, rows, exact = built_against_stored(monkeypatch, traj)
     assert verdict == rows
     assert verdict[0] == "phi_singular" and "at grid index 48 (t = 0.8)" in verdict[1]
-    assert inverted == list(range(2 * CHUNK, 60))
+    assert exact == list(range(2 * CHUNK, 49))
 
 
 @pytest.mark.parametrize("rate, t_max", [(20.0, 1.0), (30.0, 1.5)])
@@ -895,21 +894,43 @@ def test_bound_crossing_on_nonuniform_grid_matches_stored_trajectory(monkeypatch
     # every step its own member; cond(phi) of the map at t is exp(rate t)
     grid = t_max * np.linspace(0.0, 1.0, 60) ** 1.5
     traj = semigroup_trajectory(decay_spec(rate), grid)
-    verdict, rows, inverted = built_against_stored(monkeypatch, traj)
+    verdict, rows, exact = built_against_stored(monkeypatch, traj)
     first = int(np.argmax(rate * grid > np.log(1e8)))
-    assert inverted == list(range(first, first + len(inverted)))
+    assert exact == list(range(first, first + len(exact)))
     singular = np.flatnonzero(rate * grid > np.log(1e12))
     if singular.size:
         assert verdict == rows and verdict[0] == "phi_singular"
         assert f"at grid index {singular[0]} (t = " in verdict[1]
     else:
-        assert (verdict, rows, inverted[-1]) == (True, 60, 58)
+        assert (verdict, rows, exact[-1]) == (True, 60, 58)
+
+
+def test_loose_condition_bound_restarts_from_exact_values(monkeypatch):
+    # a driven decaying level, H = 40 sigma_x and G = diag(0, 40): the steps'
+    # bound passes 1e8 near t = 0.47 while every map has condition number below
+    # 3, so the bound, restarted from the map checked there, certifies the rest
+    from edchan import dynamics
+
+    H = 40.0 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    psi = np.zeros((1, 4))
+    psi[0, -1] = 40.0  # X -> 40 X[1, 1]
+    spec = SemigroupSpec(GKLSGenerator(H, np.diag([0.0, 40.0])), 0.0, 0.0, np.zeros(0),
+                         LinearMap(psi))
+    traj = semigroup_trajectory(spec, np.linspace(0.0, 0.8, 101))
+    verdict, rows, exact = built_against_stored(monkeypatch, traj)
+    assert (verdict, rows) == (True, 101)
+    assert exact == [59]  # t = 0.472
+    # the walk stops once the bound certifies every map left
+    composed, compose = [], dynamics.compose_stack
+    monkeypatch.setattr(dynamics, "compose_stack", lambda s2, s1: composed.append(s2) or compose(s2, s1))
+    assert is_cp_divisible(traj).cp_divisible
+    assert len(composed) == 4 * CHUNK - 1  # maps[1] to maps[63], the chunk of maps[59]
 
 
 @pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0]])
-def test_one_and_two_point_grids_invert_nothing(monkeypatch, grid):
+def test_one_and_two_point_grids_check_nothing(monkeypatch, grid):
     # no map but the identity lies before the last; at decay rate 40 the last
-    # map's phi has condition number exp(40) and needs no inverse
+    # map's phi has condition number exp(40) and needs no check
     traj = semigroup_trajectory(decay_spec(40.0), grid)
     assert built_against_stored(monkeypatch, traj) == (True, len(grid), [])
 
