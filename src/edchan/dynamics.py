@@ -24,9 +24,11 @@ grid pairs suffices on a grid.
 at each step's midpoint. Its suppliers must be pure functions of time;
 construction is sequential but independent trajectories may be concurrent.
 
-The grid step is the batch axis: members, propagators, their checks and the
-maps' action on a state are formed CHUNK steps at a time by stacked numpy and
-LAPACK calls, each step getting exactly what a call on it alone would.
+The grid step is the batch axis: members, propagators and their checks are
+formed CHUNK steps at a time by stacked numpy and LAPACK calls, each step
+getting exactly what a call on it alone would. A state evolves through a
+built trajectory's steps, one matrix-vector product per block and step, and
+two-time maps are composed from the steps, so no map of the grid is formed.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .channel import (
     _check_sectors,
     _cond,
     apply_stack,
-    compose,
     compose_stack,
     invert_stack,
 )
@@ -72,6 +73,7 @@ from .matcore import (
     is_hermitian,
     is_psd,
     require_finite,
+    vectorize,
 )
 
 # Steps per stacked kernel call: at d_e = 8 a stack of CHUNK phi blocks
@@ -364,19 +366,26 @@ class ChannelTrajectory:
     def __len__(self) -> int:
         return self.grid.size
 
+    def _products(self, steps: list):
+        """Stacks of one: the identity, then each member named by ``steps`` composed onto the last.
+
+        The composition is :func:`compose`'s, so on a builder's own
+        ``_index`` these are its maps.
+        """
+        return itertools.accumulate(steps, lambda m, j: compose_stack(self._stack[j:j + 1], m),
+                                    initial=EDStack.of([EDMap.identity(self.d_e, self.d_g)]))
+
     def _map_chunks(self):
         """The maps stacked CHUNK at a time, in grid order; one chunk is held at a time.
 
         Maps the trajectory holds are slices of its stack; a builder's are
-        each step composed onto its predecessor as :func:`compose` does.
+        its steps composed in turn by :meth:`_products`.
         """
         if self._index is None:
             for a in range(0, len(self), CHUNK):
                 yield self._stack[a:a + CHUNK]
             return
-        maps = itertools.accumulate(self._index.tolist(),
-                                    lambda m, j: compose_stack(self._stack[j:j + 1], m),
-                                    initial=EDStack.of([EDMap.identity(self.d_e, self.d_g)]))
+        maps = self._products(self._index.tolist())
         while chunk := list(itertools.islice(maps, CHUNK)):
             yield EDStack.concat(chunk)
 
@@ -428,10 +437,11 @@ def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
 
     Memory: a grid whose steps all differ keeps one step map, about one
     phi, per point; reading ``maps`` adds one composed map per point, while
-    :func:`trajectory_observables` composes them CHUNK at a time and keeps
-    none. On ``linspace(0, 1, 2000)**1.5`` at d_e = 6, d_g = 2 the
-    tracemalloc peak is 51.9 MB, of which the returned trajectory holds
-    47.3 MB; once ``maps`` has been read it holds 95.9 MB.
+    :func:`trajectory_observables`, :func:`propagator` and
+    :func:`time_local_generators` use the steps and form no map. On
+    ``linspace(0, 1, 2000)**1.5`` at d_e = 6, d_g = 2 the tracemalloc peak
+    is 51.9 MB, of which the returned trajectory holds 47.3 MB; once
+    ``maps`` has been read it holds 95.9 MB.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
@@ -464,37 +474,53 @@ def _inverses(traj: ChannelTrajectory, a: int, maps: EDStack) -> EDStack:
             exc.reason, f"{exc} at grid index {j} (t = {traj.grid[j]:.6g})") from exc
 
 
-def _inverse(traj: ChannelTrajectory, j: int) -> EDMap:
-    """The inverse of the map at grid index j, failing as :func:`_inverses` does."""
-    return _inverses(traj, j, EDStack.of(traj.maps[j:j + 1])).edmap(0)
+def _inverse(traj: ChannelTrajectory, j: int) -> EDStack:
+    """The inverse of a stored trajectory's map at grid index j, as a stack of one.
+
+    It fails as :func:`_inverses` does.
+    """
+    return _inverses(traj, j, traj._stack[j:j + 1])
 
 
 def time_local_generators(traj: ChannelTrajectory, i: int) -> TimeLocalGenerators:
     """Recover the time-local generators at interior grid point i.
 
-    Time derivatives are central finite differences over the adjacent grid
-    points, so the result is second-order accurate in the grid spacing.
+    They are (Phi_{t_{i+1}} - Phi_{t_{i-1}}) ∘ Phi_{t_i}^-1 / (t_{i+1} - t_{i-1})
+    block by block: central finite differences over the adjacent grid points,
+    second-order accurate in the grid spacing. A stored trajectory inverts
+    maps[i]. A built one, whose gamma is 1 at every point, has maps[i+1] =
+    step_i ∘ maps[i] and maps[i-1] = step_{i-1}^-1 ∘ maps[i], so the same
+    quantity is (step_i - step_{i-1}^-1) / (t_{i+1} - t_{i-1}): only the short
+    step before i is inverted, through :func:`invert_stack`, and no map is
+    formed.
     """
     if not 0 < i < len(traj) - 1:
         raise ValueError(f"index {i} is not an interior grid point")
-    inv = _inverse(traj, i)
-    lo, hi = traj.maps[i - 1], traj.maps[i + 1]
+    if traj._index is None:
+        hi, lo, inv = traj._stack[i + 1], traj._stack[i - 1], _inverse(traj, i)[0]
+    else:
+        back, step = traj._index[i - 1:i + 1].tolist()
+        hi, lo, inv = traj._stack[step], invert_stack(traj._stack[back:back + 1])[0], None
     dt = traj.grid[i + 1] - traj.grid[i - 1]
-    dphi = (hi.phi.mat - lo.phi.mat) / dt
-    domega = (hi.omega.mat - lo.omega.mat) / dt
-    dB = (hi.B - lo.B) / dt
-    return TimeLocalGenerators(
-        L=LinearMap(dphi @ inv.phi.mat),
-        K=dB @ inv.B,
-        psi=LinearMap(domega @ inv.phi.mat),
-    )
+    L, K, psi = (hi.phi - lo.phi) / dt, (hi.B - lo.B) / dt, (hi.omega - lo.omega) / dt
+    if inv is not None:
+        L, K, psi = L @ inv.phi, K @ inv.B, psi @ inv.phi
+    return TimeLocalGenerators(L=LinearMap(L), K=K, psi=LinearMap(psi))
 
 
 def propagator(traj: ChannelTrajectory, i: int, j: int) -> EDMap:
-    """The two-time map Phi_{t_i} ∘ Phi_{t_j}^-1 for j <= i."""
+    """The two-time map Phi_{t_i} ∘ Phi_{t_j}^-1 for j <= i.
+
+    A stored trajectory composes maps[i] with the inverse of maps[j], failing
+    as :func:`_inverses` does. A built one composes step_{i-1} ∘ ... ∘ step_j
+    and inverts nothing, so a map of it past COND_LIMIT is no refusal here.
+    """
     if not 0 <= j <= i < len(traj):
         raise ValueError(f"need 0 <= j <= i < {len(traj)}, got (i, j) = ({i}, {j})")
-    return compose(traj.maps[i], _inverse(traj, j))
+    if traj._index is None:
+        return compose_stack(traj._stack[i:i + 1], _inverse(traj, j)).edmap(0)
+    *_, m = traj._products(traj._index[j:i].tolist())
+    return m.edmap(0)
 
 
 def _step_values(traj: ChannelTrajectory, kernel) -> list:
@@ -689,8 +715,9 @@ def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
     are called for a chunk's midpoints, in grid order, and its members come
     from stacked kernel calls and are checked for non-finite entries before
     the next chunk's are asked for. The trajectory's stack holds the steps
-    as its propagators, about one phi per point in memory, and the maps are
-    composed when they are first read.
+    as its propagators, about one phi per point in memory. The maps are
+    composed only when ``maps`` is read: a state evolves and two-time maps
+    are formed from the steps.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
@@ -711,29 +738,50 @@ def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
     return _midpoint_trajectory(grid, generators, d_e, d_g)
 
 
+def _propagate(traj: ChannelTrajectory, X0: BlockOperator) -> tuple:
+    """tr X_ee, tr X_gg and |X_eg| at each grid point of a built trajectory, as stacks.
+
+    The state is carried through the steps: vec X_ee <- phi vec X_ee,
+    X_eg <- B X_eg and tr X_gg <- gamma tr X_gg + tr omega(X_ee), with
+    tr omega(x) = w . x for w the sum of omega's rows onto the diagonal.
+    """
+    s, index, d_e, d_g = traj._stack, traj._index, X0.d_e, X0.d_g
+    xs = np.empty((len(traj), d_e * d_e), dtype=complex)
+    eg = np.empty((len(traj), d_e, d_g), dtype=complex)
+    xs[0], eg[0] = vectorize(X0.ee), X0.eg
+    for k, j in enumerate(index.tolist()):
+        np.matmul(s.phi[j], xs[k], out=xs[k + 1])
+        np.matmul(s.B[j], eg[k], out=eg[k + 1])
+    w = s.omega[:, ::d_g + 1].sum(axis=1)
+    fed = np.einsum("ki,ki->k", w[index], xs[:-1])
+    trace_gg = itertools.accumulate(zip(s.gamma[index].tolist(), fed.tolist()),
+                                    lambda tr, step: step[0] * tr + step[1],
+                                    initial=complex(np.trace(X0.gg)))
+    return (np.trace(xs.reshape(-1, d_e, d_e), axis1=1, axis2=2), np.array(list(trace_gg)),
+            np.linalg.norm(eg, axis=(1, 2)))
+
+
 def trajectory_observables(traj: ChannelTrajectory, X0: BlockOperator) -> list:
     """Per-time observables of an evolving block operator.
 
     Rows carry the time, the sector populations, the Frobenius norm of the
     coherence block, the total trace and the smallest full-space Choi
     eigenvalue of the propagator from the previous grid point (the identity
-    propagator at t = 0), computed from the blocks. The maps act on X0
-    CHUNK at a time, as stacked matmuls.
+    propagator at t = 0), computed from the blocks. A built trajectory
+    carries the state through its steps (:func:`_propagate`), O(d_e^4) per
+    step, and forms no map; a stored one applies its maps to X0 as stacked
+    matmuls.
     """
     _check_sectors(X0, traj)
     lams = [min_full_choi_eigenvalue(EDMap.identity(traj.d_e, traj.d_g))]
     lams += _step_values(traj, min_full_choi_eigenvalue_stack)
-    rows = []
-    for a, maps in zip(range(0, len(traj), CHUNK), traj._map_chunks()):
-        ee, eg, _, gg = apply_stack(maps, X0)
+    if traj._index is None:
+        ee, eg, _, gg = apply_stack(traj._stack, X0)
         trace_ee, trace_gg = np.trace(ee, axis1=1, axis2=2), np.trace(gg, axis1=1, axis2=2)
-        for k in range(len(maps)):
-            rows.append({
-                "t": float(traj.grid[a + k]),
-                "trace_ee": float(trace_ee[k].real),
-                "trace_gg": float(trace_gg[k].real),
-                "coherence_norm": float(np.linalg.norm(eg[k])),
-                "total_trace": float((trace_ee[k] + trace_gg[k]).real),
-                "min_propagator_choi_eigenvalue": float(lams[a + k]),
-            })
-    return rows
+        norms = [np.linalg.norm(e) for e in eg]  # each alone: a stacked norm rounds otherwise
+    else:
+        trace_ee, trace_gg, norms = _propagate(traj, X0)
+    return [{"t": t, "trace_ee": e.real, "trace_gg": g.real, "coherence_norm": float(norm),
+             "total_trace": (e + g).real, "min_propagator_choi_eigenvalue": float(lam)}
+            for t, e, g, norm, lam in zip(traj.grid.tolist(), trace_ee.tolist(),
+                                          trace_gg.tolist(), norms, lams)]

@@ -274,16 +274,18 @@ def block_operator_to_dict(X: BlockOperator) -> dict:
     }
 
 
-def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+def _finite(x: float) -> float:
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return f"{x:.17g}"
+    return x
+
+
+def _format_float(x: float) -> str:
+    return f"{_finite(x):.17g}"
 
 
 def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x!r}")
-    return float.__repr__(x)
+    return float.__repr__(_finite(x))
 
 
 def _float_list_text(items, nl: str):

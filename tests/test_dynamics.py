@@ -936,6 +936,156 @@ def test_one_and_two_point_grids_check_nothing(monkeypatch, grid):
 
 
 # ---------------------------------------------------------------------------
+# built trajectories: the state and two-time maps from the steps
+# ---------------------------------------------------------------------------
+
+def driven_level(rate=40.0):
+    """d_e = 2, d_g = 1: H = rate sigma_x drives the level that G = diag(0, rate)
+    empties into the ground level, psi X -> rate X[1, 1]. Its maps stay well
+    conditioned while phi decays towards roundoff."""
+    psi = np.zeros((1, 4))
+    psi[0, -1] = rate
+    gen = GKLSGenerator(rate * np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, rate]))
+    return SemigroupSpec(gen, 0.0, 0.0, np.zeros(0), LinearMap(psi))
+
+
+def count_compositions(monkeypatch) -> list:
+    """Record the stacks every composition in dynamics and channel puts first."""
+    from edchan import channel, dynamics
+
+    composed, compose_stack = [], channel.compose_stack
+    for module in (channel, dynamics):
+        monkeypatch.setattr(module, "compose_stack",
+                            lambda s2, s1: composed.append(s2) or compose_stack(s2, s1))
+    return composed
+
+
+@pytest.mark.parametrize("points", [101, 2001])
+@pytest.mark.parametrize("d_e, d_g", [(2, 1), (4, 2), (8, 3)])
+@pytest.mark.parametrize("kind", ["spec", "table"])
+def test_propagated_rows_match_composed_maps(kind, d_e, d_g, points):
+    rng = np.random.default_rng([63, d_e, points])
+    spec = random_semigroup_spec(rng, d_e, d_g)
+    grid = np.linspace(0.0, 1.0, points)
+    if kind == "spec":
+        traj = semigroup_trajectory(spec, grid)
+    else:
+        SL, K = gkls_superop(spec.gen).mat, K_from_spec(spec)
+        traj = build_td_trajectory(lambda t: (1.0 + 0.3 * np.sin(3 * t)) * SL,
+                                   lambda t: (1.0 + 0.2 * np.cos(t)) * K,
+                                   lambda t: (1.0 + 0.5 * t) * spec.psi.mat, grid)
+    X0 = BlockOperator.from_full(random_density(rng, d_e + d_g), d_e, d_g)
+    rows = trajectory_observables(traj, X0)
+    oracle = trajectory_observables(ChannelTrajectory(traj.grid, traj.maps), X0)
+    assert [list(row) for row in rows] == [list(row) for row in oracle]
+    assert max(abs(row[c] - ref[c]) for row, ref in zip(rows, oracle) for c in row) <= 1e-13
+
+
+@pytest.mark.parametrize("d_e, points", [(2, 101), (2, 2001), (8, 2001)])
+def test_propagated_rows_match_composed_maps_across_the_condition_bound(d_e, points):
+    # cond(phi) reaches exp(20): past the certified bound from t ~ 0.92 on
+    traj = semigroup_trajectory(decay_spec(20.0, d_e), np.linspace(0.0, 1.0, points))
+    X0 = BlockOperator.from_full(random_density(np.random.default_rng(64), d_e + 1), d_e, 1)
+    rows = trajectory_observables(traj, X0)
+    oracle = trajectory_observables(ChannelTrajectory(traj.grid, traj.maps), X0)
+    assert max(abs(row[c] - ref[c]) for row, ref in zip(rows, oracle) for c in row) <= 1e-13
+
+
+def test_certified_built_observables_compose_nothing(monkeypatch):
+    composed = count_compositions(monkeypatch)
+    spec = random_semigroup_spec(np.random.default_rng(65), 4, 2)
+    for grid in (np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 60) ** 1.5):
+        traj = semigroup_trajectory(spec, grid)
+        rows = trajectory_observables(traj, BlockOperator.identity(4, 2))
+        assert len(rows) == len(grid) and composed == []
+        assert "maps" not in vars(traj)
+
+
+def test_built_propagator_is_the_exact_step_of_a_driven_level():
+    # the stored copy's inverses lose phi once it nears roundoff (s_min ~ 1e-18 at
+    # t = 2); the steps compose to the member at the grid's step length
+    from edchan.dynamics import _step_lengths
+
+    spec, grid = driven_level(), np.linspace(0.0, 2.0, 201)
+    traj = semigroup_trajectory(spec, grid)
+    (dt,), _ = _step_lengths(grid)
+    exact = semigroup_at(spec, dt)
+    assert max(edmap_maxdiff(propagator(traj, i + 1, i), exact) for i in range(200)) <= 1e-14
+    assert "maps" not in vars(traj)
+
+
+def test_built_propagator_composes_its_steps(monkeypatch):
+    spec = random_semigroup_spec(np.random.default_rng(66), 2, 2, tp=False)
+    traj = semigroup_trajectory(spec, np.linspace(0.0, 1.0, 40) ** 1.5)
+    composed = count_compositions(monkeypatch)
+    steps = built_steps(traj)
+    for i, j in ((5, 5), (6, 5), (30, 2), (39, 0)):
+        want = EDMap.identity(2, 2)
+        for step in steps[j:i]:
+            want = compose(step, want)
+        composed.clear()
+        assert edmap_maxdiff(propagator(traj, i, j), want) == 0.0
+        assert len(composed) == i - j
+    assert "maps" not in vars(traj)
+    # from grid point 0 the composition is the map itself
+    assert edmap_maxdiff(propagator(traj, 39, 0), traj.maps[39]) == 0.0
+
+
+def test_built_propagator_past_cond_limit_is_not_refused():
+    # maps[62] on has cond(phi) above COND_LIMIT; a stored copy refuses to invert
+    # it, the steps need no inverse
+    spec = decay_spec(30.0)
+    grid = np.linspace(0.0, 1.5, 101)
+    traj = semigroup_trajectory(spec, grid)
+    with pytest.raises(NonInvertibleError, match="at grid index 65 "):
+        propagator(ChannelTrajectory(traj.grid, traj.maps), 70, 65)
+    assert edmap_maxdiff(propagator(traj, 70, 65), semigroup_at(spec, grid[70] - grid[65])) <= 1e-12
+
+
+def test_built_time_local_generators_invert_one_step(monkeypatch):
+    from edchan import channel, dynamics
+
+    rng = np.random.default_rng(67)
+    spec = random_semigroup_spec(rng, 2, 2)
+    SL, K = gkls_superop(spec.gen).mat, K_from_spec(spec)
+    grid = np.linspace(0.0, 1.0, 21) ** 1.5
+
+    def build():
+        return build_td_trajectory(lambda t: (1.0 + 0.3 * np.sin(3 * t)) * SL,
+                                   lambda t: (1.0 + 0.2 * np.cos(t)) * K,
+                                   lambda t: (1.0 + 0.5 * t) * spec.psi.mat, grid)
+
+    traj, stored = build(), ChannelTrajectory(grid, build().maps)
+    inverted, invert_stack = [], channel.invert_stack
+    monkeypatch.setattr(dynamics, "invert_stack", lambda s: inverted.append(s) or invert_stack(s))
+    for i in (1, 10, 19):
+        want = time_local_generators(stored, i)
+        inverted.clear()
+        got = time_local_generators(traj, i)
+        assert len(inverted) == 1 and np.array_equal(inverted[0].phi[0], traj._stack.phi[i - 1])
+        for a, b in ((got.L.mat, want.L.mat), (got.K, want.K), (got.psi.mat, want.psi.mat)):
+            assert maxdiff(a, b) <= 1e-9
+    assert "maps" not in vars(traj)
+
+
+def test_built_two_time_maps_hold_no_maps():
+    # the maps of 2001 points at d_e = 8 are ~137 MB; the first steps suffice
+    import tracemalloc
+
+    traj = semigroup_trajectory(decay_spec(20.0, d_e=8), np.linspace(0.0, 1.0, 2001))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        prop = propagator(traj, 2, 1)
+        generators = time_local_generators(traj, 1)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert held < 5e6 and peak < 5e6
+    assert prop.d_e == generators.L.d_in == 8 and "maps" not in vars(traj)
+
+
+# ---------------------------------------------------------------------------
 # step-batched kernels against the per-step path
 # ---------------------------------------------------------------------------
 
@@ -957,7 +1107,12 @@ def observable_row(t, m, X0, lam):
 
 
 def assert_matches_per_step(traj, X0, tol=1e-9):
-    """Every divisibility and observables value equals its single-map oracle bit for bit."""
+    """Every divisibility and observables value equals its single-map oracle bit for bit.
+
+    A built trajectory's rows carry the state through its steps rather than
+    apply each composed map, so they round otherwise: its populations, traces
+    and norms are held to 1e-13 of the oracle, its times and eigenvalues to
+    the bit."""
     from edchan.cpcheck import min_full_choi_eigenvalue
 
     report = is_cp_divisible(traj, tol)
@@ -971,7 +1126,14 @@ def assert_matches_per_step(traj, X0, tol=1e-9):
         lams.append(min_full_choi_eigenvalue(step))
         assert repr(report.step_min_eigenvalues[i]) == repr(np.float64(lams[-1])), i
     for k, (t, m) in enumerate(zip(traj.grid, traj.maps)):
-        assert repr(rows[k]) == repr(observable_row(t, m, X0, lams[k])), k
+        want = observable_row(t, m, X0, lams[k])
+        if traj._index is None:
+            assert repr(rows[k]) == repr(want), k
+        else:
+            exact = ("t", "min_propagator_choi_eigenvalue")
+            assert repr([rows[k][c] for c in exact]) == repr([want[c] for c in exact]), k
+            assert rows[k].keys() == want.keys()
+            assert max(abs(rows[k][c] - want[c]) for c in want) <= 1e-13, k
     return report
 
 

@@ -321,6 +321,21 @@ def test_observables_csv_shape():
     assert len(lines[1].split(",")) == 6
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+                         ids=["nan", "inf", "-inf", "numpy_nan"])
+def test_observables_csv_writes_17_digits_and_rejects_non_finite(bad):
+    row = {"t": 0.1, "trace_ee": 1 / 3, "trace_gg": -0.0, "coherence_norm": 1e-300,
+           "total_trace": np.float64(2.0 / 3), "min_propagator_choi_eigenvalue": 5e-324}
+    line = observables_to_csv([row]).split("\n")[1]
+    assert line == ",".join(f"{float(row[c]):.17g}" for c in row) == (
+        "0.10000000000000001,0.33333333333333331,-0,1e-300,"
+        "0.66666666666666663,4.9406564584124654e-324")
+    with pytest.raises(ValueError, match="^cannot serialize non-finite float"):
+        observables_to_csv([dict(row, coherence_norm=bad)])
+    with pytest.raises(ValueError, match="^cannot serialize non-finite float"):
+        canonical_dumps({"x": bad})
+
+
 def _negate_zeros(x):
     """Every 0.0 in a decoded payload as -0.0, whose sign the readers must keep."""
     if isinstance(x, list):
