@@ -79,6 +79,8 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
     if m.d_g == 1 and not (is_hermiticity_preserving(m.phi, tol)
                            and is_hermiticity_preserving(m.omega, tol)):
         positive = False  # a positive map preserves hermiticity
+    elif m.d_g == 1 and report.cp:
+        positive = True  # a completely positive map is positive: a certificate, no search
     elif m.d_g == 1:
         verdict = is_positive_ed_dg1(m, samples=VERIFY_SAMPLES, tol=tol, seed=seed)
         positive = not verdict.not_positive
@@ -292,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("verify", cmd_verify, "CP / TP / positivity report for a map").add_argument(
-        "--seed", type=int, default=0, help="positivity search seed")
+        "--seed", type=int, default=0,
+        help="positivity search seed (d_g = 1; a CP map is positive without a search)")
     command("kraus", cmd_kraus, "block Kraus operators of a CP map")
     evolve = command("evolve", cmd_evolve, "CSV observables along a trajectory")
     for p in (evolve, command("divisibility", cmd_divisibility,

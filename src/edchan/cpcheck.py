@@ -41,7 +41,10 @@ is positive iff its density W (with omega(X) = tr(WX)) is PSD, and the damped
 map condition reduces positivity to rank-one inputs, which a seeded seesaw
 search probes one-sidedly: it minimises <eta|map(xi xi†)|eta> over unit xi
 and eta from the lowest of a batch of Haar states, alternating between the
-two eigenproblems. Only a found witness is a certificate.
+two eigenproblems. Only a found witness is a certificate. A map the block
+test finds completely positive is positive, so the CLI's ``verify`` reports
+it positive at d_g = 1 without a search, whatever its seed; there a ``true``
+is a certificate too.
 """
 
 from __future__ import annotations

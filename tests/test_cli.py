@@ -376,6 +376,138 @@ def test_verify_eigensolves_phi_choi_once(tmp_path, monkeypatch):
     assert len(calls) == 5
 
 
+@pytest.fixture()
+def seesaw_calls(monkeypatch):
+    """Counts the calls of the positivity search, which is_positive_ed_dg1 makes."""
+    from edchan import cpcheck
+
+    calls = []
+    seesaw = cpcheck._seesaw
+    monkeypatch.setattr(cpcheck, "_seesaw", lambda *a, **k: calls.append(a) or seesaw(*a, **k))
+    return calls
+
+
+def searched_report(m, tol, seed):
+    """verify's report with the positivity verdict of is_positive_ed_dg1, as the search gives it."""
+    from edchan import cli, is_positive_ed_dg1
+
+    report = cli._verify_report(m, tol, seed)
+    verdict = is_positive_ed_dg1(m, samples=cli.VERIFY_SAMPLES, tol=tol, seed=seed)
+    witnesses = [matrix_to_json(verdict.witness)] if verdict.not_positive else []
+    return {**report, "positive": not verdict.not_positive, "witnesses": witnesses}
+
+
+@pytest.mark.parametrize("gamma", [None, 0.0], ids=["gamma_positive", "gamma_zero"])
+@pytest.mark.parametrize("d_e", [1, 2, 4, 8])
+def test_verify_dg1_cp_map_is_positive_without_a_search(d_e, gamma, seesaw_calls):
+    """CP implies positive: a CP d_g = 1 map reads positive: true and the search never runs."""
+    from conftest import cp_edmap
+    from edchan import cli
+
+    rng = np.random.default_rng([d_e, gamma is None])
+    for seed in range(25):
+        m = cp_edmap(rng, d_e, 1, fill=float(rng.uniform(0.0, 0.9)), gamma=gamma)
+        report = cli._verify_report(m, 1e-9, seed)
+        assert (report["cp"], report["positive"], report["witnesses"]) == (True, True, [])
+        assert report["branch"] == ("gamma_zero" if gamma == 0.0 else "gamma_positive")
+        assert seesaw_calls == []
+        # the search, run anyway, finds nothing and leaves the same report
+        assert report == searched_report(m, 1e-9, seed)
+        seesaw_calls.clear()
+
+
+@pytest.mark.parametrize("block, searches", [("damped", 1), ("omega", 0)])
+@pytest.mark.parametrize("d_e", [2, 4, 8])
+def test_verify_dg1_noncp_map_keeps_its_certified_witness(d_e, block, searches,
+                                                         seesaw_calls):
+    """A non-CP map is still searched (omega is decided exactly), and its witness certifies."""
+    from conftest import cp_edmap, dg1_planted_noncp, random_noncp_map
+    from edchan import BlockOperator, EDMap, apply, cli
+
+    rng = np.random.default_rng(d_e)
+    if block == "damped":
+        m = dg1_planted_noncp(rng, d_e)
+    else:
+        m = cp_edmap(rng, d_e, 1)
+        m = EDMap(m.phi, random_noncp_map(rng, d_e, 1), m.B, m.gamma)
+    report = cli._verify_report(m, 1e-9, 0)
+    assert len(seesaw_calls) == searches
+    assert (report["cp"], report["positive"]) == (False, False)
+    assert (report["omega_cp"], report["damped_phi_cp"]) == (block == "damped", block == "omega")
+    (witness,) = report["witnesses"]
+    chi = np.array(witness) @ [1, 1j]
+    out = apply(m, BlockOperator.from_full(np.outer(chi, chi.conj()), d_e, 1)).full()
+    assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] < -1e-9
+    assert report == searched_report(m, 1e-9, 0)
+
+
+def map_with_choi(w, V, d):
+    """The map on d x d matrices whose Choi matrix is V diag(w) V†."""
+    from edchan import LinearMap
+
+    return sum((float(x) * LinearMap.from_kraus([v.reshape(d, d)]) for x, v in zip(w, V.T)),
+               LinearMap.zero(d, d))
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.0], ids=["gamma_positive", "gamma_zero"])
+@pytest.mark.parametrize("depth, cp, searches", [(0.5, True, 0), (2.0, False, 1)],
+                         ids=["half_tol", "twice_tol"])
+def test_verify_dg1_damped_choi_minimum_at_the_tolerance(gamma, depth, cp, searches,
+                                                         seesaw_calls):
+    """A damped Choi minimum of -tol/2 is CP and certified positive; one of -2 tol is searched."""
+    from conftest import random_cp_map, rc
+    from edchan import EDMap, LinearMap, is_cp, is_cp_ed
+    from edchan.cli import _verify_report
+
+    tol, d = 1e-9, 3
+    rng = np.random.default_rng(11)
+    # the lowest Choi eigenvector is the product |0> ⊗ |0>
+    V = np.linalg.qr(np.column_stack([np.eye(d * d)[:, 0], rc(rng, d * d, d * d - 1)]))[0]
+    damped = map_with_choi([-depth * tol, *rng.uniform(0.2, 1.0, d * d - 1)], V, d)
+    if gamma:
+        B = 0.4 * rc(rng, d, d)
+        phi = damped + LinearMap.from_kraus([B / np.sqrt(gamma)])
+    else:
+        B, phi = np.zeros((d, d)), damped
+    m = EDMap(phi, random_cp_map(rng, d, 1), B, gamma)
+    assert is_cp_ed(m, tol).damped_min_eigenvalue == pytest.approx(-depth * tol, abs=1e-14)
+    assert is_cp(m.to_linear_map(), tol).is_cp is cp  # the full-Choi oracle agrees
+    report = _verify_report(m, tol, 0)
+    assert report["cp"] is cp and len(seesaw_calls) == searches
+    if cp:
+        assert (report["positive"], report["witnesses"]) == (True, [])
+
+
+def verify_bytes(path, seed, tmp_path):
+    from edchan import cli
+
+    out = tmp_path / f"{path.stem}_{seed}.json"
+    status = cli.main(["verify", "--input", str(path), "--output", str(out), "--seed", str(seed)])
+    return status, out.read_bytes()
+
+
+def test_verify_seed_does_not_reach_a_cp_dg1_map(tmp_path):
+    """A CP d_g = 1 report is the same bytes for every seed; noncp_qubit keeps its seeded witness."""
+    from conftest import cp_edmap
+    from edchan import cli, demos, is_positive_ed_dg1
+    from edchan.jsonio import edmap_to_dict
+
+    path = tmp_path / "cp.json"
+    path.write_text(json.dumps(edmap_to_dict(cp_edmap(np.random.default_rng(3), 4, 1))))
+    (_, text), (_, other) = (verify_bytes(path, seed, tmp_path) for seed in (0, 99))
+    assert text == other
+    report = json.loads(text)
+    assert (report["cp"], report["positive"], report["witnesses"]) == (True, True, [])
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edmap_to_dict(demos.noncp_qubit())))
+    for seed in (0, 99):
+        status, text = verify_bytes(path, seed, tmp_path)
+        verdict = is_positive_ed_dg1(demos.noncp_qubit(), samples=cli.VERIFY_SAMPLES, seed=seed)
+        assert status == 1
+        assert json.loads(text)["witnesses"] == [matrix_to_json(verdict.witness)]
+
+
 def test_evolve_scalar_decay_matches_closed_form(scalar_decay_spec, tmp_path):
     path, g0 = scalar_decay_spec
     out = run_cli("evolve", "--input", str(path), "--t-max", "2.0",
