@@ -42,14 +42,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import (
-    COND_LIMIT,
     BlockOperator,
     EDMap,
     EDStack,
     LinearMap,
     NonInvertibleError,
     _check_sectors,
-    _cond,
     apply_stack,
     compose_stack,
     invert_stack,
@@ -389,10 +387,14 @@ class ChannelTrajectory:
         while chunk := list(itertools.islice(maps, CHUNK)):
             yield EDStack.concat(chunk)
 
+    def _edmaps(self):
+        """The maps as :class:`EDMap` objects, in grid order, formed a chunk at a time."""
+        return (chunk.edmap(k) for chunk in self._map_chunks() for k in range(len(chunk)))
+
     @functools.cached_property
     def maps(self) -> tuple:
         """The maps as :class:`EDMap` objects, formed when first read."""
-        return tuple(chunk.edmap(k) for chunk in self._map_chunks() for k in range(len(chunk)))
+        return tuple(self._edmaps())
 
 
 def _step_lengths(grid: np.ndarray) -> tuple:
@@ -437,8 +439,9 @@ def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
 
     Memory: a grid whose steps all differ keeps one step map, about one
     phi, per point; reading ``maps`` adds one composed map per point, while
-    :func:`trajectory_observables`, :func:`propagator` and
-    :func:`time_local_generators` use the steps and form no map. On
+    :func:`trajectory_observables`, :func:`is_cp_divisible`,
+    :func:`propagator` and :func:`time_local_generators` use the steps and
+    form no map, so none refuses a map for its condition number. On
     ``linspace(0, 1, 2000)**1.5`` at d_e = 6, d_g = 2 the tracemalloc peak
     is 51.9 MB, of which the returned trajectory holds 47.3 MB; once
     ``maps`` has been read it holds 95.9 MB.
@@ -461,10 +464,11 @@ class TimeLocalGenerators:
 
 
 def _inverses(traj: ChannelTrajectory, a: int, maps: EDStack) -> EDStack:
-    """The inverses of ``maps``, the trajectory's maps from grid index a on.
+    """The inverses of ``maps``, the trajectory's maps or steps from grid index a on.
 
     A map without an inverse raises :func:`invert_stack`'s error, naming its
-    grid point.
+    grid point; a built trajectory's step k is named by grid point k, where
+    it starts.
     """
     try:
         return invert_stack(maps)
@@ -491,8 +495,8 @@ def time_local_generators(traj: ChannelTrajectory, i: int) -> TimeLocalGenerator
     maps[i]. A built one, whose gamma is 1 at every point, has maps[i+1] =
     step_i ∘ maps[i] and maps[i-1] = step_{i-1}^-1 ∘ maps[i], so the same
     quantity is (step_i - step_{i-1}^-1) / (t_{i+1} - t_{i-1}): only the short
-    step before i is inverted, through :func:`invert_stack`, and no map is
-    formed.
+    step before i is inverted, failing as :func:`_inverses` does, and no map
+    is formed.
     """
     if not 0 < i < len(traj) - 1:
         raise ValueError(f"index {i} is not an interior grid point")
@@ -500,7 +504,7 @@ def time_local_generators(traj: ChannelTrajectory, i: int) -> TimeLocalGenerator
         hi, lo, inv = traj._stack[i + 1], traj._stack[i - 1], _inverse(traj, i)[0]
     else:
         back, step = traj._index[i - 1:i + 1].tolist()
-        hi, lo, inv = traj._stack[step], invert_stack(traj._stack[back:back + 1])[0], None
+        hi, lo, inv = traj._stack[step], _inverses(traj, i - 1, traj._stack[back:back + 1])[0], None
     dt = traj.grid[i + 1] - traj.grid[i - 1]
     L, K, psi = (hi.phi - lo.phi) / dt, (hi.B - lo.B) / dt, (hi.omega - lo.omega) / dt
     if inv is not None:
@@ -513,7 +517,7 @@ def propagator(traj: ChannelTrajectory, i: int, j: int) -> EDMap:
 
     A stored trajectory composes maps[i] with the inverse of maps[j], failing
     as :func:`_inverses` does. A built one composes step_{i-1} ∘ ... ∘ step_j
-    and inverts nothing, so a map of it past COND_LIMIT is no refusal here.
+    and inverts nothing, so it refuses no map.
     """
     if not 0 <= j <= i < len(traj):
         raise ValueError(f"need 0 <= j <= i < {len(traj)}, got (i, j) = ({i}, {j})")
@@ -530,47 +534,18 @@ def _step_values(traj: ChannelTrajectory, kernel) -> list:
     gets the propagators CHUNK at a time. A trajectory that holds its maps
     forms them from slices of its stack by stacked inversion and composition,
     each equal to :func:`propagator`'s, and fails as it would at the first map
-    without an inverse. A built one uses its steps, each member of its stack
-    evaluated once; maps[:-1] must still pass invert's condition check, with
-    the same error. The steps' condition numbers bound the maps':
-    cond(maps[k+1]) <= cond(step_k) cond(maps[k]), for phi and B alike, so
-    the larger of a map's two is at most the product of the steps' larger
-    ones, from maps[0], the identity. The bound certifies a map up to
-    COND_LIMIT * 1e-4, a margin for roundoff. A map past that gets its own
-    condition numbers, failing through :func:`invert_stack` above COND_LIMIT,
-    and the bound restarts from the larger. The maps are composed CHUNK at a
-    time, only as far as a map is left uncertified, and none is kept.
+    without an inverse. A built one's propagators are its steps, so each
+    member of its stack is evaluated once and nothing is inverted or refused.
     """
-    steps = len(traj) - 1
+    values = []
     if traj._index is None:
-        values = []
-        for a in range(0, steps, CHUNK):
-            maps = traj._stack[a:min(a + CHUNK, steps) + 1]
+        for a in range(0, len(traj) - 1, CHUNK):
+            maps = traj._stack[a:a + CHUNK + 1]
             values += kernel(compose_stack(maps[1:], _inverses(traj, a, maps[:-1])))
         return values
-    members, index = traj._stack, traj._index
-    logs = np.log(np.maximum(_cond(members.phi), _cond(members.B)))
-    # growth[k] bounds the rise of log cond from maps[k - 1] to maps[k], and rest[a]
-    # from maps[a - 1] to maps[-2]; logs, so that no product overflows
-    growth = [0.0] + logs[index[:-1]].tolist()
-    rest = np.cumsum(growth[::-1])[::-1].tolist()
-    bound, chunks, limit = 0.0, traj._map_chunks(), math.log(COND_LIMIT * 1e-4)
-    for a in range(0, steps, CHUNK):
-        if bound + rest[a] <= limit:
-            break  # every map left is certified
-        maps = next(chunks)[:steps - a]
-        for k in range(len(maps)):
-            bound += growth[a + k]
-            if bound > limit:
-                m = maps[k:k + 1]
-                cond = max(_cond(m.phi)[0], _cond(m.B)[0])
-                if cond > COND_LIMIT:
-                    _inverses(traj, a + k, m)  # raises as a stored map's inverse does
-                bound = math.log(cond)
-    values = []
-    for a in range(0, len(members), CHUNK):
-        values += kernel(members[a:a + CHUNK])
-    return [values[j] for j in index.tolist()]
+    for a in range(0, len(traj._stack), CHUNK):
+        values += kernel(traj._stack[a:a + CHUNK])
+    return [values[j] for j in traj._index.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -716,8 +691,9 @@ def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
     from stacked kernel calls and are checked for non-finite entries before
     the next chunk's are asked for. The trajectory's stack holds the steps
     as its propagators, about one phi per point in memory. The maps are
-    composed only when ``maps`` is read: a state evolves and two-time maps
-    are formed from the steps.
+    composed only when ``maps`` is read: a state evolves, divisibility is
+    decided and two-time maps are formed from the steps, and none of these
+    refuses a map for its condition number.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)

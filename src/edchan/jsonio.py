@@ -227,13 +227,16 @@ def generator_table_from_dict(data) -> GeneratorTable:
 
 
 def trajectory_to_dict(traj: ChannelTrajectory, spec: dict | None = None) -> dict:
-    """Trajectory manifest; ``spec`` optionally records how it was generated."""
+    """Trajectory manifest; ``spec`` optionally records how it was generated.
+
+    The maps are formed a chunk at a time, so ``traj.maps`` is not cached.
+    """
     out = {
         "type": "trajectory",
         "d_e": traj.d_e,
         "d_g": traj.d_g,
         "grid": [float(t) for t in traj.grid],
-        "maps": [edmap_to_dict(m) for m in traj.maps],
+        "maps": [edmap_to_dict(m) for m in traj._edmaps()],
     }
     if spec is not None:
         out["spec"] = spec

@@ -692,12 +692,25 @@ def _decay_spec_file(tmp_path, rate):
 @pytest.mark.parametrize("steps, where", [(101, "grid index 62 (t = 0.93)"),
                                           (37, "grid index 23 (t = 0.958333)")])
 def test_singular_trajectory_names_grid_point(command, steps, where, tmp_path, capsys):
+    # the decay spec's maps pass condition number 1e12 at `where`: the spec is
+    # decided from its steps, while its stored copy inverts that map and refuses
     from edchan import cli
+    from edchan.dynamics import semigroup_trajectory
+    from edchan.jsonio import load, semigroup_spec_from_dict, trajectory_to_dict
 
-    path = _decay_spec_file(tmp_path, 30.0)
-    code = cli.main([command, "--input", str(path), "--t-max", "1.5", "--steps", str(steps),
-                     "--output", str(tmp_path / "out")])
-    assert code == 2
+    path, out = _decay_spec_file(tmp_path, 30.0), tmp_path / "out"
+    assert cli.main([command, "--input", str(path), "--t-max", "1.5", "--steps", str(steps),
+                     "--output", str(out)]) == 0
+    if command == "divisibility":
+        assert json.loads(out.read_text())["cp_divisible"] is True
+    else:
+        assert len(out.read_text().splitlines()) == steps + 1
+    traj = semigroup_trajectory(semigroup_spec_from_dict(load(path)),
+                                np.linspace(0.0, 1.5, steps))
+    stored = tmp_path / "stored.json"
+    stored.write_text(json.dumps(trajectory_to_dict(traj)))
+    capsys.readouterr()
+    assert cli.main([command, "--input", str(stored), "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert "phi is singular" in err and where in err
 

@@ -776,42 +776,15 @@ def decay_spec(rate, d_e=2):
 
 @pytest.mark.parametrize("steps, index", [(101, 62), (37, 23)])
 def test_singular_edge_error_matches_inversion(steps, index):
+    # a stored copy inverts its maps, and maps[index] is the first past cond 1e12
     traj = semigroup_trajectory(decay_spec(30.0), np.linspace(0.0, 1.5, steps))
     plain = ChannelTrajectory(traj.grid, traj.maps)
     X0 = BlockOperator.identity(2, 1)
     for check in (is_cp_divisible, lambda tr: trajectory_observables(tr, X0)):
-        with pytest.raises(NonInvertibleError) as built:
-            check(traj)
         with pytest.raises(NonInvertibleError) as oracle:
             check(plain)
-        assert built.value.reason == oracle.value.reason == "phi_singular"
-        assert str(built.value) == str(oracle.value)
-        assert f"grid index {index} " in str(built.value)
-
-
-def test_condition_bound_falls_back_to_exact_check(monkeypatch):
-    # cond(phi) reaches exp(20) ~ 5e8 at t = 1: past the certified bound
-    # (COND_LIMIT * 1e-4), still invertible
-    from edchan import dynamics
-
-    grid = np.linspace(0.0, 1.0, 101)
-    traj = semigroup_trajectory(decay_spec(20.0), grid)
-    checked, cond = [], dynamics._cond
-    monkeypatch.setattr(dynamics, "_cond", lambda M: checked.append(M) or cond(M))
-    report = is_cp_divisible(traj)
-    assert report.cp_divisible
-    # the maps checked exactly, found by value after the step's phi and B: the
-    # bound forms them without keeping them
-    exact = [k for k, m in enumerate(traj.maps)
-             if any(M.shape == (1, *m.phi.mat.shape) and np.array_equal(M[0], m.phi.mat)
-                    for M in checked[2:])]
-    assert exact and max(exact) == len(traj) - 2
-    assert exact == list(range(exact[0], len(traj) - 1))
-    # phi and B of the grid's one step length, then of each maps[k] checked exactly
-    assert sum(stacked(M) for M in checked) == 2 + 2 * len(exact)
-    assert cond(traj.maps[-2].phi.mat) > 1e8
-    plain = is_cp_divisible(ChannelTrajectory(traj.grid, traj.maps))
-    assert plain.cp_divisible
+        assert oracle.value.reason == "phi_singular"
+        assert f"grid index {index} " in str(oracle.value)
 
 
 def test_condition_bound_keeps_no_maps():
@@ -833,106 +806,66 @@ def test_condition_bound_keeps_no_maps():
     assert held < 5e6
 
 
-def built_against_stored(monkeypatch, traj):
-    """The outcomes of is_cp_divisible and trajectory_observables on a built
-    trajectory, each a verdict or row count or a (reason, text) error, once the
-    stored copy is asserted to give the same; and the grid indices whose maps
-    each check gives their own condition numbers."""
-    from edchan import dynamics
-
-    checked, cond = [], dynamics._cond
-    monkeypatch.setattr(dynamics, "_cond", lambda M: checked.append(M) or cond(M))
-    stored = ChannelTrajectory(traj.grid, traj.maps)
-    phis = [m.phi.mat for m in traj.maps]
-    X0 = BlockOperator.identity(traj.d_e, traj.d_g)
-    outcomes, exact = [], []
-    for check in (lambda tr: is_cp_divisible(tr).cp_divisible,
-                  lambda tr: len(trajectory_observables(tr, X0))):
-        for tr in (traj, stored):
-            start = len(checked)
-            try:
-                outcomes.append(check(tr))
-            except NonInvertibleError as exc:
-                outcomes.append((exc.reason, str(exc)))
-            # after the members' phi and B, each exact check's phi then B
-            stacks = checked[start + 2::2]
-            exact.append([k for k, P in enumerate(phis)
-                          if any(np.array_equal(P, Q) for M in stacks for Q in M)])
-    assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
-    assert exact[1] == exact[3] == []  # a stored trajectory checks by inversion alone
-    assert exact[0] == exact[2]  # both checks check the same maps
-    return outcomes[0], outcomes[2], exact[0]
+def count_svds(monkeypatch) -> list:
+    """Record the matrices every np.linalg.svd call is given."""
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **kw: svds.append(M) or svd(M, *a, **kw))
+    return svds
 
 
-@pytest.mark.parametrize("rate_dt, points, first", [
-    (0.585, 2 * CHUNK + 9, 2 * CHUNK),  # a chunk's first map
-    (0.604, 2 * CHUNK + 9, 2 * CHUNK - 1),  # a chunk's last map
-    (0.585, 2 * CHUNK + 2, 2 * CHUNK),  # map steps - 1, the last one before the last point
+@pytest.mark.parametrize("make_spec, grid, refused_at", [
+    pytest.param(lambda: decay_spec(30.0), np.linspace(0.0, 1.5, 101), 62, id="rate30-101"),
+    pytest.param(lambda: decay_spec(30.0), np.linspace(0.0, 1.5, 37), 23, id="rate30-37"),
+    pytest.param(lambda: decay_spec(30.0), np.linspace(0.0, 10.0, 101), 10, id="rate30-to-t10"),
+    pytest.param(lambda: decay_spec(20.0, d_e=8), np.linspace(0.0, 1.0, 2001), None,
+                 id="rate20-de8-2001"),
+    pytest.param(lambda: decay_spec(40.0), np.array([0.0]), None, id="one-point"),
+    pytest.param(lambda: decay_spec(40.0), np.array([0.0, 1.0]), None, id="two-point"),
+    # a uniform grid below 1e12 and one refused at a chunk's first map, power-law
+    # grids (a member per step) below and past 1e12, and a driven level whose maps
+    # stay well conditioned while phi decays
+    pytest.param(lambda: decay_spec(20.0), np.linspace(0.0, 1.0, 101), None, id="rate20-101"),
+    pytest.param(lambda: decay_spec(0.585 * 60), np.linspace(0.0, 1.0, 61), 48,
+                 id="rate35.1-61"),
+    pytest.param(lambda: decay_spec(20.0), np.linspace(0.0, 1.0, 60) ** 1.5, None,
+                 id="rate20-power-60"),
+    pytest.param(lambda: decay_spec(30.0), 1.5 * np.linspace(0.0, 1.0, 60) ** 1.5, 43,
+                 id="rate30-power-60"),
+    pytest.param(lambda: driven_level(), np.linspace(0.0, 0.8, 101), None, id="driven-101"),
 ])
-def test_bound_crossing_at_chunk_edges_matches_stored_trajectory(monkeypatch, rate_dt,
-                                                                 points, first):
-    # cond(phi) of maps[k] is exp(rate_dt * k): past 1e8 from k = first on and
-    # below 1e12 up to maps[-2]
-    traj = semigroup_trajectory(decay_spec(rate_dt * (points - 1)), np.linspace(0.0, 1.0, points))
-    verdict, rows, exact = built_against_stored(monkeypatch, traj)
-    assert (verdict, rows) == (True, points)
-    assert exact == list(range(first, points - 1))
+def test_built_trajectory_is_decided_from_its_steps(monkeypatch, make_spec, grid, refused_at):
+    # cond(phi) of the decay spec's map at t is exp(rate t): a stored copy inverts
+    # its maps and refuses the first past 1e12, at grid index refused_at; the
+    # built trajectory's propagators are its steps, and nothing is refused
+    from edchan.cpcheck import min_full_choi_eigenvalue
+    from edchan.dynamics import _step_lengths
 
-
-def test_bound_crossing_then_singular_map_fails_as_stored_trajectory(monkeypatch):
-    # cond(phi) of maps[k] is exp(0.585 k): past 1e8 from maps[32], past 1e12 at
-    # maps[48], where the exact checks stop
-    traj = semigroup_trajectory(decay_spec(0.585 * 60), np.linspace(0.0, 1.0, 61))
-    verdict, rows, exact = built_against_stored(monkeypatch, traj)
-    assert verdict == rows
-    assert verdict[0] == "phi_singular" and "at grid index 48 (t = 0.8)" in verdict[1]
-    assert exact == list(range(2 * CHUNK, 49))
-
-
-@pytest.mark.parametrize("rate, t_max", [(20.0, 1.0), (30.0, 1.5)])
-def test_bound_crossing_on_nonuniform_grid_matches_stored_trajectory(monkeypatch, rate, t_max):
-    # every step its own member; cond(phi) of the map at t is exp(rate t)
-    grid = t_max * np.linspace(0.0, 1.0, 60) ** 1.5
-    traj = semigroup_trajectory(decay_spec(rate), grid)
-    verdict, rows, exact = built_against_stored(monkeypatch, traj)
-    first = int(np.argmax(rate * grid > np.log(1e8)))
-    assert exact == list(range(first, first + len(exact)))
-    singular = np.flatnonzero(rate * grid > np.log(1e12))
-    if singular.size:
-        assert verdict == rows and verdict[0] == "phi_singular"
-        assert f"at grid index {singular[0]} (t = " in verdict[1]
-    else:
-        assert (verdict, rows, exact[-1]) == (True, 60, 58)
-
-
-def test_loose_condition_bound_restarts_from_exact_values(monkeypatch):
-    # a driven decaying level, H = 40 sigma_x and G = diag(0, 40): the steps'
-    # bound passes 1e8 near t = 0.47 while every map has condition number below
-    # 3, so the bound, restarted from the map checked there, certifies the rest
-    from edchan import dynamics
-
-    H = 40.0 * np.array([[0.0, 1.0], [1.0, 0.0]])
-    psi = np.zeros((1, 4))
-    psi[0, -1] = 40.0  # X -> 40 X[1, 1]
-    spec = SemigroupSpec(GKLSGenerator(H, np.diag([0.0, 40.0])), 0.0, 0.0, np.zeros(0),
-                         LinearMap(psi))
-    traj = semigroup_trajectory(spec, np.linspace(0.0, 0.8, 101))
-    verdict, rows, exact = built_against_stored(monkeypatch, traj)
-    assert (verdict, rows) == (True, 101)
-    assert exact == [59]  # t = 0.472
-    # the walk stops once the bound certifies every map left
-    composed, compose = [], dynamics.compose_stack
-    monkeypatch.setattr(dynamics, "compose_stack", lambda s2, s1: composed.append(s2) or compose(s2, s1))
-    assert is_cp_divisible(traj).cp_divisible
-    assert len(composed) == 4 * CHUNK - 1  # maps[1] to maps[63], the chunk of maps[59]
-
-
-@pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0]])
-def test_one_and_two_point_grids_check_nothing(monkeypatch, grid):
-    # no map but the identity lies before the last; at decay rate 40 the last
-    # map's phi has condition number exp(40) and needs no check
-    traj = semigroup_trajectory(decay_spec(40.0), grid)
-    assert built_against_stored(monkeypatch, traj) == (True, len(grid), [])
+    spec = make_spec()
+    traj = semigroup_trajectory(spec, grid)
+    X0 = BlockOperator.from_full(random_density(np.random.default_rng(68), spec.d_e + 1),
+                                 spec.d_e, 1)
+    svds = count_svds(monkeypatch)
+    report = is_cp_divisible(traj)
+    rows = trajectory_observables(traj, X0)
+    assert svds == [] and report.cp_divisible
+    # each step is the semigroup member at its group's length
+    dts, index = _step_lengths(grid)
+    members = [semigroup_at(spec, dt) for dt in dts]
+    assert [repr(r) for r in report.step_reports] == [repr(is_cp_ed(members[j])) for j in index]
+    lams = [min_full_choi_eigenvalue(m) for m in members]
+    lams = [min_full_choi_eigenvalue(EDMap.identity(spec.d_e, 1))] + [lams[j] for j in index]
+    want = [observable_row(t, semigroup_at(spec, t), X0, lam) for t, lam in zip(grid, lams)]
+    assert len(rows) == len(grid)
+    assert max(abs(row[c] - ref[c]) for row, ref in zip(rows, want) for c in ref) <= 1e-13
+    stored = ChannelTrajectory(traj.grid, traj.maps)
+    if refused_at is None:
+        assert is_cp_divisible(stored).cp_divisible == report.cp_divisible
+        return
+    for check in (is_cp_divisible, lambda tr: trajectory_observables(tr, X0)):
+        with pytest.raises(NonInvertibleError) as err:
+            check(stored)
+        assert err.value.reason == "phi_singular"
+        assert f"at grid index {refused_at} (t = {grid[refused_at]:.6g})" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,6 +999,17 @@ def test_built_time_local_generators_invert_one_step(monkeypatch):
         for a, b in ((got.L.mat, want.L.mat), (got.K, want.K), (got.psi.mat, want.psi.mat)):
             assert maxdiff(a, b) <= 1e-9
     assert "maps" not in vars(traj)
+
+
+def test_built_time_local_generators_name_the_singular_step():
+    # step_0 has cond(phi) exp(45): the step is named by the grid point it starts
+    # from, the stored copy by the map it inverts
+    traj = semigroup_trajectory(decay_spec(30.0), np.array([0.0, 1.5, 3.0]))
+    for tr, where in ((traj, "at grid index 0 (t = 0)"),
+                      (ChannelTrajectory(traj.grid, traj.maps), "at grid index 1 (t = 1.5)")):
+        with pytest.raises(NonInvertibleError) as err:
+            time_local_generators(tr, 1)
+        assert err.value.reason == "phi_singular" and str(err.value).endswith(where)
 
 
 def test_built_two_time_maps_hold_no_maps():

@@ -106,6 +106,19 @@ def test_trajectory_round_trip():
         assert np.abs(m1.phi.mat - m2.phi.mat).max() == 0.0
 
 
+def test_trajectory_to_dict_writes_the_maps_a_chunk_at_a_time():
+    from edchan.dynamics import CHUNK, ChannelTrajectory
+
+    spec = random_semigroup_spec(np.random.default_rng(7), 2, 2)
+    traj = semigroup_trajectory(spec, np.linspace(0.0, 1.0, 2 * CHUNK + 3) ** 1.5)
+    payload = trajectory_to_dict(traj)
+    assert "maps" not in vars(traj)
+    want = [edmap_to_dict(m) for m in traj.maps]
+    assert json.dumps(payload["maps"]) == json.dumps(want)
+    stored = ChannelTrajectory(traj.grid, traj.maps)
+    assert json.dumps(trajectory_to_dict(stored)) == json.dumps(payload)
+
+
 @pytest.mark.parametrize("key", ["times", "grid"])
 def test_time_arrays_reject_booleans_among_numbers(key):
     # numpy infers float64 for [false, 1.0], which would load as [0.0, 1.0]
