@@ -53,7 +53,11 @@ class NonInvertibleError(ValueError):
 
 
 def _cond(M: np.ndarray):
-    """Spectral condition number of each matrix of a stack, infinite for an empty or singular one."""
+    """Spectral condition number of each matrix of a stack, infinite for an empty or singular one.
+
+    Its SVD alone decides which block :func:`invert_stack` refuses; it runs
+    only on the matrices that :func:`_singular`'s bound leaves open.
+    """
     if not M.shape[-1]:
         return np.full(M.shape[:-2], np.inf)
     s = np.linalg.svd(M, compute_uv=False)
@@ -398,34 +402,62 @@ def is_trace_preserving(m: EDMap, tol: float = DEFAULT_TOL) -> bool:
     return float(dev) <= tol
 
 
+def _singular(M: np.ndarray):
+    """Whether each matrix of a stack has condition number above COND_LIMIT; and its inverse.
+
+    The inverse is formed first. Since cond_2(M) <= |M|_F |M^-1|_F, a matrix
+    whose product is at most COND_LIMIT * 1e-4 is invertible; the computed
+    inverse's relative error there is about n u cond(M) <= 1e-6, far inside
+    that headroom (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., SIAM 2002, chs. 6 and 14). :func:`_cond` decides the rest, and
+    the whole stack, with no inverse (None), when LAPACK finds a member
+    exactly singular.
+    """
+    try:
+        inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        return _cond(M) > COND_LIMIT, None
+    bound = np.linalg.norm(M, axis=(-2, -1)) * np.linalg.norm(inv, axis=(-2, -1))
+    # an empty matrix (bound 0) and a nan bound stay open
+    open_ = ~((bound > 0) & (bound <= COND_LIMIT * 1e-4))
+    bad = np.zeros(bound.shape, dtype=bool)
+    if open_.any():
+        bad[open_] = _cond(M[open_]) > COND_LIMIT
+    return bad, inv
+
+
 def invert_stack(s: EDStack) -> EDStack:
     """The inverse of every map of the stack, as :func:`invert` gives it.
 
     Raises :func:`invert`'s error for the first map without an inverse, with
-    that map's position in the stack as ``index``.
+    that map's position in the stack as ``index``. The blocks are inverted
+    first; only a ``phi`` or ``B`` whose ``|M|_F |M^-1|_F`` exceeds 1e8 gets
+    an SVD (see :func:`_singular`).
     """
+    (phi_bad, phi_inv), (B_bad, B_inv) = _singular(s.phi), _singular(s.B)
     failures = (
         ("gamma_zero", "gamma is zero; the ground block is lost", s.gamma <= 0.0),
-        ("phi_singular", "phi is singular (superoperator condition number above 1e12)",
-         _cond(s.phi) > COND_LIMIT),
-        ("B_singular", "B is singular (condition number above 1e12)", _cond(s.B) > COND_LIMIT),
+        ("phi_singular", "phi is singular (superoperator condition number above 1e12)", phi_bad),
+        ("B_singular", "B is singular (condition number above 1e12)", B_bad),
     )
     failed = np.array([bad for _, _, bad in failures])
     if failed.any():
         k = int(failed.any(axis=0).argmax())
         reason, message, _ = failures[int(failed[:, k].argmax())]
         raise NonInvertibleError(reason, message, k)
-    phi_inv = np.linalg.inv(s.phi)
+    if phi_inv is None or B_inv is None:  # singular to LAPACK, yet within COND_LIMIT
+        raise np.linalg.LinAlgError("Singular matrix")
     return EDStack(phi_inv, -(1.0 / s.gamma)[:, None, None] * (s.omega @ phi_inv),
-                   np.linalg.inv(s.B), 1.0 / s.gamma)
+                   B_inv, 1.0 / s.gamma)
 
 
 def invert(m: EDMap) -> EDMap:
     """Invert an excitation-damping map.
 
-    The map is invertible iff gamma > 0 and both phi and B are invertible
-    (condition number below 1e12 on the stored matrices); the inverse is again
-    an excitation-damping map with blocks
+    The map is invertible iff gamma > 0 and both phi and B are invertible:
+    spectral condition number at most 1e12 on the stored matrices, found by
+    an SVD only for a block whose ``|M|_F |M^-1|_F`` exceeds 1e8. The inverse
+    is again an excitation-damping map with blocks
     (phi^-1, -gamma^-1 omega∘phi^-1, B^-1, gamma^-1).
     """
     return invert_stack(EDStack.of([m])).edmap(0)

@@ -64,9 +64,9 @@ def load(path):
     """Decode a JSON input file, its matrix fields as float arrays (see ``_matrix_fields``)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    # every boolean literal holds a u (true) or an f (false), so a text with
-    # neither letter skips the element check
-    exact = "u" in text or "f" in text
+    # a boolean is the literal true or false; the one-letter searches first
+    # keep the slower literal search off a large text with neither letter
+    exact = ("u" in text and "true" in text) or ("f" in text and "false" in text)
     try:
         return json.loads(text, object_hook=lambda obj: _matrix_fields(obj, exact))
     except json.JSONDecodeError as exc:

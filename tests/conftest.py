@@ -229,3 +229,10 @@ def random_semigroup_spec(rng, d_e, d_g, n_jumps=1, tp=True, scale=0.6):
     else:
         psi = random_cp_map(rng, d_e, d_g, 2, scale=0.5)
     return SemigroupSpec(gen=gen, epsilon=eps, kappa=kappa, c=c, psi=psi)
+
+
+def count_svds(monkeypatch) -> list:
+    """Record the matrices every np.linalg.svd call is given."""
+    svds, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **kw: svds.append(M) or svd(M, *a, **kw))
+    return svds

@@ -13,7 +13,9 @@ from edchan import (
     is_trace_preserving,
     qubit_map,
 )
+from edchan.channel import COND_LIMIT, EDStack, _cond, invert_stack
 from conftest import (
+    count_svds,
     cp_edmap,
     random_cp_map,
     random_density,
@@ -244,6 +246,126 @@ def test_invert_reports_singular_B():
     with pytest.raises(NonInvertibleError) as err:
         invert(m)
     assert err.value.reason == "B_singular"
+
+
+REASONS = {
+    "gamma_zero": "gamma is zero; the ground block is lost",
+    "phi_singular": "phi is singular (superoperator condition number above 1e12)",
+    "B_singular": "B is singular (condition number above 1e12)",
+}
+
+
+def svd_only_inverse(s: EDStack):
+    """invert_stack decided by the SVD of every block: the inverse, or (reason, message, index)."""
+    failed = np.array([s.gamma <= 0.0, _cond(s.phi) > COND_LIMIT, _cond(s.B) > COND_LIMIT])
+    if failed.any():
+        k = int(failed.any(axis=0).argmax())
+        reason = list(REASONS)[int(failed[:, k].argmax())]
+        return reason, REASONS[reason], k
+    phi_inv = np.linalg.inv(s.phi)
+    return EDStack(phi_inv, -(1.0 / s.gamma)[:, None, None] * (s.omega @ phi_inv),
+                   np.linalg.inv(s.B), 1.0 / s.gamma)
+
+
+def inverse_or_refusal(s: EDStack):
+    try:
+        return invert_stack(s)
+    except NonInvertibleError as err:
+        return err.reason, str(err), err.index
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, EDStack)
+        for block in ("phi", "omega", "B", "gamma"):
+            assert np.array_equal(getattr(got, block), getattr(want, block))
+
+
+def planted(rng, n, cond):
+    """An n x n matrix U diag(s) V† of condition number cond (1 when n = 1), at a random scale."""
+    U, V = (np.linalg.qr(rc(rng, n, n))[0] for _ in range(2))
+    s = np.geomspace(1.0, 1.0 / cond, n) * 10.0 ** rng.uniform(-3, 3)
+    return (U * s) @ V.conj().T
+
+
+# planted condition numbers: the certificate's 1e8, the band 1e8-1e12 that the
+# SVD decides, and just below and above COND_LIMIT
+CONDS = [1.0, 1e2, 1e6, 1e8, 3e8, 1e9, 1e10, 1e11, 5e11, 0.999e12, 1.001e12, 2e12, 1e13, 1e16]
+
+
+@pytest.mark.parametrize("d_e", [1, 2, 8])
+def test_invert_stack_matches_the_svd_decision(monkeypatch, d_e):
+    # phi is d_e^2 x d_e^2 and B d_e x d_e: matrix sizes 1, 2, 4, 8 and 64
+    rng = np.random.default_rng([71, d_e])
+    d_g = 2
+    pairs = [(c, 1.0) for c in CONDS] + [(1.0, c) for c in CONDS] + [(c, c) for c in CONDS]
+    maps = [EDStack(planted(rng, d_e * d_e, a)[None], rc(rng, 1, d_g * d_g, d_e * d_e),
+                    planted(rng, d_e, b)[None], np.array([rng.uniform(0.3, 1.8)]))
+            for a, b in pairs]
+    svds, refused = count_svds(monkeypatch), []
+    for (a, b), m in zip(pairs, maps):
+        svds.clear()
+        got = inverse_or_refusal(m)
+        assert_same_outcome(got, svd_only_inverse(m))
+        refused.append(isinstance(got, tuple))
+        # a block of planted condition number up to 1e6 is certified from its
+        # inverse; one from 1e10 on gets the SVD (|M|_F |M^-1|_F >= cond)
+        opened = {M.shape[-1] for M in svds[:-2]}  # svd_only_inverse's two calls come last
+        for size, cond in ((d_e * d_e, a), (d_e, b)):
+            if cond <= 1e6 or d_e == 1:  # a 1 x 1 matrix has condition number 1
+                assert size not in opened
+            elif cond >= 1e10:
+                assert size in opened
+    # both sides of COND_LIMIT are reached (a 1 x 1 block is never refused)
+    assert any(refused) != (d_e == 1) and not all(refused)
+    # the whole stack at once: the first refused map, or every inverse
+    for lo in range(0, len(maps), 5):
+        s = EDStack.concat(maps[lo:])
+        assert_same_outcome(inverse_or_refusal(s), svd_only_inverse(s))
+
+
+def test_invert_stack_keeps_the_reason_priority_and_index():
+    # an exactly singular member makes np.linalg.inv raise, so the whole stack
+    # gets the SVD; gamma = 0 outranks a singular phi, which outranks B
+    rng = np.random.default_rng(72)
+
+    def one(gamma=1.0, phi_rank=4, B_rank=2):
+        phi, B = planted(rng, 4, 10.0), planted(rng, 2, 10.0)
+        phi[:, phi_rank:], B[:, B_rank:] = 0.0, 0.0
+        return EDStack(phi[None], rc(rng, 1, 1, 4), B[None], np.array([gamma]))
+
+    cases = [
+        ([one(), one(gamma=0.0), one(phi_rank=3)], ("gamma_zero", 1)),
+        ([one(), one(phi_rank=3), one(gamma=0.0)], ("phi_singular", 1)),
+        ([one(gamma=0.0, phi_rank=3, B_rank=1), one()], ("gamma_zero", 0)),
+        ([one(), one(), one(phi_rank=0, B_rank=1)], ("phi_singular", 2)),
+        ([one(), one(B_rank=1), one(phi_rank=3)], ("B_singular", 1)),
+        ([one(B_rank=0)], ("B_singular", 0)),
+    ]
+    for members, (reason, index) in cases:
+        s = EDStack.concat(members)
+        got = inverse_or_refusal(s)
+        assert got == (reason, REASONS[reason], index)
+        assert_same_outcome(got, svd_only_inverse(s))
+    # d_e = 0: an empty phi has |M|_F |M^-1|_F = 0, which certifies nothing
+    empty = EDMap(LinearMap(np.zeros((0, 0))), LinearMap(np.zeros((1, 0))), np.zeros((0, 0)), 1.0)
+    s = EDStack.of([empty])
+    want = ("phi_singular", REASONS["phi_singular"], 0)
+    assert inverse_or_refusal(s) == svd_only_inverse(s) == want
+
+
+def test_invert_runs_no_svd_on_a_seeded_map(monkeypatch):
+    rng = np.random.default_rng(73)
+    maps = [cp_edmap(rng, d_e, d_g) for d_e, d_g in [(1, 1), (2, 1), (4, 2), (8, 3)]]
+    svds = count_svds(monkeypatch)
+    inverses = [invert(m) for m in maps]
+    assert svds == []
+    for m, inv in zip(maps, inverses):
+        ident = compose(inv, m)
+        assert maxdiff(ident.phi.mat, np.eye(m.d_e ** 2)) < 1e-9
+        assert maxdiff(ident.B, np.eye(m.d_e)) < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from edchan.demos import noncp_divisible_trajectory
 from edchan.dynamics import CHUNK, GeneratorTable, _midpoint_trajectory
 from edchan.matcore import hermitian_part, vectorize
 from conftest import (
+    count_svds,
     rc,
     random_cp_map,
     random_density,
@@ -787,9 +790,9 @@ def test_singular_edge_error_matches_inversion(steps, index):
         assert f"grid index {index} " in str(oracle.value)
 
 
-def test_condition_bound_keeps_no_maps():
-    # past the certified bound from t ~ 0.92 on; the exact checks compose the
-    # maps CHUNK at a time and keep none (the maps of 2001 points are ~137 MB)
+def test_built_checks_keep_no_maps():
+    # divisibility evaluates the steps and evolve carries the state through
+    # them, so neither holds a map (the maps of 2001 points are ~137 MB)
     import tracemalloc
 
     traj = semigroup_trajectory(decay_spec(20.0, d_e=8), np.linspace(0.0, 1.0, 2001))
@@ -804,13 +807,6 @@ def test_condition_bound_keeps_no_maps():
     finally:
         tracemalloc.stop()
     assert held < 5e6
-
-
-def count_svds(monkeypatch) -> list:
-    """Record the matrices every np.linalg.svd call is given."""
-    svds, svd = [], np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **kw: svds.append(M) or svd(M, *a, **kw))
-    return svds
 
 
 @pytest.mark.parametrize("make_spec, grid, refused_at", [
@@ -868,6 +864,36 @@ def test_built_trajectory_is_decided_from_its_steps(monkeypatch, make_spec, grid
         assert f"at grid index {refused_at} (t = {grid[refused_at]:.6g})" in str(err.value)
 
 
+@pytest.mark.parametrize("kind", ["seeded", "decaying"])
+def test_stored_trajectory_runs_svds_only_past_the_certificate(monkeypatch, tmp_path, kind):
+    # the stored branch inverts every map but the last; a block is certified
+    # when |M|_F |M^-1|_F <= 1e8, and only the rest get an SVD. The seeded maps
+    # are all certified; the rate-20 decay's reach condition number 2.0e11 on
+    # linspace(0, 1.3, 101), so the SVD decides its last maps and accepts them
+    from edchan import cli
+    from edchan.jsonio import load, trajectory_from_dict, trajectory_to_dict
+
+    if kind == "seeded":
+        spec = random_semigroup_spec(np.random.default_rng(74), 4, 2)
+        traj = semigroup_trajectory(spec, np.linspace(0.0, 1.0, 40) ** 1.5)
+    else:
+        traj = semigroup_trajectory(decay_spec(20.0), np.linspace(0.0, 1.3, 101))
+    path = tmp_path / "stored.json"
+    path.write_text(json.dumps(trajectory_to_dict(traj)))
+    inverted = trajectory_from_dict(load(path)).maps[:-1]
+    blocks = [np.stack([m.phi.mat for m in inverted]), np.stack([m.B for m in inverted])]
+    bounds = [np.linalg.norm(M, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(M), axis=(1, 2))
+              for M in blocks]
+    opened = [M[bound > 1e8] for M, bound in zip(blocks, bounds)]
+    assert [len(M) for M in opened] == ([0, 0] if kind == "seeded" else [29, 0])
+    svds = count_svds(monkeypatch)
+    for command in ("divisibility", "evolve"):
+        svds.clear()
+        assert cli.main([command, "--input", str(path), "--output", str(tmp_path / "out")]) == 0
+        # one SVD per chunk that holds an open phi, on those matrices alone
+        assert np.array_equal(np.concatenate(svds or [opened[0]]), opened[0])
+
+
 # ---------------------------------------------------------------------------
 # built trajectories: the state and two-time maps from the steps
 # ---------------------------------------------------------------------------
@@ -915,8 +941,8 @@ def test_propagated_rows_match_composed_maps(kind, d_e, d_g, points):
 
 
 @pytest.mark.parametrize("d_e, points", [(2, 101), (2, 2001), (8, 2001)])
-def test_propagated_rows_match_composed_maps_across_the_condition_bound(d_e, points):
-    # cond(phi) reaches exp(20): past the certified bound from t ~ 0.92 on
+def test_propagated_rows_match_composed_maps_on_a_decaying_spec(d_e, points):
+    # cond(phi) reaches exp(20) as phi decays; the stored copy composes its maps
     traj = semigroup_trajectory(decay_spec(20.0, d_e), np.linspace(0.0, 1.0, points))
     X0 = BlockOperator.from_full(random_density(np.random.default_rng(64), d_e + 1), d_e, 1)
     rows = trajectory_observables(traj, X0)
@@ -924,7 +950,7 @@ def test_propagated_rows_match_composed_maps_across_the_condition_bound(d_e, poi
     assert max(abs(row[c] - ref[c]) for row, ref in zip(rows, oracle) for c in row) <= 1e-13
 
 
-def test_certified_built_observables_compose_nothing(monkeypatch):
+def test_built_observables_compose_nothing(monkeypatch):
     composed = count_compositions(monkeypatch)
     spec = random_semigroup_spec(np.random.default_rng(65), 4, 2)
     for grid in (np.linspace(0.0, 1.0, 101), np.linspace(0.0, 1.0, 60) ** 1.5):

@@ -453,6 +453,26 @@ def test_load_reads_like_plain_json(schema, tmp_path):
     assert any(np.any((F == 0) & np.signbit(F)) for F in floats)
 
 
+def test_load_looks_for_booleans_only_in_a_text_with_a_literal(monkeypatch, tmp_path, capsys):
+    # "semigroup" holds a u, but a spec with no true or false among its numbers
+    # skips the element check; a true among H's numbers still exits 2
+    from edchan import cli
+
+    calls, holds_bool = [], jsonio._holds_bool
+    monkeypatch.setattr(jsonio, "_holds_bool", lambda v: calls.append(v) or holds_bool(v))
+    path = tmp_path / "semigroup.json"
+    assert cli.main(["demo", "--name", "semigroup", "--output", str(path)]) == 0
+    assert cli.main(["divisibility", "--input", str(path), "--output", str(tmp_path / "div")]) == 0
+    assert calls == []
+    payload = json.loads(path.read_text())
+    payload["H"][0][0][0] = True
+    path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert cli.main(["divisibility", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == "error: H: entries must be [re, im] pairs of numbers\n"
+    assert calls
+
+
 def test_load_holds_a_stored_trajectory_below_three_file_sizes(tmp_path):
     rng = np.random.default_rng(13)
     spec = random_semigroup_spec(rng, 4, 2)
