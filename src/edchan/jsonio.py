@@ -8,12 +8,14 @@ sign of -0.0 and the float type of 1.0 kept). ``canonical_dumps`` writes
 them itself, each list of floats or of [re, im] pairs with one join. ``load``
 turns each matrix field into a float array as the decoder closes its object,
 so a stored trajectory never sits in memory as nested lists; a matrix entry
-that is a string or a boolean is an input error. See docs/formats.md for the
-schemas.
+that is a string or a boolean is an input error. The decode runs with cyclic
+garbage collection paused process-wide, the caller's state restored after it.
+See docs/formats.md for the schemas.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from itertools import chain
@@ -61,15 +63,32 @@ def _matrix_fields(obj: dict, exact: bool) -> dict:
 
 
 def load(path):
-    """Decode a JSON input file, its matrix fields as float arrays (see ``_matrix_fields``)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # a boolean is the literal true or false; the one-letter searches first
-    # keep the slower literal search off a large text with neither letter
-    exact = ("u" in text and "true" in text) or ("f" in text and "false" in text)
+    """Decode a JSON input file, its matrix fields as float arrays (see ``_matrix_fields``).
+
+    The decode runs with cyclic garbage collection paused. Its output is a
+    tree, so reference counting frees every list the hook replaces, and the
+    collector would only rescan them. The caller's state is restored on every
+    exit, and a collector that was off stays off. The pause is process-wide:
+    another thread's load that overlaps this one may run partly with the
+    collector on, which changes its speed but not its result.
+
+    Bytes that are not UTF-8, text that is not JSON and nesting deeper than
+    the decoder's recursion limit are ``<path>: invalid JSON (...)``.
+    """
     try:
-        return json.loads(text, object_hook=lambda obj: _matrix_fields(obj, exact))
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+        # a boolean is the literal true or false; the one-letter searches first
+        # keep the slower literal search off a large text with neither letter
+        exact = ("u" in text and "true" in text) or ("f" in text and "false" in text)
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return json.loads(text, object_hook=lambda obj: _matrix_fields(obj, exact))
+        finally:
+            if collecting:
+                gc.enable()
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -119,6 +119,21 @@ def test_truncated_input_is_invalid_json(command, demo, flag, tmp_path, capsys):
     assert captured.err.startswith(f"error: {bad}: invalid JSON (")
 
 
+@pytest.mark.parametrize("content", [
+    # past the decoder's recursion limit, which would otherwise escape as a RecursionError
+    b'{"type": "edmap", "phi": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    b"\xff\xfe{}",
+], ids=["deep", "undecodable"])
+def test_verify_unreadable_file_exit_two(content, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out = run_cli("verify", "--input", str(bad))
+    assert out.returncode == 2
+    # one line naming the path, the decoder's own words (they vary across Python versions) after it
+    assert out.stderr.startswith(f"error: {bad}: invalid JSON (")
+    assert out.stderr.count("\n") == 1
+
+
 def test_verify_missing_file_exit_two():
     out = run_cli("verify", "--input", "/nonexistent/map.json")
     assert out.returncode == 2

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import re
 import struct
 import tracemalloc
 
@@ -496,3 +498,69 @@ def test_load_holds_a_stored_trajectory_below_three_file_sizes(tmp_path):
     B = data["maps"][1]["B"]
     assert np.shares_memory(matrix_from_json(B, (4, 4), "B"), B)
     assert trajectory_from_dict(data).d_e == 4
+
+
+@pytest.fixture(scope="module")
+def stored_8(tmp_path_factory):
+    """A d_e = 8 stored trajectory: each phi holds 4096 pair lists, past gen0's threshold of 700."""
+    spec = random_semigroup_spec(np.random.default_rng(17), 8, 1)
+    path = tmp_path_factory.mktemp("stored") / "stored_8.json"
+    path.write_text(json.dumps(trajectory_to_dict(semigroup_trajectory(spec, [0.0, 0.5]))))
+    return path
+
+
+def _collections(fn, *args):
+    """The cyclic collections that run during ``fn(*args)``."""
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        fn(*args)
+    finally:
+        gc.callbacks.remove(count)
+    return len(starts)
+
+
+def test_load_decodes_without_cyclic_collections(stored_8):
+    assert gc.isenabled()
+    assert _collections(jsonio.load, stored_8) == 0
+    assert gc.isenabled()
+    # the control: the same text decoded into lists with the collector on
+    assert _collections(json.loads, stored_8.read_text()) >= 1
+
+
+@pytest.mark.parametrize("case", ["valid", "truncated", "deep", "undecodable"])
+def test_load_restores_the_collector(case, stored_8, tmp_path):
+    path = stored_8
+    if case != "valid":
+        path = tmp_path / f"{case}.json"
+        path.write_bytes({
+            "truncated": stored_8.read_bytes()[:100000],
+            "deep": b'{"type": "edmap", "phi": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+            "undecodable": b"\xff\xfe{}",
+        }[case])
+    assert gc.isenabled()
+    if case == "valid":
+        assert len(jsonio.load(path)["maps"]) == 2
+    else:
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: invalid JSON \("):
+            jsonio.load(path)
+    assert gc.isenabled()
+
+
+def test_load_leaves_a_disabled_collector_disabled(stored_8, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    gc.disable()
+    try:
+        jsonio.load(stored_8)
+        assert not gc.isenabled()
+        with pytest.raises(ValueError, match="invalid JSON"):
+            jsonio.load(deep)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
