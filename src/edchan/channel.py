@@ -331,12 +331,6 @@ class EDStack:
                    np.stack([m.B for m in maps]), np.array([m.gamma for m in maps]))
 
     @classmethod
-    def concat(cls, stacks) -> "EDStack":
-        """One stack of the maps of a nonempty sequence of stacks, in order."""
-        return cls(*(np.concatenate(blocks) for blocks in
-                     zip(*((s.phi, s.omega, s.B, s.gamma) for s in stacks))))
-
-    @classmethod
     def empty(cls, n: int, d_e: int, d_g: int) -> "EDStack":
         """Room for n maps, every block zero and every gamma 1."""
         return cls(np.zeros((n, d_e * d_e, d_e * d_e), dtype=complex),

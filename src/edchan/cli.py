@@ -4,7 +4,7 @@ Subcommands: verify, kraus, evolve, divisibility, demo. Structured verdicts
 go to JSON, time series to CSV. Every command is deterministic given its
 input (and, for verify, its seed). Exit codes: 0 for success or a positive
 verdict, 1 for a legitimate negative verdict (map not CPTP, trajectory not
-CP-divisible), 2 for input or shape errors.
+CP-divisible), 2 for input or shape errors and for running out of memory.
 """
 
 from __future__ import annotations
@@ -313,8 +313,8 @@ def main(argv=None) -> int:
     try:
         args.tol = _resolve_tol(args)
         return args.run(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # running out of memory is not a verdict
+        print(f"error: {exc}" if str(exc) else f"error: {type(exc).__name__}", file=sys.stderr)
         return 2
 
 

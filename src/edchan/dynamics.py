@@ -33,7 +33,6 @@ two-time maps are composed from the steps, so no map of the grid is formed.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -311,7 +310,8 @@ class ChannelTrajectory:
     maps)`` stacks them. A builder's trajectory stacks one step per step
     length instead, ``_index[k]`` naming the step between grid points k and
     k+1; maps[0] is the identity and maps[k+1] = step_k ∘ maps[k]. Either way
-    ``maps`` is formed when first read.
+    each read of ``maps`` forms a new tuple of them, and the trajectory keeps
+    none.
     """
 
     grid: np.ndarray
@@ -373,27 +373,19 @@ class ChannelTrajectory:
         return itertools.accumulate(steps, lambda m, j: compose_stack(self._stack[j:j + 1], m),
                                     initial=EDStack.of([EDMap.identity(self.d_e, self.d_g)]))
 
-    def _map_chunks(self):
-        """The maps stacked CHUNK at a time, in grid order; one chunk is held at a time.
+    def _edmaps(self):
+        """The maps as :class:`EDMap` objects, in grid order, formed one at a time.
 
-        Maps the trajectory holds are slices of its stack; a builder's are
-        its steps composed in turn by :meth:`_products`.
+        A stored trajectory's are read from its stack; a builder's are its
+        steps composed in turn by :meth:`_products`.
         """
         if self._index is None:
-            for a in range(0, len(self), CHUNK):
-                yield self._stack[a:a + CHUNK]
-            return
-        maps = self._products(self._index.tolist())
-        while chunk := list(itertools.islice(maps, CHUNK)):
-            yield EDStack.concat(chunk)
+            return (self._stack.edmap(k) for k in range(len(self)))
+        return (m.edmap(0) for m in self._products(self._index.tolist()))
 
-    def _edmaps(self):
-        """The maps as :class:`EDMap` objects, in grid order, formed a chunk at a time."""
-        return (chunk.edmap(k) for chunk in self._map_chunks() for k in range(len(chunk)))
-
-    @functools.cached_property
+    @property
     def maps(self) -> tuple:
-        """The maps as :class:`EDMap` objects, formed when first read."""
+        """The maps as :class:`EDMap` objects, in a new tuple on every read."""
         return tuple(self._edmaps())
 
 
@@ -430,7 +422,7 @@ def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
     (see :func:`_step_lengths`); a length alone in its group keeps its own
     value bit for bit. Members are built CHUNK per stacked kernel call, and
     the trajectory's stack holds each as the propagator over every step of
-    its group. The maps are composed when first read.
+    its group. The maps are composed on each read of ``maps``.
     ``evolve`` and ``divisibility`` sample a spec on ``--steps`` points of
     ``linspace(0, t_max)``, which builds one member; on three seeded random
     specs at d_e = 8 (d_g 1 to 3) and t_max = 1 the maps differ from
@@ -438,13 +430,15 @@ def semigroup_trajectory(spec: SemigroupSpec, grid) -> ChannelTrajectory:
     at 1001 and 2.5e-12 at 10^4, as they do with one member per float length.
 
     Memory: a grid whose steps all differ keeps one step map, about one
-    phi, per point; reading ``maps`` adds one composed map per point, while
-    :func:`trajectory_observables`, :func:`is_cp_divisible`,
-    :func:`propagator` and :func:`time_local_generators` use the steps and
-    form no map, so none refuses a map for its condition number. On
-    ``linspace(0, 1, 2000)**1.5`` at d_e = 6, d_g = 2 the tracemalloc peak
-    is 51.9 MB, of which the returned trajectory holds 47.3 MB; once
-    ``maps`` has been read it holds 95.9 MB.
+    phi, per point; a read of ``maps`` returns one composed map per point,
+    held by the caller alone, while :func:`trajectory_observables`,
+    :func:`is_cp_divisible`, :func:`propagator` and
+    :func:`time_local_generators` use the steps and form no map, so none
+    refuses a map for its condition number. On ``linspace(0, 1, 2000)**1.5``
+    at d_e = 6, d_g = 2 the tracemalloc peak is 51.9 MB, of which the
+    returned trajectory holds 47.3 MB; the tuple a read of ``maps`` returns
+    holds another 48.6 MB until it is dropped, and the trajectory still
+    holds 47.3 MB after.
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     _check_grid(grid)
@@ -691,7 +685,7 @@ def build_td_trajectory(L_fn, K_fn, psi_fn, grid) -> ChannelTrajectory:
     from stacked kernel calls and are checked for non-finite entries before
     the next chunk's are asked for. The trajectory's stack holds the steps
     as its propagators, about one phi per point in memory. The maps are
-    composed only when ``maps`` is read: a state evolves, divisibility is
+    composed only on a read of ``maps``: a state evolves, divisibility is
     decided and two-time maps are formed from the steps, and none of these
     refuses a map for its condition number.
     """

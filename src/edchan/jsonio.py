@@ -248,7 +248,8 @@ def generator_table_from_dict(data) -> GeneratorTable:
 def trajectory_to_dict(traj: ChannelTrajectory, spec: dict | None = None) -> dict:
     """Trajectory manifest; ``spec`` optionally records how it was generated.
 
-    The maps are formed a chunk at a time, so ``traj.maps`` is not cached.
+    The maps are formed one at a time from ``traj._edmaps()``, each turned
+    into its dict before the next is formed, so no tuple of maps is held.
     """
     out = {
         "type": "trajectory",

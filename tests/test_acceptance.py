@@ -220,6 +220,7 @@ def test_criterion_6_generator_extraction(semigroup_specs):
         grid = np.arange(21) * 1e-3
         for spec in semigroup_specs:
             traj = semigroup_trajectory(spec, grid)
+            maps = traj.maps  # each read composes every map
             SL = gkls_superop(spec.gen).mat
             K = K_from_spec(spec)
             products = {}
@@ -227,13 +228,13 @@ def test_criterion_6_generator_extraction(semigroup_specs):
                 tl = time_local_generators(traj, i)
                 assert maxdiff(tl.L.mat, SL) <= 1e-5
                 assert maxdiff(tl.K, K) <= 1e-5
-                products[i] = tl.psi.mat @ traj.maps[i].phi.mat
+                products[i] = tl.psi.mat @ maps[i].phi.mat
 
             # trapezoidal integral of psi_t ∘ phi_t over the interior window
             acc = np.zeros_like(products[1])
             for i in range(1, 19):
                 acc += 0.5 * (grid[i + 1] - grid[i]) * (products[i] + products[i + 1])
-            domega = traj.maps[19].omega.mat - traj.maps[1].omega.mat
+            domega = maps[19].omega.mat - maps[1].omega.mat
             assert maxdiff(acc, domega) <= 1e-6
 
 

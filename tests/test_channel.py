@@ -301,9 +301,10 @@ def test_invert_stack_matches_the_svd_decision(monkeypatch, d_e):
     rng = np.random.default_rng([71, d_e])
     d_g = 2
     pairs = [(c, 1.0) for c in CONDS] + [(1.0, c) for c in CONDS] + [(c, c) for c in CONDS]
-    maps = [EDStack(planted(rng, d_e * d_e, a)[None], rc(rng, 1, d_g * d_g, d_e * d_e),
-                    planted(rng, d_e, b)[None], np.array([rng.uniform(0.3, 1.8)]))
-            for a, b in pairs]
+    blocks = [(planted(rng, d_e * d_e, a), rc(rng, d_g * d_g, d_e * d_e), planted(rng, d_e, b),
+               rng.uniform(0.3, 1.8)) for a, b in pairs]
+    stack = EDStack(*map(np.stack, zip(*blocks)))
+    maps = [stack[k:k + 1] for k in range(len(stack))]
     svds, refused = count_svds(monkeypatch), []
     for (a, b), m in zip(pairs, maps):
         svds.clear()
@@ -322,7 +323,7 @@ def test_invert_stack_matches_the_svd_decision(monkeypatch, d_e):
     assert any(refused) != (d_e == 1) and not all(refused)
     # the whole stack at once: the first refused map, or every inverse
     for lo in range(0, len(maps), 5):
-        s = EDStack.concat(maps[lo:])
+        s = stack[lo:]
         assert_same_outcome(inverse_or_refusal(s), svd_only_inverse(s))
 
 
@@ -334,7 +335,7 @@ def test_invert_stack_keeps_the_reason_priority_and_index():
     def one(gamma=1.0, phi_rank=4, B_rank=2):
         phi, B = planted(rng, 4, 10.0), planted(rng, 2, 10.0)
         phi[:, phi_rank:], B[:, B_rank:] = 0.0, 0.0
-        return EDStack(phi[None], rc(rng, 1, 1, 4), B[None], np.array([gamma]))
+        return phi, rc(rng, 1, 4), B, gamma
 
     cases = [
         ([one(), one(gamma=0.0), one(phi_rank=3)], ("gamma_zero", 1)),
@@ -345,7 +346,7 @@ def test_invert_stack_keeps_the_reason_priority_and_index():
         ([one(B_rank=0)], ("B_singular", 0)),
     ]
     for members, (reason, index) in cases:
-        s = EDStack.concat(members)
+        s = EDStack(*map(np.stack, zip(*members)))
         got = inverse_or_refusal(s)
         assert got == (reason, REASONS[reason], index)
         assert_same_outcome(got, svd_only_inverse(s))

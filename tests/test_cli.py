@@ -1,3 +1,4 @@
+import copy
 import json
 import subprocess
 import sys
@@ -844,3 +845,123 @@ def test_trajectory_manifest_dimensions_must_match_its_maps(tmp_path, capsys):
     path.write_text(json.dumps(payload))
     assert cli.main(["divisibility", "--input", str(path)]) == 2
     assert capsys.readouterr().err == "error: trajectory: missing keys ['d_e']\n"
+
+
+@pytest.mark.parametrize("message, err", [
+    ("Unable to allocate 1.49 GiB for an array with shape (200000000,) and data type float64",
+     "error: Unable to allocate 1.49 GiB for an array with shape (200000000,) "
+     "and data type float64\n"),
+    ("", "error: MemoryError\n"),
+], ids=["numpy", "bare"])
+def test_out_of_memory_exit_two(message, err, tmp_path, monkeypatch, capsys):
+    # exit 1 is a negative verdict; an allocation that fails is an error
+    from edchan import cli
+
+    path = tmp_path / "sg.json"
+    assert cli.main(["demo", "--name", "semigroup", "--output", str(path)]) == 0
+
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "is_cp_divisible", allocate)
+    assert cli.main(["divisibility", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+FUZZ_LEAVES = [None, True, False, 0, -1, 2, 0.5, -1e308, float("nan"), float("inf"), "x",
+               [], {}, [[0.0, 0.0]], [[[0.0, 0.0]]]]
+# the commands that read each input type; a tenth of the runs pick any command
+FUZZ_COMMANDS = {"edmap": ["verify", "kraus"], "semigroup_spec": ["evolve", "divisibility"],
+                 "generator_table": ["evolve", "divisibility"],
+                 "trajectory": ["evolve", "divisibility"]}
+# each command's report on exit 1, and the field that holds its negative verdict
+FUZZ_VERDICTS = {"verify": ("verify_report", lambda r: not (r["cp"] and r["tp"])),
+                 "kraus": ("kraus_report", lambda r: r["cp"] is False),
+                 "divisibility": ("divisibility_report", lambda r: r["cp_divisible"] is False)}
+
+
+def _fuzz_inputs(tmp_path):
+    """The demo fixtures and a d_e = 4, d_g = 2 generator table, as decoded JSON."""
+    from edchan import K_from_spec, cli, gkls_superop
+    from conftest import random_semigroup_spec
+
+    inputs = []
+    for name in ("amplitude_damping", "phase_damping", "noncp_qubit", "semigroup",
+                 "noncp_divisible"):
+        path = tmp_path / f"{name}.json"
+        assert cli.main(["demo", "--name", name, "--output", str(path)]) == 0
+        inputs.append(json.loads(path.read_text()))
+    spec = random_semigroup_spec(np.random.default_rng(80), 4, 2)
+    L, K, psi = gkls_superop(spec.gen).mat, K_from_spec(spec), spec.psi.mat
+    scales = (1.0, 2.0, 0.5)
+    inputs.append({"type": "generator_table", "d_e": 4, "d_g": 2, "times": [0.0, 0.5, 1.0],
+                   **{key: [matrix_to_json(c * M) for c in scales]
+                      for key, M in (("L", L), ("K", K), ("psi", psi))}})
+    return inputs
+
+
+def _nodes(value, out):
+    """Every (container, key) pair under value, containers before their members."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in list(items):
+        out.append((value, key))
+        if isinstance(child, (dict, list)):
+            _nodes(child, out)
+    return out
+
+
+def _mutate(payload, rng):
+    """One random node replaced or deleted, one number made NaN, or a dimension made small."""
+    kind, dims = rng.integers(4), [key for key in ("d_e", "d_g") if key in payload]
+    if kind == 3 and dims:
+        payload[dims[rng.integers(len(dims))]] = int(rng.integers(0, 4))
+        return payload
+    nodes = _nodes(payload, [])
+    if kind == 2:
+        numbers = [(c, k) for c, k in nodes if type(c[k]) in (int, float)]
+        container, key = numbers[rng.integers(len(numbers))]
+        container[key] = float("nan")
+        return payload
+    container, key = nodes[rng.integers(len(nodes))]
+    if kind == 1:
+        del container[key]
+    else:
+        container[key] = copy.deepcopy(FUZZ_LEAVES[rng.integers(len(FUZZ_LEAVES))])
+    return payload
+
+
+# an entry near the float limit overflows in numpy; the console prints the
+# warning and exits as here, so the run treats it as the console does
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fuzzed_inputs_exit_zero_one_or_two(tmp_path, capsys):
+    # 200 seeded mutations of small inputs: an error is exit 2, and exit 1 only
+    # follows a negative verdict whose report has been written
+    from edchan import cli
+
+    rng = np.random.default_rng(2026)
+    inputs = _fuzz_inputs(tmp_path)
+    path, out = tmp_path / "input.json", tmp_path / "out"
+    codes = []
+    for trial in range(200):
+        payload = _mutate(copy.deepcopy(inputs[trial % len(inputs)]), rng)
+        path.write_text(json.dumps(payload))
+        commands = FUZZ_COMMANDS.get(str(payload.get("type")))
+        if commands is None or rng.random() < 0.1:
+            commands = ["verify", "kraus", "evolve", "divisibility"]
+        command = commands[rng.integers(len(commands))]
+        out.unlink(missing_ok=True)
+        code = cli.main([command, "--input", str(path), "--output", str(out)])
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), (trial, command, code)
+        if code == 2:
+            assert captured.err.startswith("error: ") and not out.exists(), (trial, captured.err)
+        if code == 1:
+            assert command in FUZZ_VERDICTS, (trial, command)
+            report_type, negative = FUZZ_VERDICTS[command]
+            report = json.loads(out.read_text())
+            assert report["type"] == report_type and negative(report), (trial, report)
+        codes.append(code)
+    # the mutations reach every exit code
+    assert set(codes) == {0, 1, 2}

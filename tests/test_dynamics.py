@@ -488,9 +488,9 @@ def test_semigroup_trajectory_long_grid_drift():
     rng = np.random.default_rng(31)
     spec = random_semigroup_spec(rng, 3, 2)
     grid = np.linspace(0.0, 3.0, 10**4)
-    traj = semigroup_trajectory(spec, grid)
+    maps = semigroup_trajectory(spec, grid).maps  # each read composes every map
     for i in (1, 997, 2500, 5001, 7777, len(grid) - 1):
-        assert edmap_maxdiff(traj.maps[i], semigroup_at(spec, grid[i])) <= 1e-11
+        assert edmap_maxdiff(maps[i], semigroup_at(spec, grid[i])) <= 1e-11
 
 
 def stacked(A) -> int:
@@ -700,9 +700,10 @@ def _built_trajectory(kind):
 @pytest.mark.parametrize("kind", ["uniform", "power_law", "table", "window"])
 def test_built_maps_are_steps_composed(kind):
     traj = _built_trajectory(kind)
-    assert edmap_maxdiff(traj.maps[0], EDMap.identity(traj.d_e, traj.d_g)) == 0.0
+    maps = traj.maps
+    assert edmap_maxdiff(maps[0], EDMap.identity(traj.d_e, traj.d_g)) == 0.0
     for k, step in enumerate(built_steps(traj)):
-        assert edmap_maxdiff(traj.maps[k + 1], compose(step, traj.maps[k])) == 0.0
+        assert edmap_maxdiff(maps[k + 1], compose(step, maps[k])) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["uniform", "power_law", "table", "window"])
@@ -807,6 +808,44 @@ def test_built_checks_keep_no_maps():
     finally:
         tracemalloc.stop()
     assert held < 5e6
+
+
+def test_maps_are_formed_anew_on_each_read():
+    # a built and a stored trajectory keep their grid and stack, and each read
+    # of maps returns new maps equal to the last read's
+    spec = random_semigroup_spec(np.random.default_rng(90), 3, 2)
+    built = semigroup_trajectory(spec, np.linspace(0.0, 1.0, 2 * CHUNK + 5) ** 1.5)
+    for traj in (built, ChannelTrajectory(built.grid, built.maps)):
+        first, second = traj.maps, traj.maps
+        assert set(vars(traj)) == {"grid", "_stack", "_index"}  # no "maps" among them
+        assert first is not second and len(first) == len(second) == len(traj)
+        for a, b in zip(first, second):
+            assert a is not b
+            for block in ("phi", "omega"):
+                assert np.array_equal(getattr(a, block).mat, getattr(b, block).mat)
+            assert np.array_equal(a.B, b.B) and a.gamma == b.gamma
+
+
+def test_dropping_maps_frees_them():
+    # the tuple a read returns is the caller's alone: dropping it frees the maps
+    import gc
+    import tracemalloc
+
+    traj = semigroup_trajectory(random_semigroup_spec(np.random.default_rng(91), 6, 2),
+                                np.linspace(0.0, 1.0, 1000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        maps = traj.maps
+        held = tracemalloc.get_traced_memory()[0] - before
+        del maps
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # phi and omega alone are (36^2 + 4 * 36) complex entries per map
+    assert held >= 1000 * (36 * 36 + 4 * 36) * 16
+    assert abs(after - before) <= 1e6
 
 
 @pytest.mark.parametrize("make_spec, grid, refused_at", [
@@ -1268,8 +1307,7 @@ def test_td_trajectory_constant_suppliers_match_semigroup():
     grid = np.arange(0, 21) * 1e-3
     traj = build_td_trajectory(lambda t: SL, lambda t: K,
                                lambda t: spec.psi.mat, grid)
-    worst = max(edmap_maxdiff(traj.maps[i], semigroup_at(spec, grid[i]))
-                for i in range(len(grid)))
+    worst = max(edmap_maxdiff(m, semigroup_at(spec, t)) for t, m in zip(grid, traj.maps))
     assert worst < 1e-6
 
 
@@ -1505,8 +1543,9 @@ def test_semigroup_law_iff_constant_generators():
     tl_b = time_local_generators(varying, 80)
     assert maxdiff(tl_a.L.mat, tl_b.L.mat) > 1e-3
     i, j = 60, 30
-    lhs = compose(varying.maps[j], varying.maps[j])  # Phi_s ∘ Phi_s
-    rhs = varying.maps[i]                            # Phi_{2s}
+    maps = varying.maps
+    lhs = compose(maps[j], maps[j])  # Phi_s ∘ Phi_s
+    rhs = maps[i]                    # Phi_{2s}
     assert edmap_maxdiff(lhs, rhs) > 1e-3
 
     const = build_td_trajectory(lambda t: SL, lambda t: K,
@@ -1514,8 +1553,9 @@ def test_semigroup_law_iff_constant_generators():
     tl_a = time_local_generators(const, 20)
     tl_b = time_local_generators(const, 80)
     assert maxdiff(tl_a.L.mat, tl_b.L.mat) < 1e-9
-    lhs = compose(const.maps[j], const.maps[j])
-    rhs = const.maps[i]
+    maps = const.maps
+    lhs = compose(maps[j], maps[j])
+    rhs = maps[i]
     assert edmap_maxdiff(lhs, rhs) < 1e-5
 
 

@@ -108,7 +108,7 @@ def test_trajectory_round_trip():
         assert np.abs(m1.phi.mat - m2.phi.mat).max() == 0.0
 
 
-def test_trajectory_to_dict_writes_the_maps_a_chunk_at_a_time():
+def test_trajectory_to_dict_writes_the_maps_one_at_a_time():
     from edchan.dynamics import CHUNK, ChannelTrajectory
 
     spec = random_semigroup_spec(np.random.default_rng(7), 2, 2)
