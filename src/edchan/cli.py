@@ -229,8 +229,7 @@ def _demo_payloads() -> dict:
         "semigroup": lambda: jsonio.semigroup_spec_to_dict(demos.demo_semigroup_spec()),
         "noncp_divisible": lambda: jsonio.trajectory_to_dict(
             demos.noncp_divisible_trajectory(),
-            spec={"type": "windowed_sink", **{k: list(v) if isinstance(v, tuple) else v
-                                              for k, v in demos.NONCP_WINDOW.items()}},
+            spec={"type": "windowed_sink", **demos.NONCP_WINDOW},
         ),
     }
 

@@ -121,12 +121,6 @@ def matrix_from_json(data, shape=None, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def _require_keys(data: dict, keys, what: str) -> None:
-    missing = [k for k in keys if k not in data]
-    if missing:
-        raise ValueError(f"{what}: missing keys {missing}")
-
-
 def _field(data: dict, key: str, kind, what: str):
     """``kind(data[key])``; a value of the wrong type is a ValueError naming ``key``."""
     try:
@@ -148,22 +142,36 @@ def _real(value) -> float:
     return float(value)
 
 
-def _dims(data: dict, what: str) -> tuple:
+def _header(data, keys, what: str) -> tuple:
+    """``(d_e, d_g)`` of the JSON object ``data`` whose schema keys are ``keys``.
+
+    A missing key is reported with ``d_e`` and ``d_g`` first, then ``keys``
+    in order.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    missing = [k for k in ("d_e", "d_g", *keys) if k not in data]
+    if missing:
+        raise ValueError(f"{what}: missing keys {missing}")
     return _field(data, "d_e", _dimension, what), _field(data, "d_g", _dimension, what)
 
 
+def _head(kind: str, x) -> dict:
+    """The keys every written object starts with: its type and sector dimensions."""
+    return {"type": kind, "d_e": x.d_e, "d_g": x.d_g}
+
+
 def _floats(v) -> np.ndarray:
+    """A flat list of numbers as a float array; nesting and a bare number are rejected."""
     A = np.asarray(v)
-    if A.dtype.kind not in "fi" or _holds_bool(v):
+    if A.ndim != 1 or A.dtype.kind not in "fi" or _holds_bool(v):
         raise ValueError("must be an array of numbers")
-    return A.astype(float).reshape(-1)
+    return A.astype(float)
 
 
 def edmap_to_dict(m: EDMap) -> dict:
     return {
-        "type": "edmap",
-        "d_e": m.d_e,
-        "d_g": m.d_g,
+        **_head("edmap", m),
         "phi": matrix_to_json(m.phi.mat),
         "omega": matrix_to_json(m.omega.mat),
         "B": matrix_to_json(m.B),
@@ -172,11 +180,7 @@ def edmap_to_dict(m: EDMap) -> dict:
 
 
 def edmap_from_dict(data) -> EDMap:
-    if not isinstance(data, dict):
-        raise ValueError("excitation-damping map: expected a JSON object")
-    _require_keys(data, ["d_e", "d_g", "phi", "omega", "B", "gamma"],
-                  "excitation-damping map")
-    d_e, d_g = _dims(data, "excitation-damping map")
+    d_e, d_g = _header(data, ["phi", "omega", "B", "gamma"], "excitation-damping map")
     return EDMap(
         phi=LinearMap(matrix_from_json(data["phi"], (d_e * d_e, d_e * d_e), "phi")),
         omega=LinearMap(matrix_from_json(data["omega"], (d_g * d_g, d_e * d_e), "omega")),
@@ -187,9 +191,7 @@ def edmap_from_dict(data) -> EDMap:
 
 def semigroup_spec_to_dict(spec: SemigroupSpec) -> dict:
     return {
-        "type": "semigroup_spec",
-        "d_e": spec.d_e,
-        "d_g": spec.d_g,
+        **_head("semigroup_spec", spec),
         "H": matrix_to_json(spec.gen.H),
         "G": matrix_to_json(spec.gen.G),
         "F": [matrix_to_json(Fm) for Fm in spec.gen.F],
@@ -201,12 +203,8 @@ def semigroup_spec_to_dict(spec: SemigroupSpec) -> dict:
 
 
 def semigroup_spec_from_dict(data) -> SemigroupSpec:
-    if not isinstance(data, dict):
-        raise ValueError("semigroup spec: expected a JSON object")
-    _require_keys(data, ["d_e", "d_g", "H", "G", "F", "epsilon", "kappa", "c", "psi"],
-                  "semigroup spec")
     what = "semigroup spec"
-    d_e, d_g = _dims(data, what)
+    d_e, d_g = _header(data, ["H", "G", "F", "epsilon", "kappa", "c", "psi"], what)
     gen = GKLSGenerator(
         H=matrix_from_json(data["H"], (d_e, d_e), "H"),
         G=matrix_from_json(data["G"], (d_e, d_e), "G"),
@@ -228,11 +226,8 @@ def generator_table_from_dict(data) -> GeneratorTable:
     The table must sample all three generators on a common strictly
     increasing time grid starting at 0.
     """
-    if not isinstance(data, dict):
-        raise ValueError("generator table: expected a JSON object")
     what = "generator table"
-    _require_keys(data, ["d_e", "d_g", "times", "L", "K", "psi"], what)
-    d_e, d_g = _dims(data, what)
+    d_e, d_g = _header(data, ["times", "L", "K", "psi"], what)
     times = _field(data, "times", _floats, what)
     if times.size < 2:
         raise ValueError("generator table: times needs at least two samples")
@@ -252,9 +247,7 @@ def trajectory_to_dict(traj: ChannelTrajectory, spec: dict | None = None) -> dic
     into its dict before the next is formed, so no tuple of maps is held.
     """
     out = {
-        "type": "trajectory",
-        "d_e": traj.d_e,
-        "d_g": traj.d_g,
+        **_head("trajectory", traj),
         "grid": [float(t) for t in traj.grid],
         "maps": [edmap_to_dict(m) for m in traj._edmaps()],
     }
@@ -264,10 +257,7 @@ def trajectory_to_dict(traj: ChannelTrajectory, spec: dict | None = None) -> dic
 
 
 def trajectory_from_dict(data) -> ChannelTrajectory:
-    if not isinstance(data, dict):
-        raise ValueError("trajectory: expected a JSON object")
-    _require_keys(data, ["d_e", "d_g", "grid", "maps"], "trajectory")
-    dims = _dims(data, "trajectory")
+    dims = _header(data, ["grid", "maps"], "trajectory")
     grid = _field(data, "grid", _floats, "trajectory")
     maps = tuple(edmap_from_dict(m) for m in _field(data, "maps", list, "trajectory"))
     traj = ChannelTrajectory(grid, maps)
@@ -278,10 +268,7 @@ def trajectory_from_dict(data) -> ChannelTrajectory:
 
 
 def block_operator_from_dict(data) -> BlockOperator:
-    if not isinstance(data, dict):
-        raise ValueError("initial state: expected a JSON object")
-    _require_keys(data, ["d_e", "d_g", "matrix"], "initial state")
-    d_e, d_g = _dims(data, "initial state")
+    d_e, d_g = _header(data, ["matrix"], "initial state")
     d = d_e + d_g
     return BlockOperator.from_full(
         matrix_from_json(data["matrix"], (d, d), "initial state matrix"), d_e, d_g
@@ -290,9 +277,7 @@ def block_operator_from_dict(data) -> BlockOperator:
 
 def block_operator_to_dict(X: BlockOperator) -> dict:
     return {
-        "type": "block_operator",
-        "d_e": X.d_e,
-        "d_g": X.d_g,
+        **_head("block_operator", X),
         "matrix": matrix_to_json(X.full()),
     }
 

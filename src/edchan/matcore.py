@@ -14,7 +14,11 @@ Conventions, fixed once for the whole package:
   PSD when its smallest eigenvalue is ``>= -tol``. Every ``tol`` in the
   package defaults to ``DEFAULT_TOL = 1e-9``, the CLI's default, and is used
   as given, unscaled; it absorbs the ``-1e-13`` eigenvalues that Choi matrices
-  of legitimate channels pick up from roundoff.
+  of legitimate channels pick up from roundoff. Three places differ on
+  purpose: ``channel.build_tp_omega`` defaults to ``1e-10``, the
+  hermiticity check the positivity probes require floors the tolerance at
+  ``max(tol, 1e-8)``, and ``dynamics.psi_from_sink``'s trace-preservation
+  warning floors it at ``max(tol, 1e-9)``.
 * Matrix exponentials use scaling and squaring with a diagonal Padé
   approximant of degree 3, 5, 7, 9 or 13, picked by the 1-norm against
   Higham's thresholds theta_m (N. J. Higham, SIAM J. Matrix Anal. Appl.
@@ -50,16 +54,17 @@ def as_complex_matrix(M, name: str = "matrix") -> np.ndarray:
     return require_finite(A, name)
 
 
-def _require_square(A: np.ndarray, name: str = "matrix") -> None:
+def _square_matrix(M, name: str = "matrix") -> np.ndarray:
+    """:func:`as_complex_matrix`, also rejecting a matrix that is not square."""
+    A = as_complex_matrix(M, name)
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
+    return A
 
 
 def hermitian_part(M) -> np.ndarray:
     """Return (M + M†) / 2."""
-    A = as_complex_matrix(M)
-    _require_square(A)
-    return hermitian_parts(A)
+    return hermitian_parts(_square_matrix(M))
 
 
 def hermitian_parts(A: np.ndarray) -> np.ndarray:
@@ -85,9 +90,7 @@ def require_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> None:
 
 def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
     """True iff max-entry deviation from M† is at most ``tol``."""
-    A = as_complex_matrix(M)
-    _require_square(A)
-    return hermiticity_deviation(A) <= tol
+    return hermiticity_deviation(_square_matrix(M)) <= tol
 
 
 def freeze(obj, name: str, value) -> None:
@@ -113,8 +116,7 @@ def is_psd(M, tol: float = DEFAULT_TOL) -> PSDVerdict:
     eigensolve); a larger deviation raises ``ValueError``. Returns the verdict
     together with the smallest eigenvalue.
     """
-    A = as_complex_matrix(M)
-    _require_square(A)
+    A = _square_matrix(M)
     require_hermitian(A, tol)
     if A.size == 0:
         return PSDVerdict(True, 0.0)
@@ -220,15 +222,12 @@ def check_time(t) -> float:
 
 def matexp(M) -> np.ndarray:
     """e^M by Padé scaling and squaring."""
-    A = as_complex_matrix(M)
-    _require_square(A)
-    return _expm(A)[0]
+    return _expm(_square_matrix(M))[0]
 
 
 def integral_of_exp(L, t: float) -> np.ndarray:
     """Return the integral of e^{tau L} for tau from 0 to t."""
-    A = as_complex_matrix(L)
-    _require_square(A)
+    A = _square_matrix(L)
     t = check_time(t)
     return _expm(as_complex_matrix(t * A, "t * L"), t)[1]
 

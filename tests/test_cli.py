@@ -810,11 +810,17 @@ def _maps_with_phi(phi):
     ("verify", "phase_damping", {"omega": [[["1", "0"]]]}, "omega", "entries"),
     ("verify", "amplitude_damping", {"B": [[[True, 0.0]]]}, "B", "entries"),
     ("divisibility", None, {"maps": _maps_with_phi([[[True, 0.0]]])}, "phi", "entries"),
+    ("divisibility", None, {"grid": [[0.0, 0.5, 1.0]]}, "trajectory", "grid"),
+    ("divisibility", None, {"grid": 0.0, "maps": _trajectory_payload()["maps"][:1]},
+     "trajectory", "grid"),
+    ("divisibility", None, {**_table([0.0, 1.0]), "times": [[0.0, 1.0]]}, "generator table",
+     "times"),
 ], ids=["d_e_null", "d_e_fraction", "gamma_list", "maps_int", "F_int", "spec_d_g_zero",
         "table_d_g_zero", "d_e_true", "B_three_numbers", "trajectory_d_g_zero",
         "gamma_string", "gamma_true", "kappa_string", "epsilon_false", "times_strings",
         "grid_booleans", "B_string_and_false", "B_booleans", "omega_strings",
-        "B_true_and_number", "phi_true_and_number"])
+        "B_true_and_number", "phi_true_and_number", "grid_nested", "grid_scalar",
+        "times_nested"])
 def test_wrong_field_type_exit_two(command, demo, changes, what, field, tmp_path, capsys):
     from edchan import cli
 

@@ -385,6 +385,43 @@ def _parity_payloads():
     }
 
 
+# Each schema's name in messages, and a schema key the missing-keys case drops.
+HEADER_CASES = {
+    "edmap": ("excitation-damping map", "gamma"),
+    "semigroup_spec": ("semigroup spec", "H"),
+    "generator_table": ("generator table", "times"),
+    "trajectory": ("trajectory", "maps"),
+    "block_operator": ("initial state", "matrix"),
+}
+
+
+@pytest.mark.parametrize("schema", sorted(HEADER_CASES))
+def test_readers_check_the_header_alike(schema):
+    reader, payload, _ = _parity_payloads()[schema]
+    what, key = HEADER_CASES[schema]
+    cases = [([], f"{what}: expected a JSON object"),
+             ({k: v for k, v in payload.items() if k not in ("d_e", key)},
+              f"{what}: missing keys ['d_e', '{key}']")]
+    cases += [({**payload, "d_g": bad}, f"{what}: d_g has the wrong type or value ({why})")
+              for bad, why in [(0, "must be a positive integer, got 0"),
+                               (True, "must be a positive integer, got True"),
+                               (1.9, "'float' object cannot be interpreted as an integer"),
+                               (None, "'NoneType' object cannot be interpreted as an integer")]]
+    for data, message in cases:
+        with pytest.raises(ValueError) as info:
+            reader(data)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("schema", ["edmap", "semigroup_spec", "trajectory", "block_operator"])
+def test_writers_start_with_the_header(schema):
+    reader, payload, _ = _parity_payloads()[schema]
+    assert list(payload)[:3] == ["type", "d_e", "d_g"]
+    back = reader(payload)
+    assert payload["type"] == schema
+    assert (payload["d_e"], payload["d_g"]) == (back.d_e, back.d_g)
+
+
 # Malformed values for one matrix field; inf is written as the literal 1e400.
 MALFORMED = {
     "ragged_rows": [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
