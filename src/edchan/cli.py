@@ -60,8 +60,6 @@ def _emit(text: str, output_path: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
@@ -76,11 +74,11 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
 
     positive = None
     witnesses = []
-    if m.d_g == 1 and not (is_hermiticity_preserving(m.phi, tol)
-                           and is_hermiticity_preserving(m.omega, tol)):
-        positive = False  # a positive map preserves hermiticity
-    elif m.d_g == 1 and report.cp:
+    if report.cp:
         positive = True  # a completely positive map is positive: a certificate, no search
+    elif m.d_g == 1 and not (is_hermiticity_preserving(m.phi, tol)
+                             and is_hermiticity_preserving(m.omega, tol)):
+        positive = False  # a positive map preserves hermiticity
     elif m.d_g == 1:
         verdict = is_positive_ed_dg1(m, samples=VERIFY_SAMPLES, tol=tol, seed=seed)
         positive = not verdict.not_positive

@@ -43,8 +43,8 @@ search probes one-sidedly: it minimises <eta|map(xi xi†)|eta> over unit xi
 and eta from the lowest of a batch of Haar states, alternating between the
 two eigenproblems. Only a found witness is a certificate. A map the block
 test finds completely positive is positive, so the CLI's ``verify`` reports
-it positive at d_g = 1 without a search, whatever its seed; there a ``true``
-is a certificate too.
+it positive at every d_g without a search, whatever its seed; there a
+``true`` is a certificate too.
 """
 
 from __future__ import annotations
@@ -150,8 +150,8 @@ def kraus_from_choi(C: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
 
 
 def _canonical_kraus(w: np.ndarray, V: np.ndarray, d_out: int, d_in: int,
-                     t: float) -> tuple:
-    """The operators of :func:`kraus_from_choi` from a Choi ``eigh`` result."""
+                     t: float) -> np.ndarray:
+    """The operators of :func:`kraus_from_choi` from a Choi ``eigh`` result, as one stack."""
     # eigenvalue descending, then the real parts in order; both sorts are stable
     order = np.lexsort((*V.real[::-1], -w))
     keep = order[w[order] > t]
@@ -160,7 +160,7 @@ def _canonical_kraus(w: np.ndarray, V: np.ndarray, d_out: int, d_in: int,
     lead = Vk[k, np.arange(keep.size)]
     Vk = Vk * (lead / np.abs(lead)).conj()
     # (out ⊗ in) ordering makes each eigenvector a row-major flattened operator
-    return tuple((np.sqrt(w[keep]) * Vk).T.reshape(-1, d_out, d_in))
+    return (np.sqrt(w[keep]) * Vk).T.reshape(-1, d_out, d_in)
 
 
 class CPVerdict(NamedTuple):
@@ -209,27 +209,33 @@ def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
     return hermiticity_deviation(choi(m).mat) <= tol
 
 
-def _damped_stack(s: EDStack, t: float) -> np.ndarray:
-    """Superoperators of the blocks whose CP the block test decides, one per map of the stack.
+def _damped_stack(s: EDStack, t: float) -> tuple:
+    """The block test's split on gamma, decided for every map of the stack.
 
-    phi - gamma^-1 B(.)B† in the gamma_positive branch (gamma > t), phi itself
-    in the gamma_zero branch.
+    Returns ``(blocks, positive, stray)``. ``positive[i]`` marks the
+    gamma_positive branch (gamma > t), where ``blocks[i]`` is the
+    superoperator of phi - gamma^-1 B(.)B†. In the gamma_zero branch it is
+    phi itself, and ``stray[i]`` marks a B with an entry above t in modulus,
+    which that branch requires to vanish. The CP report, the block Kraus
+    family and the d_g = 1 positivity probe all take the split from here.
     """
     out = s.phi.copy()
     positive = s.gamma > t
+    stray = ~positive & (np.abs(s.B).max(axis=(-2, -1), initial=0.0) > t)
     B = s.B[positive]
     d = B.shape[-1]
     # kron(B*, B) of each B: entry (i d + k, j d + l) is B*[i, j] B[k, l]
     kron = (B.conj()[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1, d * d, d * d)
     out[positive] = s.phi[positive] - kron / s.gamma[positive][:, None, None]
-    return out
+    return out, positive, stray
 
 
 def damped_excited_map(m: EDMap) -> LinearMap:
     """The excited-sector map phi - gamma^-1 B(.)B† (gamma must be positive)."""
-    if m.gamma <= 0.0:
+    blocks, positive, _ = _damped_stack(EDStack.of([m]), 0.0)
+    if not positive[0]:
         raise ValueError("damped map requires gamma > 0")
-    return LinearMap(_damped_stack(EDStack.of([m]), 0.0)[0])
+    return LinearMap(blocks[0])
 
 
 @dataclass(frozen=True)
@@ -250,14 +256,13 @@ class EDCPReport:
     damped_min_eigenvalue: float
 
 
-def _ed_report(gamma: float, b_max: float, t: float, omega: CPVerdict,
-               damped: CPVerdict) -> EDCPReport:
+def _ed_report(positive: bool, stray: bool, omega: CPVerdict, damped: CPVerdict) -> EDCPReport:
     """Block report from the CP verdicts on omega and on the :func:`_damped_stack` block.
 
-    ``b_max`` is the largest entry modulus of B.
+    ``positive`` and ``stray`` are that map's branch and stray-B flags from
+    :func:`_damped_stack`.
     """
-    positive = gamma > t
-    damped_ok = damped.is_cp and (positive or b_max <= t)
+    damped_ok = damped.is_cp and not stray
     return EDCPReport(
         cp=omega.is_cp and damped_ok,
         omega_cp=omega.is_cp,
@@ -270,10 +275,10 @@ def _ed_report(gamma: float, b_max: float, t: float, omega: CPVerdict,
 
 def is_cp_ed_stack(s: EDStack, tol: float = DEFAULT_TOL) -> list:
     """:func:`is_cp_ed`'s report on every map of the stack."""
-    b_max = np.abs(s.B).max(axis=(-2, -1), initial=0.0).tolist()
-    return [_ed_report(gamma, b, tol, omega, damped) for gamma, b, omega, damped in zip(
-        s.gamma.tolist(), b_max, is_cp_stack(s.omega, s.d_e, s.d_g, tol),
-        is_cp_stack(_damped_stack(s, tol), s.d_e, s.d_e, tol))]
+    blocks, positive, stray = _damped_stack(s, tol)
+    return [_ed_report(p, x, omega, damped) for p, x, omega, damped in zip(
+        positive.tolist(), stray.tolist(), is_cp_stack(s.omega, s.d_e, s.d_g, tol),
+        is_cp_stack(blocks, s.d_e, s.d_e, tol))]
 
 
 def is_cp_ed(m: EDMap, tol: float = DEFAULT_TOL) -> EDCPReport:
@@ -373,29 +378,21 @@ def explicit_kraus_ed(m: EDMap, tol: float = DEFAULT_TOL) -> KrausSet:
     CP verdict (the :func:`is_cp_ed` report, which a non-CP map's error
     carries) and its operators come from one eigensolve of its Choi matrix.
     """
+    blocks, positive, stray = _damped_stack(EDStack.of([m]), tol)
     omega_verdict, omega_ops = _cp_with_kraus(m.omega, tol)
-    damped_verdict, damped_ops = _cp_with_kraus(
-        LinearMap(_damped_stack(EDStack.of([m]), tol)[0]), tol)
-    report = _ed_report(m.gamma, float(np.abs(m.B).max(initial=0.0)), tol,
-                        omega_verdict, damped_verdict)
+    damped_verdict, damped_ops = _cp_with_kraus(LinearMap(blocks[0]), tol)
+    report = _ed_report(positive[0], stray[0], omega_verdict, damped_verdict)
     if not report.cp:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (omega_cp={report.omega_cp}, "
-            f"damped_phi_cp={report.damped_phi_cp})",
-            report,
-        )
-    d_e, d = m.d_e, m.d_e + m.d_g
-
-    def embed(ee=0.0, ge=0.0, gg=0.0):
-        op = np.zeros((d, d), dtype=complex)
-        op[:d_e, :d_e], op[d_e:, :d_e], op[d_e:, d_e:] = ee, ge, gg
-        return op
-
-    positive = report.branch == "gamma_positive"
-    root = np.sqrt(m.gamma)
-    ops = [embed(ee=m.B / root, gg=root * np.eye(m.d_g))] if positive else []
-    ops += [embed(ee=D) for D in damped_ops]
-    ops += [embed(ge=Q) for Q in omega_ops]
+            f"damped_phi_cp={report.damped_phi_cp})", report)
+    d_e, top, mid = m.d_e, int(positive[0]), int(positive[0]) + len(damped_ops)
+    ops = np.zeros((mid + len(omega_ops), d_e + m.d_g, d_e + m.d_g), dtype=complex)
+    if top:
+        root = np.sqrt(m.gamma)
+        ops[0, :d_e, :d_e], ops[0, d_e:, d_e:] = m.B / root, root * np.eye(m.d_g)
+    ops[top:mid, :d_e, :d_e] = damped_ops
+    ops[mid:, d_e:, :d_e] = omega_ops
     return KrausSet(tuple(ops))
 
 
@@ -614,16 +611,13 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
         return PositivityVerdict(
             witness=chi, min_eigenvalue=_min_output_eigenvalue(m, chi), samples_used=0
         )
-    if m.gamma <= tol:
-        if float(np.abs(m.B).max(initial=0.0)) > tol:
-            # any direction not annihilated by B blows up against the frozen gg block
-            _, _, vh = np.linalg.svd(m.B)
-            chi, val = _escalated_witness(m, vh[0].conj())
-            return PositivityVerdict(witness=chi, min_eigenvalue=val, samples_used=0)
-        probe = m.phi
-    else:
-        probe = damped_excited_map(m)
-    found = _seesaw(probe, samples, tol, seed)
+    blocks, _, stray = _damped_stack(EDStack.of([m]), tol)
+    if stray[0]:
+        # any direction not annihilated by B blows up against the frozen gg block
+        _, _, vh = np.linalg.svd(m.B)
+        chi, val = _escalated_witness(m, vh[0].conj())
+        return PositivityVerdict(witness=chi, min_eigenvalue=val, samples_used=0)
+    found = _seesaw(LinearMap(blocks[0]), samples, tol, seed)
     if found.not_positive:
         chi, val = _escalated_witness(m, found.witness)
         return PositivityVerdict(witness=chi, min_eigenvalue=val, samples_used=found.samples_used)

@@ -142,14 +142,17 @@ def _real(value) -> float:
     return float(value)
 
 
-def _header(data, keys, what: str) -> tuple:
-    """``(d_e, d_g)`` of the JSON object ``data`` whose schema keys are ``keys``.
+def _header(data, kind: str, keys, what: str) -> tuple:
+    """``(d_e, d_g)`` of the JSON object ``data`` of type ``kind`` whose schema keys are ``keys``.
 
-    A missing key is reported with ``d_e`` and ``d_g`` first, then ``keys``
-    in order.
+    A declared ``type`` other than ``kind`` is refused; an object without one
+    is read as ``kind``. A missing key is reported with ``d_e`` and ``d_g``
+    first, then ``keys`` in order.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{what}: expected a JSON object")
+    if data.get("type", kind) != kind:
+        raise ValueError(f"{what}: declared type {data['type']!r}, expected {kind!r}")
     missing = [k for k in ("d_e", "d_g", *keys) if k not in data]
     if missing:
         raise ValueError(f"{what}: missing keys {missing}")
@@ -180,7 +183,7 @@ def edmap_to_dict(m: EDMap) -> dict:
 
 
 def edmap_from_dict(data) -> EDMap:
-    d_e, d_g = _header(data, ["phi", "omega", "B", "gamma"], "excitation-damping map")
+    d_e, d_g = _header(data, "edmap", ["phi", "omega", "B", "gamma"], "excitation-damping map")
     return EDMap(
         phi=LinearMap(matrix_from_json(data["phi"], (d_e * d_e, d_e * d_e), "phi")),
         omega=LinearMap(matrix_from_json(data["omega"], (d_g * d_g, d_e * d_e), "omega")),
@@ -204,7 +207,8 @@ def semigroup_spec_to_dict(spec: SemigroupSpec) -> dict:
 
 def semigroup_spec_from_dict(data) -> SemigroupSpec:
     what = "semigroup spec"
-    d_e, d_g = _header(data, ["H", "G", "F", "epsilon", "kappa", "c", "psi"], what)
+    d_e, d_g = _header(data, "semigroup_spec",
+                       ["H", "G", "F", "epsilon", "kappa", "c", "psi"], what)
     gen = GKLSGenerator(
         H=matrix_from_json(data["H"], (d_e, d_e), "H"),
         G=matrix_from_json(data["G"], (d_e, d_e), "G"),
@@ -227,7 +231,7 @@ def generator_table_from_dict(data) -> GeneratorTable:
     increasing time grid starting at 0.
     """
     what = "generator table"
-    d_e, d_g = _header(data, ["times", "L", "K", "psi"], what)
+    d_e, d_g = _header(data, "generator_table", ["times", "L", "K", "psi"], what)
     times = _field(data, "times", _floats, what)
     if times.size < 2:
         raise ValueError("generator table: times needs at least two samples")
@@ -257,7 +261,7 @@ def trajectory_to_dict(traj: ChannelTrajectory, spec: dict | None = None) -> dic
 
 
 def trajectory_from_dict(data) -> ChannelTrajectory:
-    dims = _header(data, ["grid", "maps"], "trajectory")
+    dims = _header(data, "trajectory", ["grid", "maps"], "trajectory")
     grid = _field(data, "grid", _floats, "trajectory")
     maps = tuple(edmap_from_dict(m) for m in _field(data, "maps", list, "trajectory"))
     traj = ChannelTrajectory(grid, maps)
@@ -268,7 +272,7 @@ def trajectory_from_dict(data) -> ChannelTrajectory:
 
 
 def block_operator_from_dict(data) -> BlockOperator:
-    d_e, d_g = _header(data, ["matrix"], "initial state")
+    d_e, d_g = _header(data, "block_operator", ["matrix"], "initial state")
     d = d_e + d_g
     return BlockOperator.from_full(
         matrix_from_json(data["matrix"], (d, d), "initial state matrix"), d_e, d_g

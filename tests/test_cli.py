@@ -432,6 +432,35 @@ def test_verify_dg1_cp_map_is_positive_without_a_search(d_e, gamma, seesaw_calls
         seesaw_calls.clear()
 
 
+@pytest.mark.parametrize("gamma", [None, 0.0], ids=["gamma_positive", "gamma_zero"])
+@pytest.mark.parametrize("d_e", [1, 2, 4, 8])
+@pytest.mark.parametrize("d_g", [2, 3])
+def test_verify_cp_map_is_positive_at_every_dg(d_e, d_g, gamma, seesaw_calls):
+    """CP implies positive at every d_g: positive: true, no witness, no search."""
+    from conftest import cp_edmap
+    from edchan import cli
+
+    rng = np.random.default_rng([d_e, d_g, gamma is None])
+    for seed in range(5):
+        m = cp_edmap(rng, d_e, d_g, fill=float(rng.uniform(0.0, 0.9)), gamma=gamma)
+        report = cli._verify_report(m, 1e-9, seed)
+        assert (report["cp"], report["positive"], report["witnesses"]) == (True, True, [])
+        assert report["branch"] == ("gamma_zero" if gamma == 0.0 else "gamma_positive")
+    assert seesaw_calls == []
+
+
+def test_verify_noncp_map_at_dg2_stays_undecided(seesaw_calls):
+    """Without CP there is no certificate and no search beyond d_g = 1: positive: null."""
+    from conftest import cp_edmap
+    from edchan import cli
+
+    m = cp_edmap(np.random.default_rng(3), 2, 2, fill=2.0)
+    report = cli._verify_report(m, 1e-9, 0)
+    assert (report["cp"], report["damped_phi_cp"]) == (False, False)
+    assert (report["positive"], report["witnesses"]) == (None, [])
+    assert seesaw_calls == []
+
+
 @pytest.mark.parametrize("block, searches", [("damped", 1), ("omega", 0)])
 @pytest.mark.parametrize("d_e", [2, 4, 8])
 def test_verify_dg1_noncp_map_keeps_its_certified_witness(d_e, block, searches,
@@ -575,6 +604,26 @@ def test_evolve_rejects_state_of_other_sectors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: operator sectors (3, 1) do not match map sectors (2, 2)\n"
+
+
+@pytest.mark.parametrize("command, demo, flag, message", [
+    ("verify", "semigroup", "--input",
+     "excitation-damping map: declared type 'semigroup_spec', expected 'edmap'"),
+    ("kraus", "semigroup", "--input",
+     "excitation-damping map: declared type 'semigroup_spec', expected 'edmap'"),
+    ("evolve", "amplitude_damping", "--initial-state",
+     "initial state: declared type 'edmap', expected 'block_operator'"),
+], ids=["verify", "kraus", "evolve"])
+def test_readers_refuse_a_file_of_another_type(command, demo, flag, message, tmp_path, capsys):
+    from edchan import cli
+
+    path, spec = tmp_path / "other.json", tmp_path / "sg.json"
+    assert cli.main(["demo", "--name", demo, "--output", str(path)]) == 0
+    assert cli.main(["demo", "--name", "semigroup", "--output", str(spec)]) == 0
+    capsys.readouterr()
+    argv = [command, "--input", str(spec)] if flag != "--input" else [command]
+    assert cli.main([*argv, flag, str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_evolve_reads_initial_state_before_input(tmp_path, capsys):

@@ -237,6 +237,78 @@ def test_is_cp_ed_gamma_zero_branch():
     assert is_cp(bad_phi.to_linear_map()).is_cp == is_cp_ed(bad_phi).cp
 
 
+TOL = 1e-9
+
+
+def split_grid():
+    """CP phi and omega with gamma and max|B| on both sides of the tolerance, seeded."""
+    rng = np.random.default_rng(2911)
+    for d_e in (1, 2, 4):
+        for d_g in (1, 2):
+            for gamma in (0.0, TOL / 2, TOL, 2 * TOL, 1.0):
+                for b in (0.0, TOL / 2, TOL, 2 * TOL, 0.3):
+                    # max|B| is b exactly: one entry b, the others below it
+                    R = rc(rng, d_e, d_e)
+                    B = 0.9 * b * R / np.abs(R).max()
+                    B.flat[rng.integers(B.size)] = b
+                    yield EDMap(random_cp_map(rng, d_e, d_e), random_cp_map(rng, d_e, d_g),
+                                B, gamma)
+
+
+def theorem_damped_phi_cp(m):
+    """The block theorem's condition besides omega, with B(.)B† as a map of its own."""
+    if m.gamma > TOL:
+        return is_cp(m.phi - LinearMap.from_kraus([m.B]) * (1.0 / m.gamma), TOL).is_cp
+    return is_cp(m.phi, TOL).is_cp and np.abs(m.B).max() <= TOL
+
+
+def test_gamma_split_on_both_sides_of_the_tolerance():
+    """The gamma > 0 / gamma = 0 split and every reading of it, at gamma and |B| near tol."""
+    for m in split_grid():
+        d_e, d = m.d_e, m.d_e + m.d_g
+        positive, b_max = m.gamma > TOL, float(np.abs(m.B).max())
+        report = is_cp_ed(m, TOL)
+        assert report.branch == ("gamma_positive" if positive else "gamma_zero")
+        assert report.omega_cp
+        assert report.damped_phi_cp == theorem_damped_phi_cp(m)
+        assert report.cp == report.damped_phi_cp
+        if m.gamma > 0:
+            assert damped_excited_map(m).mat.shape == m.phi.mat.shape
+        else:
+            with pytest.raises(ValueError, match="damped map requires gamma > 0"):
+                damped_excited_map(m)
+        if not report.cp:
+            with pytest.raises(NotCompletelyPositiveError) as info:
+                explicit_kraus_ed(m, TOL)
+            got = info.value.report
+            assert (got.cp, got.omega_cp, got.damped_phi_cp, got.branch) == (
+                report.cp, report.omega_cp, report.damped_phi_cp, report.branch)
+        else:
+            ops = explicit_kraus_ed(m, TOL).operators
+            if positive:
+                root = np.sqrt(m.gamma)
+                first = np.zeros((d, d), dtype=complex)
+                first[:d_e, :d_e], first[d_e:, d_e:] = m.B / root, root * np.eye(m.d_g)
+                assert ops[0].tobytes() == first.tobytes()
+            rest = ops[int(positive):]
+            ee = [not A[d_e:].any() and not A[:, d_e:].any() for A in rest]
+            ge = [not A[:d_e].any() and not A[:, d_e:].any() for A in rest]
+            k = sum(ee)
+            assert ee == [True] * k + [False] * (len(rest) - k)
+            assert all(ge[k:])
+            # away from tol the family is exact; near it, the gamma_zero branch drops
+            # gamma <= tol on gg and B <= tol on eg, and the damped block's Choi
+            # eigenvalues in [-tol, tol], a part of spectral norm at most tol
+            near = 0.0 < m.gamma < 1.0 or 0.0 < b_max < 0.3
+            rebuilt = LinearMap.from_kraus(ops, d_in=d, d_out=d).mat
+            error = np.abs(rebuilt - m.to_linear_map().mat).max()
+            assert error <= 1e-12 + (TOL if near else 0.0)
+        if m.d_g == 1:
+            verdict = is_positive_ed_dg1(m, samples=200, tol=TOL, seed=0)
+            stray = not positive and b_max > TOL
+            assert (verdict.not_positive and verdict.samples_used == 0) == stray
+
+
 # ---------------------------------------------------------------------------
 # ball_decompose
 # ---------------------------------------------------------------------------

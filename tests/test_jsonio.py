@@ -399,9 +399,13 @@ HEADER_CASES = {
 def test_readers_check_the_header_alike(schema):
     reader, payload, _ = _parity_payloads()[schema]
     what, key = HEADER_CASES[schema]
+    other = "trajectory" if schema == "edmap" else "edmap"
     cases = [([], f"{what}: expected a JSON object"),
              ({k: v for k, v in payload.items() if k not in ("d_e", key)},
-              f"{what}: missing keys ['d_e', '{key}']")]
+              f"{what}: missing keys ['d_e', '{key}']"),
+             # a declared type is checked before the keys
+             ({"type": other}, f"{what}: declared type '{other}', expected '{schema}'"),
+             ({**payload, "type": None}, f"{what}: declared type None, expected '{schema}'")]
     cases += [({**payload, "d_g": bad}, f"{what}: d_g has the wrong type or value ({why})")
               for bad, why in [(0, "must be a positive integer, got 0"),
                                (True, "must be a positive integer, got True"),
@@ -411,6 +415,9 @@ def test_readers_check_the_header_alike(schema):
         with pytest.raises(ValueError) as info:
             reader(data)
         assert str(info.value) == message
+    # an object that declares no type is read as the reader's
+    untyped = reader({k: v for k, v in payload.items() if k != "type"})
+    assert (untyped.d_e, untyped.d_g) == (payload["d_e"], payload["d_g"])
 
 
 @pytest.mark.parametrize("schema", ["edmap", "semigroup_spec", "trajectory", "block_operator"])
