@@ -25,10 +25,8 @@ from .cpcheck import (
     _cp_with_kraus,
     ball_decompose,
     explicit_kraus_ed,
-    is_cp_ed,
-    is_hermiticity_preserving,
-    is_positive_ed_dg1,
     is_trace_nonincreasing,
+    positivity_ed,
 )
 from .dynamics import (_check_grid, _midpoint_trajectory, is_cp_divisible,
                        semigroup_trajectory, trajectory_observables)
@@ -63,27 +61,14 @@ def _emit(text: str, output_path: str | None) -> None:
 
 
 def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
-    report = is_cp_ed(m, tol)
-    tp = is_trace_preserving(m, tol)
+    verdict = positivity_ed(m, tol, VERIFY_SAMPLES, seed)
+    report = verdict.cp
 
     ball = None
     phi_verdict, phi_ops = _cp_with_kraus(m.phi, tol)
     if phi_verdict.is_cp:
         bd = ball_decompose(m.B, KrausSet(phi_ops), m.gamma, tol)
         ball = {"member": bd.member, "norm_sq": bd.norm_sq, "residual": bd.residual}
-
-    positive = None
-    witnesses = []
-    if report.cp:
-        positive = True  # a completely positive map is positive: a certificate, no search
-    elif m.d_g == 1 and not (is_hermiticity_preserving(m.phi, tol)
-                             and is_hermiticity_preserving(m.omega, tol)):
-        positive = False  # a positive map preserves hermiticity
-    elif m.d_g == 1:
-        verdict = is_positive_ed_dg1(m, samples=VERIFY_SAMPLES, tol=tol, seed=seed)
-        positive = not verdict.not_positive
-        if verdict.not_positive:
-            witnesses.append(jsonio.matrix_to_json(verdict.witness))
 
     return {
         "type": "verify_report",
@@ -94,12 +79,12 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
         "omega_cp": report.omega_cp,
         "damped_phi_cp": report.damped_phi_cp,
         "branch": report.branch,
-        "tp": tp,
+        "tp": is_trace_preserving(m, tol),
         "trace_nonincreasing_phi": is_trace_nonincreasing(m.phi, tol),
-        "positive": positive,
+        "positive": verdict.positive,
         "min_choi_eigenvalue": min(0.0, report.omega_min_eigenvalue, _coupled_min_eigenvalue(m)),
         "ball": ball,
-        "witnesses": witnesses,
+        "witnesses": [] if verdict.witness is None else [jsonio.matrix_to_json(verdict.witness)],
     }
 
 

@@ -35,16 +35,20 @@ run one stacked eigensolve per block for the whole stack; :func:`is_cp_ed`,
 :func:`min_full_choi_eigenvalue` and the other single-map functions are
 their stacks of one.
 
-Positivity (as opposed to complete positivity) is decided exactly only where
-a criterion exists: for a one-dimensional ground sector the functional omega
-is positive iff its density W (with omega(X) = tr(WX)) is PSD, and the damped
-map condition reduces positivity to rank-one inputs, which a seeded seesaw
-search probes one-sidedly: it minimises <eta|map(xi xi†)|eta> over unit xi
-and eta from the lowest of a batch of Haar states, alternating between the
-two eigenproblems. Only a found witness is a certificate. A map the block
-test finds completely positive is positive, so the CLI's ``verify`` reports
-it positive at every d_g without a search, whatever its seed; there a
-``true`` is a certificate too.
+Positivity (as opposed to complete positivity) is decided by one rule,
+:func:`positivity_ed`, which names the step that decided it. In order: a map
+the block test finds completely positive is positive (``cp``); a map whose
+phi or omega is not hermiticity-preserving within tol is not positive, at
+every d_g (``hermiticity``); beyond d_g = 1 nothing else is decided. At
+d_g = 1 the probe :func:`is_positive_ed_dg1` follows. The functional omega
+is positive iff its density W (with omega(X) = tr(WX)) is PSD
+(``omega_density``); the gamma_zero branch needs B = 0 (``stray_B``); and the
+damped map condition reduces positivity to rank-one inputs, which a seeded
+seesaw search probes one-sidedly: it minimises <eta|map(xi xi†)|eta> over
+unit xi and eta from the lowest of a batch of Haar states, alternating
+between the two eigenproblems (``witness``). Only a found witness is a
+certificate; a search that finds none leaves the verdict positive with no
+rule.
 """
 
 from __future__ import annotations
@@ -425,12 +429,16 @@ class PositivityVerdict:
     criteria decide). It guarantees -tol only for the block it probes (the
     density W or the damped excited map); the full-space output of its
     witness, which it reports, can lie above -tol. Only a witness is a
-    certificate; absence of one proves nothing.
+    certificate; absence of one proves nothing. ``rule`` names the
+    criterion of :func:`is_positive_ed_dg1` that found the witness
+    (``omega_density``, ``stray_B`` or ``witness``); it is None without a
+    witness and on the sampler's verdicts.
     """
 
     witness: np.ndarray | None
     min_eigenvalue: float
     samples_used: int
+    rule: str | None = None
 
     def __post_init__(self):
         if self.witness is not None:
@@ -460,12 +468,15 @@ def _rank_one_images(mat: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
     return (out + out.conj().transpose(0, 2, 1)) / 2
 
 
-def _screened(m: LinearMap, samples: int, seed: int):
+def _screened(m: LinearMap, samples: int, tol: float, seed: int):
     """The seeded stream of ``samples`` Haar states, _BATCH at a time.
 
     Yields (states screened so far, the batch, the smallest eigenvalue of
-    each state's image).
+    each state's image). The first step raises ``ValueError`` unless ``m`` is
+    hermiticity-preserving within max(tol, 1e-8).
     """
+    if not is_hermiticity_preserving(m, max(tol, 1e-8)):
+        raise ValueError("positivity probe requires a hermiticity-preserving map")
     rng = np.random.default_rng(seed)
     for seen in range(0, samples, _BATCH):
         xi = haar_states(rng, min(_BATCH, samples - seen), m.d_in)
@@ -478,12 +489,10 @@ def is_positive_sampled(m: LinearMap, samples: int = 1000,
 
     Returns the first sampled state whose image has an eigenvalue below
     ``-tol``. One-sided by construction. The map must be
-    hermiticity-preserving.
+    hermiticity-preserving within max(tol, 1e-8); otherwise ``ValueError``.
     """
-    if not is_hermiticity_preserving(m, max(tol, 1e-8)):
-        raise ValueError("positivity sampling requires a hermiticity-preserving map")
     seen, worst = 0, np.inf
-    for seen, xi, mins in _screened(m, samples, seed):
+    for seen, xi, mins in _screened(m, samples, tol, seed):
         worst = min(worst, float(mins.min()))
         bad = np.nonzero(mins < -tol)[0]
         if bad.size:
@@ -508,14 +517,12 @@ def _seesaw(m: LinearMap, samples: int, tol: float, seed: int) -> PositivityVerd
     eigenvector of m(xi xi†) and xi to the lowest eigenvector of
     m†(eta eta†), which never raises <eta|m(xi xi†)|eta>. The rounds stop on
     a witness below -tol or when no state improves. The map must be
-    hermiticity-preserving.
+    hermiticity-preserving within max(tol, 1e-8); otherwise ``ValueError``.
     """
-    if not is_hermiticity_preserving(m, max(tol, 1e-8)):
-        raise ValueError("positivity search requires a hermiticity-preserving map")
     d_in, d_out = m.d_in, m.d_out
     xs, lows = np.empty((0, d_in), dtype=complex), np.empty(0)
     seen = 0
-    for seen, batch, mins in _screened(m, samples, seed):
+    for seen, batch, mins in _screened(m, samples, tol, seed):
         xs, lows = np.concatenate([xs, batch]), np.concatenate([lows, mins])
         keep = np.argsort(lows, kind="stable")[:_STARTS]
         xs, lows = xs[keep], lows[keep]
@@ -604,21 +611,59 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     if m.d_g != 1:
         raise ValueError(f"exact omega criterion requires d_g = 1, got d_g = {m.d_g}")
     W = m.omega.trace_functional()
-    w_verdict = is_psd(W, tol)
-    if not w_verdict.is_psd:
-        _, vecs = np.linalg.eigh(hermitian_part(W))
-        chi = np.concatenate([vecs[:, 0], [0.0]]).astype(complex)
-        return PositivityVerdict(
-            witness=chi, min_eigenvalue=_min_output_eigenvalue(m, chi), samples_used=0
-        )
+    if not is_psd(W, tol).is_psd:
+        chi = np.append(np.linalg.eigh(hermitian_part(W))[1][:, 0], 0.0)
+        return PositivityVerdict(chi, _min_output_eigenvalue(m, chi), 0, "omega_density")
     blocks, _, stray = _damped_stack(EDStack.of([m]), tol)
     if stray[0]:
         # any direction not annihilated by B blows up against the frozen gg block
-        _, _, vh = np.linalg.svd(m.B)
-        chi, val = _escalated_witness(m, vh[0].conj())
-        return PositivityVerdict(witness=chi, min_eigenvalue=val, samples_used=0)
-    found = _seesaw(LinearMap(blocks[0]), samples, tol, seed)
-    if found.not_positive:
-        chi, val = _escalated_witness(m, found.witness)
-        return PositivityVerdict(witness=chi, min_eigenvalue=val, samples_used=found.samples_used)
-    return found
+        xi, used, rule = np.linalg.svd(m.B)[2][0].conj(), 0, "stray_B"
+    else:
+        found = _seesaw(LinearMap(blocks[0]), samples, tol, seed)
+        if not found.not_positive:
+            return found
+        xi, used, rule = found.witness, found.samples_used, "witness"
+    return PositivityVerdict(*_escalated_witness(m, xi), used, rule)
+
+
+@dataclass(frozen=True, eq=False)
+class PositivityReport:
+    """The verdict of :func:`positivity_ed` and the rule that decided it.
+
+    ``positive`` is True, False or None (undecided). ``rule`` is ``cp``,
+    ``hermiticity``, ``omega_density``, ``stray_B`` or ``witness``, or None
+    when nothing certifies the verdict: beyond d_g = 1 without a rule, and
+    when the d_g = 1 search finds no witness (``positive`` is then True).
+    ``probe`` is the :func:`is_positive_ed_dg1` verdict when the probe ran,
+    and ``cp`` the block CP report the rule started from.
+    """
+
+    positive: bool | None
+    rule: str | None
+    probe: PositivityVerdict | None
+    cp: EDCPReport
+
+    @property
+    def witness(self) -> np.ndarray | None:
+        return None if self.probe is None else self.probe.witness
+
+
+def positivity_ed(m: EDMap, tol: float = DEFAULT_TOL, samples: int = 100000,
+                  seed: int = 0) -> PositivityReport:
+    """Positivity of an excitation-damping map, from the first rule that decides it.
+
+    The rules, in order: complete positivity (``cp``, True); phi or omega not
+    hermiticity-preserving within ``tol`` (``hermiticity``, False, at every
+    d_g), since a positive map preserves hermiticity; undecided beyond
+    d_g = 1; at d_g = 1 the verdict and rule of :func:`is_positive_ed_dg1`,
+    run with ``samples`` and ``seed``. Never raises on a valid map.
+    """
+    cp = is_cp_ed(m, tol)
+    if cp.cp:
+        return PositivityReport(True, "cp", None, cp)
+    if not all(is_hermiticity_preserving(b, tol) for b in (m.phi, m.omega)):
+        return PositivityReport(False, "hermiticity", None, cp)
+    if m.d_g != 1:
+        return PositivityReport(None, None, None, cp)
+    probe = is_positive_ed_dg1(m, samples, tol, seed)
+    return PositivityReport(not probe.not_positive, probe.rule, probe, cp)

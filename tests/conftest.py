@@ -195,6 +195,25 @@ def dg1_planted_noncp(rng, d_e, depth=0.5):
     return EDMap(phi, omega, B, gamma)
 
 
+def trace_times_identity(d_e, d_g, scale=0.5):
+    """Superoperator matrix of X -> scale tr(X) I_g, from B(H_e) to B(H_g)."""
+    return scale * np.outer(np.eye(d_g).reshape(-1), np.eye(d_e).reshape(-1)).astype(complex)
+
+
+def nonhermitian_edmap(d_g, block):
+    """d_e = 2 map whose phi (``block="phi"``) or omega is not hermiticity-preserving.
+
+    The other blocks are CP, so the map's only defect is that one block; its
+    Choi matrix deviates from hermitian by 0.3 (phi) or 0.2 (omega).
+    """
+    phi, omega = np.eye(4, dtype=complex), trace_times_identity(2, d_g)
+    if block == "phi":
+        phi[1, 1] += 0.3j
+    else:
+        omega[0, 1] += 0.2
+    return EDMap(LinearMap(phi), LinearMap(omega), 0.5 * np.eye(2), 1.0)
+
+
 def random_gkls(rng, d, n_jumps=1, scale=0.6, with_loss=True, norm_cap=1.5):
     """Random generator data, rescaled so the superoperator norm stays modest.
 

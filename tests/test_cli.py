@@ -70,19 +70,16 @@ def test_verify_noncp_qubit_exit_one(tmp_path):
     assert len(report["witnesses"]) == 1
 
 
-@pytest.mark.parametrize("phi, omega", [
-    (np.eye(4) + np.diag([0, 0.3j, 0, 0]), [[0.5, 0, 0, 0.5]]),
-    (0.5 * np.eye(4), [[0.5, 0.2, 0, 0.5]]),
-], ids=["phi", "omega"])
-def test_verify_dg1_map_not_hermiticity_preserving_exit_one(phi, omega, tmp_path, capsys):
-    """A positive map preserves hermiticity, so verify reports a verdict instead of erroring."""
+@pytest.mark.parametrize("block", ["phi", "omega"])
+@pytest.mark.parametrize("d_g", [1, 2, 3])
+def test_verify_map_not_hermiticity_preserving_exit_one(d_g, block, tmp_path, capsys):
+    """A positive map preserves hermiticity, so at every d_g verify reports false, not an error."""
+    from conftest import nonhermitian_edmap
     from edchan import cli
+    from edchan.jsonio import edmap_to_dict
 
     path = tmp_path / "map.json"
-    path.write_text(json.dumps({
-        "type": "edmap", "d_e": 2, "d_g": 1, "phi": matrix_to_json(phi),
-        "omega": matrix_to_json(np.array(omega)), "B": matrix_to_json(0.5 * np.eye(2)),
-        "gamma": 1.0}))
+    path.write_text(json.dumps(edmap_to_dict(nonhermitian_edmap(d_g, block))))
     assert cli.main(["verify", "--input", str(path)]) == 1
     captured = capsys.readouterr()
     report = json.loads(captured.out)

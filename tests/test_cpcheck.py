@@ -27,12 +27,14 @@ from conftest import (
     dg1_planted_noncp,
     dg1_span_edmap,
     edmap_instance,
+    nonhermitian_edmap,
     random_cp_map,
     random_density,
     random_noncp_map,
     random_tni_cp_map,
     rc,
     tp_edmap,
+    trace_times_identity,
     truncated_kraus_edmap,
 )
 
@@ -307,6 +309,7 @@ def test_gamma_split_on_both_sides_of_the_tolerance():
             verdict = is_positive_ed_dg1(m, samples=200, tol=TOL, seed=0)
             stray = not positive and b_max > TOL
             assert (verdict.not_positive and verdict.samples_used == 0) == stray
+            assert (verdict.rule == "stray_B") == stray
 
 
 # ---------------------------------------------------------------------------
@@ -778,6 +781,116 @@ def test_dg1_search_reaches_closed_form_minimum(d_e):
         sigma_max = np.linalg.svd(m.B, compute_uv=False)[0]
         assert abs(verdict.min_eigenvalue - (1 / d_e - sigma_max**2 / m.gamma)) <= 1e-10
         assert is_cp_ed(m).cp == (rank == 1)
+
+
+# ---------------------------------------------------------------------------
+# positivity_ed: the one positivity rule
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d_e", [2, 8])
+def test_positivity_cp_map_spends_no_samples(d_e, monkeypatch):
+    """CP decides first: no probe runs, no search and no Haar state is drawn."""
+    calls = []
+    for name in ("_seesaw", "haar_states"):
+        fn = getattr(cpcheck, name)
+        monkeypatch.setattr(cpcheck, name,
+                            lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+    m = cp_edmap(np.random.default_rng(220 + d_e), d_e, 1)
+    report = cpcheck.positivity_ed(m, samples=100000, seed=0)
+    assert (report.positive, report.rule, report.probe, report.witness) == (True, "cp", None, None)
+    assert report.cp == is_cp_ed(m)
+    assert calls == []
+    # the d_g = 1 probe itself has no CP shortcut: it screens every state it is given
+    assert is_positive_ed_dg1(m, samples=500, seed=0).samples_used >= 500
+    assert calls[0] == "_seesaw" and "haar_states" in calls
+
+
+@pytest.mark.parametrize("block", ["phi", "omega"])
+@pytest.mark.parametrize("d_g", [1, 2, 3])
+def test_positivity_not_hermiticity_preserving_is_a_verdict(d_g, block):
+    """A positive map preserves hermiticity: false at every d_g, where the probe raises."""
+    m = nonhermitian_edmap(d_g, block)
+    report = cpcheck.positivity_ed(m, samples=10)
+    assert (report.positive, report.rule, report.probe) == (False, "hermiticity", None)
+    assert not report.cp.cp
+    with pytest.raises(ValueError):
+        is_positive_ed_dg1(m, samples=10)
+
+
+def _negative_omega_map(rng):
+    return EDMap(random_cp_map(rng, 2, 2), LinearMap(-0.5 * random_cp_map(rng, 2, 1).mat),
+                 np.zeros((2, 2)), 1.0)
+
+
+def _stray_b_map(rng):
+    return EDMap(random_cp_map(rng, 2, 2), random_cp_map(rng, 2, 1), np.eye(2), 0.0)
+
+
+@pytest.mark.parametrize("make, positive, rule", [
+    (_negative_omega_map, False, "omega_density"),
+    (_stray_b_map, False, "stray_B"),
+    (lambda rng: dg1_planted_noncp(rng, 2, depth=0.5), False, "witness"),
+    # positive and not CP: the search finds no witness, and nothing certifies the true
+    (lambda rng: closed_form_positive_map(rng, 4, 2), True, None),
+    # not CP, hermiticity-preserving, d_g = 2: no rule decides
+    (lambda rng: cp_edmap(rng, 2, 2, fill=2.0), None, None),
+], ids=["omega_density", "stray_B", "witness", "no_witness", "undecided"])
+def test_positivity_reaches_every_rule(make, positive, rule):
+    m = make(np.random.default_rng(230))
+    report = cpcheck.positivity_ed(m, samples=2000, seed=0)
+    assert not report.cp.cp
+    assert (report.positive, report.rule) == (positive, rule)
+    assert (report.probe is None) == (m.d_g != 1)
+    if report.probe is not None:
+        assert report.probe.rule == rule
+    if positive is False:
+        assert full_space_min_eigenvalue(m, report.witness) < -TOL
+
+
+@pytest.mark.parametrize("d_g", [1, 2, 3])
+def test_verify_reads_positivity_from_the_one_rule(d_g):
+    """verify's positive and witnesses are positivity_ed's, on mixed seeded maps."""
+    from edchan import cli
+    from edchan.jsonio import matrix_to_json
+
+    rng = np.random.default_rng(240 + d_g)
+    rules = set()
+    for k in range(16):
+        if d_g == 1 and k % 4 == 1:
+            m = dg1_planted_noncp(rng, int(rng.integers(2, 4)), depth=0.5)
+        elif d_g == 1 and k % 8 == 2:
+            m = _stray_b_map(rng)
+        else:
+            m = edmap_instance(rng, int(rng.integers(2, 4)), d_g)
+        if k % 4 == 3:
+            phi = m.phi.mat.copy()
+            phi[1, 1] += 0.3j  # phi no longer preserves hermiticity
+            m = EDMap(LinearMap(phi), m.omega, m.B, m.gamma)
+        ruled = cpcheck.positivity_ed(m, TOL, cli.VERIFY_SAMPLES, k)
+        report = cli._verify_report(m, TOL, k)
+        witnesses = [] if ruled.witness is None else [matrix_to_json(ruled.witness)]
+        assert (report["positive"], report["witnesses"]) == (ruled.positive, witnesses), k
+        assert ruled.cp == is_cp_ed(m, TOL)
+        assert report["cp"] == ruled.cp.cp
+        rules.add(ruled.rule)
+    assert {"cp", "hermiticity"} <= rules
+    assert ({"omega_density", "stray_B", "witness"} <= rules) == (d_g == 1)
+
+
+@pytest.mark.parametrize("d_g, below", [(1, (False, "omega_density")), (2, (None, None))])
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_positivity_hermiticity_rule_boundary(tol, d_g, below):
+    """A phi Choi hermiticity deviation of exactly tol passes the rule; one ulp more is decided."""
+    from edchan.matcore import hermiticity_deviation
+
+    omega = LinearMap(trace_times_identity(2, d_g, scale=-0.5))  # hermiticity-preserving, not positive
+    for deviation, expected in ((tol, below), (np.nextafter(tol, 1), (False, "hermiticity"))):
+        phi = np.eye(4, dtype=complex)
+        phi[0, 1] = deviation  # the Choi entry C[1, 0]; its mirror C[0, 1] stays 0
+        m = EDMap(LinearMap(phi), omega, np.zeros((2, 2)), 1.0)
+        assert hermiticity_deviation(choi(m.phi).mat) == deviation
+        report = cpcheck.positivity_ed(m, tol, samples=10)
+        assert (report.positive, report.rule) == expected
 
 
 # ---------------------------------------------------------------------------
