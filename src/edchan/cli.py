@@ -21,7 +21,6 @@ from .channel import BlockOperator, EDMap, is_trace_preserving
 from .cpcheck import (
     KrausSet,
     NotCompletelyPositiveError,
-    _coupled_min_eigenvalue,
     _cp_with_kraus,
     ball_decompose,
     explicit_kraus_ed,
@@ -82,7 +81,7 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
         "tp": is_trace_preserving(m, tol),
         "trace_nonincreasing_phi": is_trace_nonincreasing(m.phi, tol),
         "positive": verdict.positive,
-        "min_choi_eigenvalue": min(0.0, report.omega_min_eigenvalue, _coupled_min_eigenvalue(m)),
+        "min_choi_eigenvalue": report.min_full_choi_eigenvalue,
         "ball": ball,
         "witnesses": [] if verdict.witness is None else [jsonio.matrix_to_json(verdict.witness)],
     }

@@ -9,26 +9,25 @@ input), fixed package-wide. C is PSD iff the map is completely positive, and
 hermitian iff the map is hermiticity-preserving.
 
 The CP test for an excitation-damping map never builds the full-space Choi
-matrix: the map is completely positive iff omega is completely positive and,
-for gamma > 0, the damped excited-sector map phi - gamma^-1 B(.)B† is
-completely positive (for gamma = 0 this degenerates to B = 0 together with
-phi completely positive). Equivalently, B must lie in the ball of radius
-sqrt(gamma) spanned by the Kraus operators of phi: B = sum_mu beta_mu A_mu
-with sum |beta_mu|^2 <= gamma. Both routes are implemented; the block-level
-Choi test is the primary oracle and the ball decomposition is a diagnostic.
-The ball is taken over the truncated canonical Kraus family of phi, so it can
-miss a B that the block test accepts; the explicit block Kraus family is built
-from the damped block instead.
-
-The smallest eigenvalue of the full-space Choi matrix (hermitian part) is
-also read off the blocks: the full Choi matrix splits into the omega Choi
-block, zero blocks, and the (d_e^2 + 1)-square block
+matrix. That matrix splits into the omega Choi block C_omega, zero blocks,
+and the (d_e^2 + 1)-square block
 
     M1 = [[C_phi, sqrt(d_g) beta], [sqrt(d_g) beta†, gamma d_g]]
 
 with beta = B flattened row-major, which couples C_phi to the normalized
-maximally entangled vector of the ground sector. Hence
-min eig C_full = min(0, min eig C_omega, min eig M1).
+maximally entangled vector of the ground sector. So the map is completely
+positive iff C_omega and M1 are PSD (Choi, Linear Algebra Appl. 10, 285
+(1975)), and min eig C_full = min(0, min eig C_omega, min eig M1).
+:func:`is_cp_ed_stack` decides exactly that, with tol applied to C_omega
+and M1 and to the hermiticity of C_omega and C_phi, so its verdict is the
+full-space test's. By the Schur complement, M1 is PSD iff the damped
+excited-sector map phi - gamma^-1 B(.)B† is CP (gamma > 0), or B = 0 and phi
+is CP (gamma = 0): the paper's block theorem. Equivalently, B must lie in
+the ball of radius sqrt(gamma) spanned by the Kraus operators of phi:
+B = sum_mu beta_mu A_mu with sum |beta_mu|^2 <= gamma; the ball
+decomposition is a diagnostic. It is taken over the truncated canonical
+Kraus family of phi, so it can miss a B that the block test accepts; the
+explicit block Kraus family is built from the damped block instead.
 
 The block kernels take stacks of maps (:class:`~edchan.channel.EDStack`) and
 run one stacked eigensolve per block for the whole stack; :func:`is_cp_ed`,
@@ -200,12 +199,13 @@ def is_cp(m: LinearMap, tol: float = DEFAULT_TOL) -> CPVerdict:
     return is_cp_stack(m.mat[None], m.d_in, m.d_out, tol)[0]
 
 
-def _cp_with_kraus(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[CPVerdict, tuple]:
-    """``is_cp(m, tol)`` and, for a CP map, its canonical Kraus operators, from one ``eigh``."""
+def _cp_with_kraus(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[CPVerdict, np.ndarray]:
+    """``is_cp(m, tol)`` and the canonical Kraus operators of its Choi eigenvalues above
+    ``tol``, from one ``eigh``; the operators are a CP map's Kraus family."""
     C = choi_stack(m.mat[None], m.d_in, m.d_out)
     w, V = np.linalg.eigh(hermitian_parts(C))
     verdict = _cp_verdicts(C, tol, w[:, 0] if w.size else np.zeros(1))[0]
-    return verdict, (_canonical_kraus(w[0], V[0], m.d_out, m.d_in, tol) if verdict.is_cp else ())
+    return verdict, _canonical_kraus(w[0], V[0], m.d_out, m.d_in, tol)
 
 
 def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
@@ -214,14 +214,14 @@ def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
 
 
 def _damped_stack(s: EDStack, t: float) -> tuple:
-    """The block test's split on gamma, decided for every map of the stack.
+    """The damped excited-sector block of every map of the stack, split on gamma.
 
     Returns ``(blocks, positive, stray)``. ``positive[i]`` marks the
     gamma_positive branch (gamma > t), where ``blocks[i]`` is the
     superoperator of phi - gamma^-1 B(.)B†. In the gamma_zero branch it is
-    phi itself, and ``stray[i]`` marks a B with an entry above t in modulus,
-    which that branch requires to vanish. The CP report, the block Kraus
-    family and the d_g = 1 positivity probe all take the split from here.
+    phi itself, and ``stray[i]`` marks a B with an entry above t in modulus.
+    Only the block Kraus family of a CP map and the d_g = 1 positivity probe
+    form these blocks; the CP verdict reads M1 instead.
     """
     out = s.phi.copy()
     positive = s.gamma > t
@@ -246,10 +246,14 @@ def damped_excited_map(m: EDMap) -> LinearMap:
 class EDCPReport:
     """Block-level CP verdict for an excitation-damping map.
 
-    ``branch`` is ``"gamma_zero"`` or ``"gamma_positive"``. In the gamma_zero
-    branch ``damped_phi_cp`` records the degenerate condition (B = 0 and phi
-    completely positive); otherwise it is the CP verdict on
-    phi - gamma^-1 B(.)B†.
+    ``omega_cp`` holds when C_omega is hermitian within tol with smallest
+    eigenvalue >= -tol; ``damped_phi_cp`` when C_phi is hermitian within tol
+    and M1 (the module docstring) has smallest eigenvalue >= -tol, which by
+    the Schur complement is the damped map phi - gamma^-1 B(.)B† being CP
+    for gamma > 0, and B = 0 with phi CP for gamma = 0. ``cp`` is both, and
+    equals the full-space Choi test in exact arithmetic. ``branch``
+    (``"gamma_zero"`` or ``"gamma_positive"``, split at gamma > tol) is
+    information only. ``damped_min_eigenvalue`` is M1's smallest eigenvalue.
     """
 
     cp: bool
@@ -259,30 +263,32 @@ class EDCPReport:
     omega_min_eigenvalue: float
     damped_min_eigenvalue: float
 
-
-def _ed_report(positive: bool, stray: bool, omega: CPVerdict, damped: CPVerdict) -> EDCPReport:
-    """Block report from the CP verdicts on omega and on the :func:`_damped_stack` block.
-
-    ``positive`` and ``stray`` are that map's branch and stray-B flags from
-    :func:`_damped_stack`.
-    """
-    damped_ok = damped.is_cp and not stray
-    return EDCPReport(
-        cp=omega.is_cp and damped_ok,
-        omega_cp=omega.is_cp,
-        damped_phi_cp=damped_ok,
-        branch="gamma_positive" if positive else "gamma_zero",
-        omega_min_eigenvalue=omega.min_choi_eigenvalue,
-        damped_min_eigenvalue=damped.min_choi_eigenvalue,
-    )
+    @property
+    def min_full_choi_eigenvalue(self) -> float:
+        """Smallest eigenvalue of the full-space Choi matrix's hermitian part."""
+        return min(0.0, self.omega_min_eigenvalue, self.damped_min_eigenvalue)
 
 
 def is_cp_ed_stack(s: EDStack, tol: float = DEFAULT_TOL) -> list:
-    """:func:`is_cp_ed`'s report on every map of the stack."""
-    blocks, positive, stray = _damped_stack(s, tol)
-    return [_ed_report(p, x, omega, damped) for p, x, omega, damped in zip(
-        positive.tolist(), stray.tolist(), is_cp_stack(s.omega, s.d_e, s.d_g, tol),
-        is_cp_stack(blocks, s.d_e, s.d_e, tol))]
+    """:func:`is_cp_ed`'s report on every map of the stack.
+
+    One stacked eigensolve of the C_omega matrices and one of the M1
+    matrices decide every map.
+    """
+    k, n = len(s), s.d_e * s.d_e
+    C_phi = choi_stack(s.phi, s.d_e, s.d_e)
+    beta = np.sqrt(s.d_g) * s.B.reshape(k, -1)
+    M1 = np.empty((k, n + 1, n + 1), dtype=complex)
+    M1[:, :n, :n] = hermitian_parts(C_phi)
+    M1[:, :n, n] = beta
+    M1[:, n, :n] = beta.conj()
+    M1[:, n, n] = s.gamma * s.d_g
+    coupled = _cp_verdicts(C_phi, tol, np.linalg.eigvalsh(M1)[:, 0])
+    return [EDCPReport(omega.is_cp and m1.is_cp, omega.is_cp, m1.is_cp,
+                       "gamma_positive" if positive else "gamma_zero",
+                       omega.min_choi_eigenvalue, m1.min_choi_eigenvalue)
+            for omega, m1, positive in zip(is_cp_stack(s.omega, s.d_e, s.d_g, tol), coupled,
+                                           (s.gamma > tol).tolist())]
 
 
 def is_cp_ed(m: EDMap, tol: float = DEFAULT_TOL) -> EDCPReport:
@@ -290,35 +296,17 @@ def is_cp_ed(m: EDMap, tol: float = DEFAULT_TOL) -> EDCPReport:
     return is_cp_ed_stack(EDStack.of([m]), tol)[0]
 
 
-def _coupled_min_eigenvalue_stack(s: EDStack) -> np.ndarray:
-    """:func:`_coupled_min_eigenvalue` of every map of the stack."""
-    k, n = len(s), s.d_e * s.d_e
-    beta = np.sqrt(s.d_g) * s.B.reshape(k, -1)
-    M1 = np.empty((k, n + 1, n + 1), dtype=complex)
-    M1[:, :n, :n] = hermitian_parts(choi_stack(s.phi, s.d_e, s.d_e))
-    M1[:, :n, n] = beta
-    M1[:, n, :n] = beta.conj()
-    M1[:, n, n] = s.gamma * s.d_g
-    return np.linalg.eigvalsh(M1)[:, 0]
-
-
-def _coupled_min_eigenvalue(m: EDMap) -> float:
-    """Smallest eigenvalue of the (d_e^2 + 1)-square matrix coupling C_phi, B and gamma."""
-    return float(_coupled_min_eigenvalue_stack(EDStack.of([m]))[0])
-
-
 def min_full_choi_eigenvalue_stack(s: EDStack) -> list:
     """:func:`min_full_choi_eigenvalue` of every map of the stack."""
-    lo_omega = _min_eigenvalues(choi_stack(s.omega, s.d_e, s.d_g)).tolist()
-    return [min(0.0, a, b) for a, b in zip(lo_omega, _coupled_min_eigenvalue_stack(s).tolist())]
+    return [r.min_full_choi_eigenvalue for r in is_cp_ed_stack(s)]
 
 
 def min_full_choi_eigenvalue(m: EDMap) -> float:
     """Smallest eigenvalue of the full-space Choi matrix's hermitian part, from the blocks.
 
     Equals ``is_cp(m.to_linear_map()).min_choi_eigenvalue`` (see the module
-    docstring) at the cost of a (d_e^2 + 1)- and a (d_e d_g)-square eigensolve. A caller
-    holding ``is_cp_ed(m)`` reuses its ``omega_min_eigenvalue`` in place of the second.
+    docstring) at the cost of the (d_e^2 + 1)- and (d_e d_g)-square eigensolves
+    of :func:`is_cp_ed`, whose report a caller holding one reads instead.
     """
     return min_full_choi_eigenvalue_stack(EDStack.of([m]))[0]
 
@@ -370,26 +358,30 @@ def explicit_kraus_ed(m: EDMap, tol: float = DEFAULT_TOL) -> KrausSet:
     """Assemble block Kraus operators for a completely positive map.
 
     With {D_mu} the canonical Kraus family of the damped excited-sector map
-    phi - gamma^-1 B(.)B† (of phi itself in the gamma_zero branch, where B = 0)
-    and {Q_nu} that of omega, the family is
+    phi - gamma^-1 B(.)B† (of phi itself in the gamma_zero branch) and {Q_nu}
+    that of omega, the family is
 
         diag(B / sqrt(gamma), sqrt(gamma) I_g)   (gamma_positive branch only),
         diag(D_mu, 0),
         lower-left Q_nu,
 
     at most r + s + 1 operators, since the damped map has Choi rank at most
-    r = rank C_phi. Operators are returned as full-space matrices. Each block's
-    CP verdict (the :func:`is_cp_ed` report, which a non-CP map's error
-    carries) and its operators come from one eigensolve of its Choi matrix.
+    r = rank C_phi. Operators are returned as full-space matrices. The
+    verdict is :func:`is_cp_ed`'s, and a non-CP map's error carries that
+    report; the damped block is formed for a CP map only. Each block's
+    operators come from one eigensolve of its Choi matrix, keeping the
+    eigenvalues above ``tol``. In the gamma_zero branch the family drops B
+    and gamma, and near the tolerance at small gamma it can drop damped
+    eigenvalues below -tol; the reconstruction error shows both.
     """
-    blocks, positive, stray = _damped_stack(EDStack.of([m]), tol)
-    omega_verdict, omega_ops = _cp_with_kraus(m.omega, tol)
-    damped_verdict, damped_ops = _cp_with_kraus(LinearMap(blocks[0]), tol)
-    report = _ed_report(positive[0], stray[0], omega_verdict, damped_verdict)
+    report = is_cp_ed(m, tol)
     if not report.cp:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (omega_cp={report.omega_cp}, "
             f"damped_phi_cp={report.damped_phi_cp})", report)
+    blocks, positive, _ = _damped_stack(EDStack.of([m]), tol)
+    omega_ops = _cp_with_kraus(m.omega, tol)[1]
+    damped_ops = _cp_with_kraus(LinearMap(blocks[0]), tol)[1]
     d_e, top, mid = m.d_e, int(positive[0]), int(positive[0]) + len(damped_ops)
     ops = np.zeros((mid + len(omega_ops), d_e + m.d_g, d_e + m.d_g), dtype=complex)
     if top:

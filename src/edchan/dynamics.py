@@ -52,7 +52,6 @@ from .channel import (
     invert_stack,
 )
 from .cpcheck import (
-    _coupled_min_eigenvalue_stack,
     choi,
     is_cp,
     is_cp_ed_stack,
@@ -560,14 +559,12 @@ def is_cp_divisible(traj: ChannelTrajectory, tol: float = DEFAULT_TOL) -> CPDivi
     Consecutive pairs suffice: closure under composition makes every
     Phi_{t_i} ∘ Phi_{t_j}^-1 a product of consecutive propagators. The
     reported eigenvalue is the smallest full-space Choi eigenvalue over all
-    steps, computed from the blocks; the verdict itself comes from the
-    block-level CP criterion. ``worst_pair`` names that step as (i + 1, i)
+    steps, read off the block report (:func:`is_cp_ed`) that decides each
+    step. ``worst_pair`` names that step as (i + 1, i)
     only when its eigenvalue lies below -tol; a roundoff minimum names none.
     """
-    steps = _step_values(traj, lambda s: list(zip(is_cp_ed_stack(s, tol),
-                                                   _coupled_min_eigenvalue_stack(s).tolist())))
-    reports = [report for report, _ in steps]
-    mins = [min(0.0, report.omega_min_eigenvalue, coupled) for report, coupled in steps]
+    reports = _step_values(traj, lambda s: is_cp_ed_stack(s, tol))
+    mins = [r.min_full_choi_eigenvalue for r in reports]
     worst = int(np.argmin(mins)) if mins else None
     lo = 0.0 if worst is None else float(mins[worst])
     return CPDivisibilityReport(

@@ -255,3 +255,33 @@ def count_svds(monkeypatch) -> list:
     svds, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda M, *a, **kw: svds.append(M) or svd(M, *a, **kw))
     return svds
+
+
+def map_from_choi(C, d_in, d_out):
+    """The map whose Choi matrix, in the package's (out ⊗ in) convention, is ``C``."""
+    C4 = np.asarray(C, dtype=complex).reshape(d_out, d_in, d_out, d_in)
+    return LinearMap(C4.transpose(2, 0, 3, 1).reshape(d_out * d_out, d_in * d_in))
+
+
+def oracle_boundary_maps(tol=1e-9):
+    """Maps near the CP boundary on which a verdict read off the damped block and the
+    full-Choi test at ``tol`` disagree, by name; omega is zero in each.
+
+    - ``a_id_gamma_*``: d_e = 2, d_g = 1, phi = a id, B = I/2, a = 1/(4 gamma) - 1e-8.
+      The damped block's Choi minimum is -2e-8 at every gamma, M1's is -1.3e-8,
+      -4.0e-12 and -2.3e-13 at gamma = 1, 1e-2 and 1e-4: not CP, CP, CP.
+    - ``stray_B``: d_e = d_g = 1, phi = 1, gamma = tol/2, B = 2 tol. M1's minimum
+      is +5.0e-10: CP, although |B| > tol.
+    - ``gamma_zero_phi_zero``: d_e = 2, d_g = 1, gamma = 0, phi = 0 and every entry
+      of B 0.9 tol. M1's minimum is -1.8e-9: not CP, although |B| < tol.
+    """
+    def edmap(phi, B, gamma):
+        d_e = B.shape[0]
+        return EDMap(phi, LinearMap.zero(d_e, 1), B, gamma)
+
+    maps = {f"a_id_gamma_{g}": edmap(LinearMap.identity(2) * (1 / (4 * g) - 1e-8),
+                                     np.eye(2) / 2, g)
+            for g in (1.0, 1e-2, 1e-4)}
+    maps["stray_B"] = edmap(LinearMap.identity(1), np.array([[2 * tol]]), tol / 2)
+    maps["gamma_zero_phi_zero"] = edmap(LinearMap.zero(2, 2), np.full((2, 2), 0.9 * tol), 0.0)
+    return maps

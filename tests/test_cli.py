@@ -244,6 +244,48 @@ def test_kraus_rejects_noncp(tmp_path):
     assert json.loads(out.stdout)["cp"] is False
 
 
+def test_kraus_decides_huge_B_before_forming_the_damped_block(tmp_path, capsys):
+    """B = -1e200 i would overflow the damped block; the verdict from M1 comes first."""
+    from edchan import EDMap, cli, demos
+    from edchan.jsonio import edmap_to_dict
+
+    ad = demos.amplitude_damping_qubit()
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(edmap_to_dict(EDMap(ad.phi, ad.omega, [[-1e200j]], ad.gamma))))
+    assert cli.main(["kraus", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"type": "kraus_report", "cp": False,
+                                        "omega_cp": True, "damped_phi_cp": False}
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("name", ["a_id_gamma_1.0", "a_id_gamma_0.01", "a_id_gamma_0.0001",
+                                  "stray_B", "gamma_zero_phi_zero"])
+def test_verify_and_kraus_read_the_full_choi_oracle(name, tmp_path, capsys):
+    """verify's cp and minimum and kraus's exit are the full-space Choi test's; a CP
+    map, the stray-B one among them, is positive by rule cp with no witness."""
+    from conftest import oracle_boundary_maps
+    from edchan import cli, is_cp
+    from edchan.cpcheck import positivity_ed
+    from edchan.jsonio import edmap_to_dict
+
+    tol = 1e-9
+    m = oracle_boundary_maps(tol)[name]
+    oracle = is_cp(m.to_linear_map(), tol)
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(edmap_to_dict(m)))
+    cli.main(["verify", "--input", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert (report["cp"], report["damped_phi_cp"]) == (oracle.is_cp, oracle.is_cp)
+    assert report["min_choi_eigenvalue"] == pytest.approx(min(0.0, oracle.min_choi_eigenvalue),
+                                                          abs=1e-15)
+    if oracle.is_cp:
+        assert (report["positive"], report["witnesses"]) == (True, [])
+        assert positivity_ed(m, tol).rule == "cp"
+    assert cli.main(["kraus", "--input", str(path)]) == (0 if oracle.is_cp else 1)
+    assert json.loads(capsys.readouterr().out)["cp"] is oracle.is_cp
+
+
 def _full_space_reconstruction_error(m, operators):
     """The full-space oracle: Kraus superoperator against ``m.to_linear_map()``."""
     from edchan import KrausSet
@@ -341,7 +383,8 @@ def test_kraus_builds_no_full_space_superoperator(tmp_path, monkeypatch, capsys)
 
 @pytest.mark.parametrize("name, code", [("amplitude_damping", 0), ("noncp_qubit", 1)])
 def test_kraus_forms_damped_map_once(name, code, tmp_path, monkeypatch):
-    """One damped map and one Choi eigensolve per block, for the verdict and the operators."""
+    """The verdict is is_cp_ed's (C_omega and M1); only a CP map then forms the damped
+    map, once, and takes each block's operators from one Choi eigensolve."""
     from edchan import cli, cpcheck
 
     calls = {"damped": 0, "eig": 0}
@@ -359,7 +402,7 @@ def test_kraus_forms_damped_map_once(name, code, tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eig", eigvalsh))
     path = dump_demo(name, tmp_path / "map.json")
     assert cli.main(["kraus", "--input", str(path), "--output", str(tmp_path / "k.json")]) == code
-    assert calls == {"damped": 1, "eig": 2}
+    assert calls == ({"damped": 1, "eig": 4} if code == 0 else {"damped": 0, "eig": 2})
 
 
 def test_verify_eigensolves_phi_choi_once(tmp_path, monkeypatch):
@@ -384,9 +427,9 @@ def test_verify_eigensolves_phi_choi_once(tmp_path, monkeypatch):
     cli.main(["verify", "--input", str(path), "--output", str(tmp_path / "v.json")])
     report = json.loads((tmp_path / "v.json").read_text())
     assert report["cp"] and report["ball"] is not None
-    # omega and the damped block (is_cp_ed), phi (ball), phi's trace functional,
-    # and M1 for the full-space minimum, which reuses is_cp_ed's C_omega minimum
-    assert len(calls) == 5
+    # C_omega and M1 (is_cp_ed, whose report also gives the full-space minimum),
+    # phi (ball) and phi's trace functional
+    assert len(calls) == 4
 
 
 @pytest.fixture()
@@ -498,7 +541,7 @@ def test_verify_dg1_damped_choi_minimum_at_the_tolerance(gamma, depth, cp, searc
                                                          seesaw_calls):
     """A damped Choi minimum of -tol/2 is CP and certified positive; one of -2 tol is searched."""
     from conftest import random_cp_map, rc
-    from edchan import EDMap, LinearMap, is_cp, is_cp_ed
+    from edchan import EDMap, LinearMap, damped_excited_map, is_cp
     from edchan.cli import _verify_report
 
     tol, d = 1e-9, 3
@@ -512,7 +555,8 @@ def test_verify_dg1_damped_choi_minimum_at_the_tolerance(gamma, depth, cp, searc
     else:
         B, phi = np.zeros((d, d)), damped
     m = EDMap(phi, random_cp_map(rng, d, 1), B, gamma)
-    assert is_cp_ed(m, tol).damped_min_eigenvalue == pytest.approx(-depth * tol, abs=1e-14)
+    damped = damped_excited_map(m) if gamma else phi
+    assert is_cp(damped, tol).min_choi_eigenvalue == pytest.approx(-depth * tol, abs=1e-14)
     assert is_cp(m.to_linear_map(), tol).is_cp is cp  # the full-Choi oracle agrees
     report = _verify_report(m, tol, 0)
     assert report["cp"] is cp and len(seesaw_calls) == searches

@@ -27,7 +27,9 @@ from conftest import (
     dg1_planted_noncp,
     dg1_span_edmap,
     edmap_instance,
+    map_from_choi,
     nonhermitian_edmap,
+    oracle_boundary_maps,
     random_cp_map,
     random_density,
     random_noncp_map,
@@ -257,13 +259,6 @@ def split_grid():
                                 B, gamma)
 
 
-def theorem_damped_phi_cp(m):
-    """The block theorem's condition besides omega, with B(.)B† as a map of its own."""
-    if m.gamma > TOL:
-        return is_cp(m.phi - LinearMap.from_kraus([m.B]) * (1.0 / m.gamma), TOL).is_cp
-    return is_cp(m.phi, TOL).is_cp and np.abs(m.B).max() <= TOL
-
-
 def test_gamma_split_on_both_sides_of_the_tolerance():
     """The gamma > 0 / gamma = 0 split and every reading of it, at gamma and |B| near tol."""
     for m in split_grid():
@@ -272,7 +267,7 @@ def test_gamma_split_on_both_sides_of_the_tolerance():
         report = is_cp_ed(m, TOL)
         assert report.branch == ("gamma_positive" if positive else "gamma_zero")
         assert report.omega_cp
-        assert report.damped_phi_cp == theorem_damped_phi_cp(m)
+        assert report.damped_phi_cp == is_cp(m.to_linear_map(), TOL).is_cp  # the full-Choi oracle
         assert report.cp == report.damped_phi_cp
         if m.gamma > 0:
             assert damped_excited_map(m).mat.shape == m.phi.mat.shape
@@ -298,18 +293,133 @@ def test_gamma_split_on_both_sides_of_the_tolerance():
             k = sum(ee)
             assert ee == [True] * k + [False] * (len(rest) - k)
             assert all(ge[k:])
-            # away from tol the family is exact; near it, the gamma_zero branch drops
-            # gamma <= tol on gg and B <= tol on eg, and the damped block's Choi
-            # eigenvalues in [-tol, tol], a part of spectral norm at most tol
+            # the gamma_zero family drops B and gamma, so it rebuilds EDMap(phi, omega, 0, 0);
+            # away from tol the family is exact, and near it drops the damped block's
+            # Choi eigenvalues in [-tol, tol], a part of spectral norm at most tol
             near = 0.0 < m.gamma < 1.0 or 0.0 < b_max < 0.3
+            target = m if positive else EDMap(m.phi, m.omega, np.zeros_like(m.B), 0.0)
             rebuilt = LinearMap.from_kraus(ops, d_in=d, d_out=d).mat
-            error = np.abs(rebuilt - m.to_linear_map().mat).max()
+            error = np.abs(rebuilt - target.to_linear_map().mat).max()
             assert error <= 1e-12 + (TOL if near else 0.0)
         if m.d_g == 1:
             verdict = is_positive_ed_dg1(m, samples=200, tol=TOL, seed=0)
             stray = not positive and b_max > TOL
             assert (verdict.not_positive and verdict.samples_used == 0) == stray
             assert (verdict.rule == "stray_B") == stray
+
+
+def planted_choi(rng, n, lowest):
+    """A random n-square hermitian matrix with smallest eigenvalue ``lowest`` (to
+    roundoff), the others in [0.2, 1]; returned with the eigenvector of ``lowest``."""
+    V = np.linalg.qr(rc(rng, n, n))[0]
+    w = np.concatenate([[lowest], rng.uniform(0.2, 1.0, n - 1)])
+    return (V * w) @ V.conj().T, V[:, 0]
+
+
+ORACLE_GAMMAS = (0.0, TOL / 2, TOL, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
+ORACLE_DEPTHS = (-5.0, -2.0, -1.1, -0.9, -0.5, 0.0, 0.5, 5.0)  # in units of TOL
+
+
+def oracle_grid(count=1200):
+    """Seeded maps whose damped Choi block and C_omega have a planted minimum within
+    ±5 tol, at d_e <= 4, d_g <= 3 and gamma from 0 up through 1e-4 to 1.
+
+    For gamma > tol, phi's Choi matrix is the damped block's plus beta beta† / gamma,
+    with |beta|^2 / gamma in [0.2, 2]; then M1 = diag(C_damped, 0) + u u†. A beta
+    orthogonal to the planted eigenvector keeps M1's minimum at the planted depth; a
+    component along it raises M1's minimum above the damped block's. For gamma <= tol
+    phi's Choi matrix is planted itself, and |beta| runs from 0 to 1e-5.
+    """
+    rng = np.random.default_rng(3315)
+    for k in range(count):
+        d_e, d_g = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        gamma, n = ORACLE_GAMMAS[k % len(ORACLE_GAMMAS)], d_e * d_e
+        C, x = planted_choi(rng, n, TOL * rng.choice(ORACLE_DEPTHS))
+        beta = rc(rng, n)
+        if rng.integers(2) and n > 1:
+            beta -= x * (x.conj() @ beta)
+        if gamma > TOL:
+            beta *= np.sqrt(gamma * rng.uniform(0.2, 2.0)) / np.linalg.norm(beta)
+            C = C + np.outer(beta, beta.conj()) / gamma
+        else:
+            beta *= rng.choice([0.0, TOL, 1e-6, 1e-5]) / np.linalg.norm(beta)
+        C_omega = planted_choi(rng, d_e * d_g, TOL * rng.choice(ORACLE_DEPTHS))[0]
+        yield EDMap(map_from_choi(C, d_e, d_e), map_from_choi(C_omega, d_e, d_g),
+                    beta.reshape(d_e, d_e), gamma)
+
+
+def test_is_cp_ed_is_the_full_choi_oracle_near_the_boundary():
+    """cp is the full-space Choi test's verdict on 1200 maps planted within ±5 tol."""
+    seen, damped_would_differ = set(), 0
+    for m in oracle_grid():
+        report, oracle = is_cp_ed(m, TOL), is_cp(m.to_linear_map(), TOL)
+        assert report.cp == oracle.is_cp, m
+        seen.add((report.branch, report.cp))
+        if report.cp and m.gamma > TOL:
+            damped_would_differ += is_cp(damped_excited_map(m), TOL).min_choi_eigenvalue < -TOL
+    assert seen == {(branch, cp) for branch in ("gamma_zero", "gamma_positive")
+                    for cp in (True, False)}
+    # the grid reaches CP maps whose damped block alone reads below -tol
+    assert damped_would_differ > 0
+
+
+@pytest.mark.parametrize("name", ["a_id_gamma_1.0", "a_id_gamma_0.01", "a_id_gamma_0.0001",
+                                  "stray_B", "gamma_zero_phi_zero"])
+def test_boundary_maps_read_the_full_choi_oracle(name):
+    """The verdict, its eigenvalue and the Kraus family agree with the full-Choi oracle."""
+    m = oracle_boundary_maps(TOL)[name]
+    report, oracle = is_cp_ed(m, TOL), is_cp(m.to_linear_map(), TOL)
+    assert report.cp == oracle.is_cp
+    assert report.min_full_choi_eigenvalue == pytest.approx(min(0.0, oracle.min_choi_eigenvalue),
+                                                            abs=1e-15)
+    if not oracle.is_cp:
+        with pytest.raises(NotCompletelyPositiveError) as info:
+            explicit_kraus_ed(m, TOL)
+        assert info.value.report == report
+    else:
+        assert explicit_kraus_ed(m, TOL).count
+
+
+def diagonal_choi_map(phi_lowest=1.0, omega_lowest=1.0, phi_dev=0.0, gamma=1.0):
+    """d_e = 2, d_g = 1, B = 0: M1 = diag(C_phi, gamma), so its eigenvalues are exact.
+
+    C_phi = diag(phi_lowest, 1, 1, 1) plus ``phi_dev`` at entry (0, 1) alone, a
+    hermiticity deviation of exactly ``phi_dev``; C_omega = diag(omega_lowest, 1).
+    """
+    C_phi = np.diag([phi_lowest, 1.0, 1.0, 1.0]).astype(complex)
+    C_phi[0, 1] = phi_dev
+    return EDMap(map_from_choi(C_phi, 2, 2), map_from_choi(np.diag([omega_lowest, 1.0]), 2, 1),
+                 np.zeros((2, 2)), gamma)
+
+
+BELOW = float(np.nextafter(-TOL, -1.0))
+ABOVE = float(np.nextafter(TOL, 1.0))
+
+
+@pytest.mark.parametrize("changes, cp, omega_cp, damped_phi_cp", [
+    ({"phi_lowest": -TOL}, True, True, True),
+    ({"phi_lowest": BELOW}, False, True, False),
+    ({"omega_lowest": -TOL}, True, True, True),
+    ({"omega_lowest": BELOW}, False, False, True),
+    ({"phi_dev": TOL}, True, True, True),
+    ({"phi_dev": ABOVE}, False, True, False),
+], ids=["m1_at_tol", "m1_ulp_below", "omega_at_tol", "omega_ulp_below",
+        "phi_hermiticity_at_tol", "phi_hermiticity_ulp_above"])
+def test_block_verdict_boundaries(changes, cp, omega_cp, damped_phi_cp):
+    """PSD at exactly -tol and hermitian at exactly tol; one ulp past either is not."""
+    report = is_cp_ed(diagonal_choi_map(**changes), TOL)
+    assert (report.cp, report.omega_cp, report.damped_phi_cp) == (cp, omega_cp, damped_phi_cp)
+    if "phi_dev" not in changes:
+        lowest = changes.get("phi_lowest", changes.get("omega_lowest"))
+        assert min(report.omega_min_eigenvalue, report.damped_min_eigenvalue) == lowest
+
+
+@pytest.mark.parametrize("gamma, branch", [(TOL, "gamma_zero"), (ABOVE, "gamma_positive")],
+                         ids=["at_tol", "ulp_above"])
+def test_branch_boundary(gamma, branch):
+    """The reported branch splits at gamma > tol, and leaves the verdict alone."""
+    report = is_cp_ed(diagonal_choi_map(gamma=gamma), TOL)
+    assert (report.branch, report.cp) == (branch, True)
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +772,8 @@ def test_dg1_sampler_is_one_sided_on_positive_noncp_map():
     ks = kraus_from_choi(choi(m.phi))
     bd = ball_decompose(m.B, ks, m.gamma)
     assert bd.residual < 1e-12 and bd.norm_sq > 1.9  # in the span, far outside
-    report = is_cp_ed(m)
-    assert not report.cp
-    assert report.damped_min_eigenvalue < -0.19
+    assert not is_cp_ed(m).cp
+    assert is_cp(damped_excited_map(m)).min_choi_eigenvalue < -0.19
     verdict = is_positive_ed_dg1(m, samples=50000, seed=0)
     assert not verdict.not_positive
     assert verdict.min_eigenvalue > 0.19  # strictly positive on all samples

@@ -754,9 +754,8 @@ def test_is_cp_divisible_runs_block_test_once_per_distinct_step(monkeypatch):
         assert sum(matrices) == members
 
 
-def test_is_cp_divisible_eigensolves_three_blocks_per_distinct_step(monkeypatch):
-    # omega and the damped block (is_cp_ed) and the coupled phi-B matrix; C_omega's
-    # minimum is is_cp_ed's, not a second eigensolve
+def test_is_cp_divisible_eigensolves_two_blocks_per_distinct_step(monkeypatch):
+    # C_omega and M1 (is_cp_ed); the step's full-space minimum is read off that report
     grid = np.linspace(0.0, 1.0, 101)
     traj = semigroup_trajectory(random_semigroup_spec(np.random.default_rng(39), 2, 2), grid)
     matrices = []
@@ -765,7 +764,7 @@ def test_is_cp_divisible_eigensolves_three_blocks_per_distinct_step(monkeypatch)
         monkeypatch.setattr(np.linalg, name,
                             lambda A, *a, fn=fn, **kw: matrices.append(stacked(A)) or fn(A, *a, **kw))
     assert is_cp_divisible(traj).cp_divisible
-    assert sum(matrices) == 3  # the grid's one step length
+    assert sum(matrices) == 2  # the grid's one step length
 
 
 def decay_spec(rate, d_e=2):
