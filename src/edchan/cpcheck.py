@@ -27,7 +27,8 @@ the ball of radius sqrt(gamma) spanned by the Kraus operators of phi:
 B = sum_mu beta_mu A_mu with sum |beta_mu|^2 <= gamma; the ball
 decomposition is a diagnostic. It is taken over the truncated canonical
 Kraus family of phi, so it can miss a B that the block test accepts; the
-explicit block Kraus family is built from the damped block instead.
+explicit block Kraus family is read off the eigenvectors of M1 and C_omega
+instead.
 
 The block kernels take stacks of maps (:class:`~edchan.channel.EDStack`) and
 run one stacked eigensolve per block for the whole stack; :func:`is_cp_ed`,
@@ -41,11 +42,12 @@ phi or omega is not hermiticity-preserving within tol is not positive, at
 every d_g (``hermiticity``); beyond d_g = 1 nothing else is decided. At
 d_g = 1 the probe :func:`is_positive_ed_dg1` follows. The functional omega
 is positive iff its density W (with omega(X) = tr(WX)) is PSD
-(``omega_density``); the gamma_zero branch needs B = 0 (``stray_B``); and the
-damped map condition reduces positivity to rank-one inputs, which a seeded
-seesaw search probes one-sidedly: it minimises <eta|map(xi xi†)|eta> over
-unit xi and eta from the lowest of a batch of Haar states, alternating
-between the two eigenproblems (``witness``). Only a found witness is a
+(``omega_density``); in the gamma_zero branch, a B above tol that M1
+rejects has a witness (``stray_B``); and the damped map condition reduces
+positivity to rank-one inputs, which a seeded seesaw search probes
+one-sidedly: it minimises <eta|map(xi xi†)|eta> over unit xi and eta from
+the lowest of a batch of Haar states, alternating between the two
+eigenproblems (``witness``). Only a found witness is a
 certificate; a search that finds none leaves the verdict positive with no
 rule.
 """
@@ -149,12 +151,14 @@ def kraus_from_choi(C: ChoiMatrix, tol: float = DEFAULT_TOL) -> KrausSet:
         raise NotCompletelyPositiveError(
             f"Choi matrix is not PSD: smallest eigenvalue {w[0]:.3e}"
         )
-    return KrausSet(_canonical_kraus(w, V, C.d_out, C.d_in, tol))
+    return KrausSet(_canonical_vectors(w, V, tol).reshape(-1, C.d_out, C.d_in))
 
 
-def _canonical_kraus(w: np.ndarray, V: np.ndarray, d_out: int, d_in: int,
-                     t: float) -> np.ndarray:
-    """The operators of :func:`kraus_from_choi` from a Choi ``eigh`` result, as one stack."""
+def _canonical_vectors(w: np.ndarray, V: np.ndarray, t: float) -> np.ndarray:
+    """The eigenvectors of an ``eigh`` result with eigenvalue above ``t``, each scaled
+    by the root of its eigenvalue, in :func:`kraus_from_choi`'s order and phase, one
+    per row. For a Choi matrix, (out ⊗ in) ordering makes each row a row-major
+    flattened Kraus operator."""
     # eigenvalue descending, then the real parts in order; both sorts are stable
     order = np.lexsort((*V.real[::-1], -w))
     keep = order[w[order] > t]
@@ -162,8 +166,7 @@ def _canonical_kraus(w: np.ndarray, V: np.ndarray, d_out: int, d_in: int,
     k = np.argmax(np.abs(Vk) > 1e-12, axis=0)
     lead = Vk[k, np.arange(keep.size)]
     Vk = Vk * (lead / np.abs(lead)).conj()
-    # (out ⊗ in) ordering makes each eigenvector a row-major flattened operator
-    return (np.sqrt(w[keep]) * Vk).T.reshape(-1, d_out, d_in)
+    return (np.sqrt(w[keep]) * Vk).T
 
 
 class CPVerdict(NamedTuple):
@@ -205,7 +208,7 @@ def _cp_with_kraus(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[CPVerdict, n
     C = choi_stack(m.mat[None], m.d_in, m.d_out)
     w, V = np.linalg.eigh(hermitian_parts(C))
     verdict = _cp_verdicts(C, tol, w[:, 0] if w.size else np.zeros(1))[0]
-    return verdict, _canonical_kraus(w[0], V[0], m.d_out, m.d_in, tol)
+    return verdict, _canonical_vectors(w[0], V[0], tol).reshape(-1, m.d_out, m.d_in)
 
 
 def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
@@ -213,33 +216,30 @@ def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
     return hermiticity_deviation(choi(m).mat) <= tol
 
 
-def _damped_stack(s: EDStack, t: float) -> tuple:
+def _damped_stack(s: EDStack, t: float) -> np.ndarray:
     """The damped excited-sector block of every map of the stack, split on gamma.
 
-    Returns ``(blocks, positive, stray)``. ``positive[i]`` marks the
-    gamma_positive branch (gamma > t), where ``blocks[i]`` is the
-    superoperator of phi - gamma^-1 B(.)B†. In the gamma_zero branch it is
-    phi itself, and ``stray[i]`` marks a B with an entry above t in modulus.
-    Only the block Kraus family of a CP map and the d_g = 1 positivity probe
-    form these blocks; the CP verdict reads M1 instead.
+    In the gamma_positive branch (gamma > t) a map's block is the
+    superoperator of phi - gamma^-1 B(.)B†; in the gamma_zero branch it is
+    phi itself.
+    Only the d_g = 1 positivity probe and :func:`damped_excited_map` form
+    these blocks; the CP verdict and the block Kraus family read M1 instead.
     """
     out = s.phi.copy()
     positive = s.gamma > t
-    stray = ~positive & (np.abs(s.B).max(axis=(-2, -1), initial=0.0) > t)
     B = s.B[positive]
     d = B.shape[-1]
     # kron(B*, B) of each B: entry (i d + k, j d + l) is B*[i, j] B[k, l]
     kron = (B.conj()[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1, d * d, d * d)
     out[positive] = s.phi[positive] - kron / s.gamma[positive][:, None, None]
-    return out, positive, stray
+    return out
 
 
 def damped_excited_map(m: EDMap) -> LinearMap:
     """The excited-sector map phi - gamma^-1 B(.)B† (gamma must be positive)."""
-    blocks, positive, _ = _damped_stack(EDStack.of([m]), 0.0)
-    if not positive[0]:
+    if not m.gamma > 0:
         raise ValueError("damped map requires gamma > 0")
-    return LinearMap(blocks[0])
+    return LinearMap(_damped_stack(EDStack.of([m]), 0.0)[0])
 
 
 @dataclass(frozen=True)
@@ -269,12 +269,9 @@ class EDCPReport:
         return min(0.0, self.omega_min_eigenvalue, self.damped_min_eigenvalue)
 
 
-def is_cp_ed_stack(s: EDStack, tol: float = DEFAULT_TOL) -> list:
-    """:func:`is_cp_ed`'s report on every map of the stack.
-
-    One stacked eigensolve of the C_omega matrices and one of the M1
-    matrices decide every map.
-    """
+def _coupled_blocks(s: EDStack) -> tuple:
+    """C_phi and M1 (the module docstring) of every map of the stack; M1's top-left
+    block is C_phi's hermitian part."""
     k, n = len(s), s.d_e * s.d_e
     C_phi = choi_stack(s.phi, s.d_e, s.d_e)
     beta = np.sqrt(s.d_g) * s.B.reshape(k, -1)
@@ -283,6 +280,16 @@ def is_cp_ed_stack(s: EDStack, tol: float = DEFAULT_TOL) -> list:
     M1[:, :n, n] = beta
     M1[:, n, :n] = beta.conj()
     M1[:, n, n] = s.gamma * s.d_g
+    return C_phi, M1
+
+
+def is_cp_ed_stack(s: EDStack, tol: float = DEFAULT_TOL) -> list:
+    """:func:`is_cp_ed`'s report on every map of the stack.
+
+    One stacked eigensolve of the C_omega matrices and one of the M1
+    matrices decide every map.
+    """
+    C_phi, M1 = _coupled_blocks(s)
     coupled = _cp_verdicts(C_phi, tol, np.linalg.eigvalsh(M1)[:, 0])
     return [EDCPReport(omega.is_cp and m1.is_cp, omega.is_cp, m1.is_cp,
                        "gamma_positive" if positive else "gamma_zero",
@@ -357,38 +364,34 @@ def ball_decompose(B, kraus: KrausSet, gamma: float,
 def explicit_kraus_ed(m: EDMap, tol: float = DEFAULT_TOL) -> KrausSet:
     """Assemble block Kraus operators for a completely positive map.
 
-    With {D_mu} the canonical Kraus family of the damped excited-sector map
-    phi - gamma^-1 B(.)B† (of phi itself in the gamma_zero branch) and {Q_nu}
-    that of omega, the family is
+    The family is read off the two matrices the verdict tests. Each
+    eigenpair (lambda, (v, c)) of M1 (the module docstring) with lambda above
+    ``tol`` gives the operator
 
-        diag(B / sqrt(gamma), sqrt(gamma) I_g)   (gamma_positive branch only),
-        diag(D_mu, 0),
-        lower-left Q_nu,
+        sqrt(lambda) diag(mat(v), c / sqrt(d_g) I_g),
 
-    at most r + s + 1 operators, since the damped map has Choi rank at most
-    r = rank C_phi. Operators are returned as full-space matrices. The
+    with v read row-major, so that the operators rebuild phi from C_phi, B
+    from sqrt(d_g) beta and gamma from gamma d_g; each canonical Kraus
+    operator Q_nu of omega gives the lower-left operator Q_nu. M1's
+    eigenvectors follow the order and phase rule of :func:`kraus_from_choi`.
+    That is at most d_e^2 + 1 + d_e d_g operators, returned as full-space
+    matrices, and the family rebuilds the map to within ``tol`` (plus half
+    the hermiticity deviation of C_phi and C_omega), at every gamma. The
     verdict is :func:`is_cp_ed`'s, and a non-CP map's error carries that
-    report; the damped block is formed for a CP map only. Each block's
-    operators come from one eigensolve of its Choi matrix, keeping the
-    eigenvalues above ``tol``. In the gamma_zero branch the family drops B
-    and gamma, and near the tolerance at small gamma it can drop damped
-    eigenvalues below -tol; the reconstruction error shows both.
+    report.
     """
     report = is_cp_ed(m, tol)
     if not report.cp:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (omega_cp={report.omega_cp}, "
             f"damped_phi_cp={report.damped_phi_cp})", report)
-    blocks, positive, _ = _damped_stack(EDStack.of([m]), tol)
+    coupled = _canonical_vectors(*np.linalg.eigh(_coupled_blocks(EDStack.of([m]))[1][0]), tol)
     omega_ops = _cp_with_kraus(m.omega, tol)[1]
-    damped_ops = _cp_with_kraus(LinearMap(blocks[0]), tol)[1]
-    d_e, top, mid = m.d_e, int(positive[0]), int(positive[0]) + len(damped_ops)
-    ops = np.zeros((mid + len(omega_ops), d_e + m.d_g, d_e + m.d_g), dtype=complex)
-    if top:
-        root = np.sqrt(m.gamma)
-        ops[0, :d_e, :d_e], ops[0, d_e:, d_e:] = m.B / root, root * np.eye(m.d_g)
-    ops[top:mid, :d_e, :d_e] = damped_ops
-    ops[mid:, d_e:, :d_e] = omega_ops
+    d_e, r = m.d_e, len(coupled)
+    ops = np.zeros((r + len(omega_ops), d_e + m.d_g, d_e + m.d_g), dtype=complex)
+    ops[:r, :d_e, :d_e] = coupled[:, :-1].reshape(r, d_e, d_e)
+    ops[:r, d_e:, d_e:] = coupled[:, -1, None, None] / np.sqrt(m.d_g) * np.eye(m.d_g)
+    ops[r:, d_e:, :d_e] = omega_ops
     return KrausSet(tuple(ops))
 
 
@@ -593,12 +596,13 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     """Positivity of an excitation-damping map with a one-dimensional ground sector.
 
     The functional omega is decided exactly: omega(X) = tr(WX) for the
-    density W[j, l] = omega(E_lj), and omega is positive iff W is PSD. The
-    remaining condition (positivity of phi - gamma^-1 B(.)B† for gamma > 0,
-    or B = 0 with phi positive for gamma = 0) is probed with the seeded
-    seesaw search from ``samples`` Haar states. The returned witness, when
-    found, is a full-space state vector and ``min_eigenvalue`` is the
-    smallest eigenvalue of its full-space output.
+    density W[j, l] = omega(E_lj), and omega is positive iff W is PSD. At
+    gamma <= tol, a B with an entry above tol that M1 rejects is decided
+    exactly too (``stray_B``). The remaining condition (positivity of
+    phi - gamma^-1 B(.)B† for gamma > tol, of phi otherwise) is probed with
+    the seeded seesaw search from ``samples`` Haar states. The returned
+    witness, when found, is a full-space state vector and ``min_eigenvalue``
+    is the smallest eigenvalue of its full-space output.
     """
     if m.d_g != 1:
         raise ValueError(f"exact omega criterion requires d_g = 1, got d_g = {m.d_g}")
@@ -606,12 +610,11 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     if not is_psd(W, tol).is_psd:
         chi = np.append(np.linalg.eigh(hermitian_part(W))[1][:, 0], 0.0)
         return PositivityVerdict(chi, _min_output_eigenvalue(m, chi), 0, "omega_density")
-    blocks, _, stray = _damped_stack(EDStack.of([m]), tol)
-    if stray[0]:
+    if m.gamma <= tol and np.abs(m.B).max(initial=0) > tol and not is_cp_ed(m, tol).damped_phi_cp:
         # any direction not annihilated by B blows up against the frozen gg block
         xi, used, rule = np.linalg.svd(m.B)[2][0].conj(), 0, "stray_B"
     else:
-        found = _seesaw(LinearMap(blocks[0]), samples, tol, seed)
+        found = _seesaw(LinearMap(_damped_stack(EDStack.of([m]), tol)[0]), samples, tol, seed)
         if not found.not_positive:
             return found
         xi, used, rule = found.witness, found.samples_used, "witness"

@@ -263,7 +263,8 @@ def test_kraus_decides_huge_B_before_forming_the_damped_block(tmp_path, capsys):
                                   "stray_B", "gamma_zero_phi_zero"])
 def test_verify_and_kraus_read_the_full_choi_oracle(name, tmp_path, capsys):
     """verify's cp and minimum and kraus's exit are the full-space Choi test's; a CP
-    map, the stray-B one among them, is positive by rule cp with no witness."""
+    map, the stray-B one among them, is positive by rule cp with no witness, and its
+    Kraus family rebuilds it to within 1e-9."""
     from conftest import oracle_boundary_maps
     from edchan import cli, is_cp
     from edchan.cpcheck import positivity_ed
@@ -283,7 +284,10 @@ def test_verify_and_kraus_read_the_full_choi_oracle(name, tmp_path, capsys):
         assert (report["positive"], report["witnesses"]) == (True, [])
         assert positivity_ed(m, tol).rule == "cp"
     assert cli.main(["kraus", "--input", str(path)]) == (0 if oracle.is_cp else 1)
-    assert json.loads(capsys.readouterr().out)["cp"] is oracle.is_cp
+    report = json.loads(capsys.readouterr().out)
+    assert report["cp"] is oracle.is_cp
+    if oracle.is_cp:  # the bench's kraus check
+        assert report["reconstruction_error"] <= 1e-9
 
 
 def _full_space_reconstruction_error(m, operators):
@@ -382,9 +386,9 @@ def test_kraus_builds_no_full_space_superoperator(tmp_path, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("name, code", [("amplitude_damping", 0), ("noncp_qubit", 1)])
-def test_kraus_forms_damped_map_once(name, code, tmp_path, monkeypatch):
-    """The verdict is is_cp_ed's (C_omega and M1); only a CP map then forms the damped
-    map, once, and takes each block's operators from one Choi eigensolve."""
+def test_kraus_forms_no_damped_map(name, code, tmp_path, monkeypatch):
+    """The verdict is is_cp_ed's (C_omega and M1); a CP map's family then takes its
+    operators from one more eigensolve of each, and no damped map is formed."""
     from edchan import cli, cpcheck
 
     calls = {"damped": 0, "eig": 0}
@@ -402,7 +406,7 @@ def test_kraus_forms_damped_map_once(name, code, tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eig", eigvalsh))
     path = dump_demo(name, tmp_path / "map.json")
     assert cli.main(["kraus", "--input", str(path), "--output", str(tmp_path / "k.json")]) == code
-    assert calls == ({"damped": 1, "eig": 4} if code == 0 else {"damped": 0, "eig": 2})
+    assert calls == ({"damped": 0, "eig": 4} if code == 0 else {"damped": 0, "eig": 2})
 
 
 def test_verify_eigensolves_phi_choi_once(tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from edchan import (
     kraus_from_choi,
     qubit_map,
 )
+from edchan.matcore import hermiticity_deviation
 from conftest import (
     cp_edmap,
     dg1_planted_noncp,
@@ -259,11 +260,22 @@ def split_grid():
                                 B, gamma)
 
 
+def family_bound(m):
+    """tol, plus the roundoff of reading C_phi and C_omega through their hermitian parts."""
+    deviation = max(hermiticity_deviation(choi(b).mat) for b in (m.phi, m.omega))
+    return TOL + deviation / 2 + 1e-12
+
+
+def rebuild_error(m, operators):
+    """The full-space oracle: max-entry deviation of the family's superoperator from m's."""
+    d = m.d_e + m.d_g
+    return maxdiff(LinearMap.from_kraus(operators, d_in=d, d_out=d).mat, m.to_linear_map().mat)
+
+
 def test_gamma_split_on_both_sides_of_the_tolerance():
     """The gamma > 0 / gamma = 0 split and every reading of it, at gamma and |B| near tol."""
     for m in split_grid():
-        d_e, d = m.d_e, m.d_e + m.d_g
-        positive, b_max = m.gamma > TOL, float(np.abs(m.B).max())
+        d_e, positive, b_max = m.d_e, m.gamma > TOL, float(np.abs(m.B).max())
         report = is_cp_ed(m, TOL)
         assert report.branch == ("gamma_positive" if positive else "gamma_zero")
         assert report.omega_cp
@@ -282,28 +294,20 @@ def test_gamma_split_on_both_sides_of_the_tolerance():
                 report.cp, report.omega_cp, report.damped_phi_cp, report.branch)
         else:
             ops = explicit_kraus_ed(m, TOL).operators
-            if positive:
-                root = np.sqrt(m.gamma)
-                first = np.zeros((d, d), dtype=complex)
-                first[:d_e, :d_e], first[d_e:, d_e:] = m.B / root, root * np.eye(m.d_g)
-                assert ops[0].tobytes() == first.tobytes()
-            rest = ops[int(positive):]
-            ee = [not A[d_e:].any() and not A[:, d_e:].any() for A in rest]
-            ge = [not A[:d_e].any() and not A[:, d_e:].any() for A in rest]
-            k = sum(ee)
-            assert ee == [True] * k + [False] * (len(rest) - k)
-            assert all(ge[k:])
-            # the gamma_zero family drops B and gamma, so it rebuilds EDMap(phi, omega, 0, 0);
-            # away from tol the family is exact, and near it drops the damped block's
-            # Choi eigenvalues in [-tol, tol], a part of spectral norm at most tol
+            # M1's operators, block diagonal with a multiple of I_g on gg, then omega's,
+            # lower-left; the family rebuilds m itself on both sides of the split, exactly
+            # away from tol, and near it up to the M1 eigenvalues in (0, tol] it drops
+            diagonal = [not A[:d_e, d_e:].any() and not A[d_e:, :d_e].any() for A in ops]
+            k = sum(diagonal)
+            assert diagonal == [True] * k + [False] * (len(ops) - k)
+            assert all(np.array_equal(A[d_e:, d_e:], A[d_e, d_e] * np.eye(m.d_g))
+                       for A in ops[:k])
+            assert all(not A[:d_e].any() and not A[:, d_e:].any() for A in ops[k:])
             near = 0.0 < m.gamma < 1.0 or 0.0 < b_max < 0.3
-            target = m if positive else EDMap(m.phi, m.omega, np.zeros_like(m.B), 0.0)
-            rebuilt = LinearMap.from_kraus(ops, d_in=d, d_out=d).mat
-            error = np.abs(rebuilt - target.to_linear_map().mat).max()
-            assert error <= 1e-12 + (TOL if near else 0.0)
+            assert rebuild_error(m, ops) <= (family_bound(m) if near else 1e-12)
         if m.d_g == 1:
             verdict = is_positive_ed_dg1(m, samples=200, tol=TOL, seed=0)
-            stray = not positive and b_max > TOL
+            stray = not positive and b_max > TOL and not report.damped_phi_cp
             assert (verdict.not_positive and verdict.samples_used == 0) == stray
             assert (verdict.rule == "stray_B") == stray
 
@@ -380,6 +384,36 @@ def test_boundary_maps_read_the_full_choi_oracle(name):
         assert explicit_kraus_ed(m, TOL).count
 
 
+def test_kraus_family_rebuilds_every_accepted_map_near_the_boundary():
+    """Every map of the oracle grid and the boundary maps that is_cp_ed accepts is
+    rebuilt by its family to within tol, with at most d_e^2 + 1 + d_e d_g operators."""
+    accepted = set()
+    for m in [*oracle_grid(), *oracle_boundary_maps(TOL).values()]:
+        report = is_cp_ed(m, TOL)
+        if report.cp:
+            ops = explicit_kraus_ed(m, TOL).operators
+            assert len(ops) <= m.d_e ** 2 + 1 + m.d_e * m.d_g
+            assert rebuild_error(m, ops) <= family_bound(m), m
+            accepted.add(report.branch)
+    assert accepted == {"gamma_zero", "gamma_positive"}
+
+
+@pytest.mark.parametrize("b, rule", [(2 * TOL, None), (2e-4, "stray_B")],
+                         ids=["cp_map", "m1_rejects"])
+def test_stray_B_rule_only_where_m1_rejects(b, rule):
+    """d_e = d_g = 1, phi = 1, gamma = tol/2: B = 2 tol is CP (M1 minimum +5e-10), so
+    the probe searches and finds no witness; B = 2e-4 makes M1 reject, and the stray-B
+    rule decides with no search."""
+    stray = oracle_boundary_maps(TOL)["stray_B"]
+    m = EDMap(stray.phi, stray.omega, [[b]], stray.gamma)
+    assert is_cp(m.to_linear_map(), TOL).is_cp == (rule is None)
+    verdict = is_positive_ed_dg1(m, samples=200, tol=TOL, seed=0)
+    assert verdict.rule == rule
+    assert verdict.not_positive == (rule is not None)
+    if rule:
+        assert verdict.samples_used == 0 and verdict.min_eigenvalue < -TOL
+
+
 def diagonal_choi_map(phi_lowest=1.0, omega_lowest=1.0, phi_dev=0.0, gamma=1.0):
     """d_e = 2, d_g = 1, B = 0: M1 = diag(C_phi, gamma), so its eigenvalues are exact.
 
@@ -432,7 +466,7 @@ def _canonical_kraus_rank2(rng, d):
 
 
 def _canonical_kraus_loop(w, V, d_out, d_in, t):
-    """The reference for ``cpcheck._canonical_kraus``: a sorted key and one eigenvector at a time."""
+    """The reference for ``cpcheck._canonical_vectors``: a sorted key and one eigenvector at a time."""
     order = sorted(range(len(w)), key=lambda i: (-w[i], tuple(V[:, i].real)))
     ops = []
     for i in order:
@@ -462,7 +496,7 @@ def test_canonical_kraus_matches_the_loop_bit_for_bit():
     for m in maps:
         w, V = np.linalg.eigh(choi(m).mat)
         for t in (1e-9, 0.0, 0.5):
-            got = cpcheck._canonical_kraus(w, V, m.d_out, m.d_in, t)
+            got = cpcheck._canonical_vectors(w, V, t).reshape(-1, m.d_out, m.d_in)
             want = _canonical_kraus_loop(w, V, m.d_out, m.d_in, t)
             assert len(got) == len(want)
             for A, B in zip(got, want):
@@ -572,7 +606,7 @@ def test_explicit_kraus_reconstructs_block_cp_maps(make):
     d = m.d_e + m.d_g
     rebuilt = ks.to_linear_map(d_in=d, d_out=d)
     assert maxdiff(rebuilt.mat, m.to_linear_map().mat) < 1e-9
-    # the damped block's family, omega's, and one operator for B only when gamma > 0
+    # M1's rank is the damped block's, plus one for gamma > 0 (its Schur complement)
     r = kraus_from_choi(choi(damped_excited_map(m) if m.gamma else m.phi)).count
     s = kraus_from_choi(choi(m.omega)).count
     assert ks.count == r + s + (m.gamma > 0)
