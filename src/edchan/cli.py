@@ -67,7 +67,8 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
     phi_verdict, phi_ops = _cp_with_kraus(m.phi, tol)
     if phi_verdict.is_cp:
         bd = ball_decompose(m.B, KrausSet(phi_ops), m.gamma, tol)
-        ball = {"member": bd.member, "norm_sq": bd.norm_sq, "residual": bd.residual}
+        if np.isfinite([bd.norm_sq, bd.residual]).all():  # JSON holds no inf
+            ball = {"member": bd.member, "norm_sq": bd.norm_sq, "residual": bd.residual}
 
     return {
         "type": "verify_report",

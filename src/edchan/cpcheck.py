@@ -44,12 +44,18 @@ d_g = 1 the probe :func:`is_positive_ed_dg1` follows. The functional omega
 is positive iff its density W (with omega(X) = tr(WX)) is PSD
 (``omega_density``); in the gamma_zero branch, a B above tol that M1
 rejects has a witness (``stray_B``); and the damped map condition reduces
-positivity to rank-one inputs, which a seeded seesaw search probes
-one-sidedly: it minimises <eta|map(xi xi†)|eta> over unit xi and eta from
-the lowest of a batch of Haar states, alternating between the two
-eigenproblems (``witness``). Only a found witness is a
-certificate; a search that finds none leaves the verdict positive with no
-rule.
+positivity to rank-one inputs of phi - gamma^-1 B(.)B†. Its Choi matrix is
+M1's Schur complement S = C_phi - beta beta† / gamma, and a map is positive
+iff its Choi matrix is non-negative on product vectors (Jamiołkowski, Rep.
+Math. Phys. 3, 275 (1972)): <eta|map(xi xi†)|eta> is S read on
+eta ⊗ conj(xi). A seeded search probes this one-sidedly (``witness``). It
+starts from the lowest eigenvector of S, reshaped d_e x d_e, and its leading
+singular pair; only when that start is no witness does it screen a batch of
+Haar states and refine the start and the lowest of them by seesaw,
+alternating between the eigenproblems in eta and in xi. A witness xi is
+lifted to the full space by alternating between two 2x2 eigenproblems in
+its ground amplitude. Only a found witness is a certificate; a search that
+finds none leaves the verdict positive with no rule.
 """
 
 from __future__ import annotations
@@ -216,30 +222,14 @@ def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
     return hermiticity_deviation(choi(m).mat) <= tol
 
 
-def _damped_stack(s: EDStack, t: float) -> np.ndarray:
-    """The damped excited-sector block of every map of the stack, split on gamma.
-
-    In the gamma_positive branch (gamma > t) a map's block is the
-    superoperator of phi - gamma^-1 B(.)B†; in the gamma_zero branch it is
-    phi itself.
-    Only the d_g = 1 positivity probe and :func:`damped_excited_map` form
-    these blocks; the CP verdict and the block Kraus family read M1 instead.
-    """
-    out = s.phi.copy()
-    positive = s.gamma > t
-    B = s.B[positive]
-    d = B.shape[-1]
-    # kron(B*, B) of each B: entry (i d + k, j d + l) is B*[i, j] B[k, l]
-    kron = (B.conj()[:, :, None, :, None] * B[:, None, :, None, :]).reshape(-1, d * d, d * d)
-    out[positive] = s.phi[positive] - kron / s.gamma[positive][:, None, None]
-    return out
-
-
 def damped_excited_map(m: EDMap) -> LinearMap:
-    """The excited-sector map phi - gamma^-1 B(.)B† (gamma must be positive)."""
+    """The excited-sector map phi - gamma^-1 B(.)B† (gamma must be positive).
+
+    A test oracle: the d_g = 1 probe reads the damped block's Choi matrix off M1.
+    """
     if not m.gamma > 0:
         raise ValueError("damped map requires gamma > 0")
-    return LinearMap(_damped_stack(EDStack.of([m]), 0.0)[0])
+    return m.phi - LinearMap.from_kraus([m.B]) * (1 / m.gamma)
 
 
 @dataclass(frozen=True)
@@ -341,7 +331,8 @@ def ball_decompose(B, kraus: KrausSet, gamma: float,
 
     For canonical (Choi-eigenvector) families the operators are linearly
     independent, so the coefficients are unique. Non-membership is reported in
-    the verdict, never as an error.
+    the verdict, never as an error. A ``norm_sq`` past the float range is
+    inf, and not a member.
     """
     Bm = as_complex_matrix(B, "B")
     target = vectorize(Bm)
@@ -356,7 +347,8 @@ def ball_decompose(B, kraus: KrausSet, gamma: float,
                              .reshape(kraus.count, target.size).T)
     beta, *_ = np.linalg.lstsq(V, target, rcond=None)
     residual = float(np.linalg.norm(V @ beta - target))
-    norm_sq = float(np.sum(np.abs(beta) ** 2))
+    with np.errstate(over="ignore"):
+        norm_sq = float(np.sum(np.abs(beta) ** 2))
     member = (residual <= tol) and (norm_sq <= gamma + tol)
     return BallDecomposition(beta=beta, residual=residual, norm_sq=norm_sq, member=member)
 
@@ -418,12 +410,15 @@ class PositivityVerdict:
     witness, ``min_eigenvalue`` is that operator's smallest eigenvalue;
     without one, the smallest eigenvalue seen. :func:`is_positive_sampled`
     returns only witnesses below -tol, and ``samples_used`` counts the states
-    it drew. :func:`is_positive_ed_dg1` probes with the seeded seesaw search,
-    and its ``samples_used`` counts the screened Haar states plus the
-    refinement rounds, one per refined state and round (0 when the exact
-    criteria decide). It guarantees -tol only for the block it probes (the
-    density W or the damped excited map); the full-space output of its
-    witness, which it reports, can lie above -tol. Only a witness is a
+    it drew. :func:`is_positive_ed_dg1` probes from the lowest eigenvector of
+    the damped block's Choi matrix, then with the seeded screen and seesaw,
+    then lifts a witness by its 2x2 alternation; its ``samples_used`` counts
+    the screened Haar states plus the refinement rounds, one per refined
+    state and round (0 when an exact rule or the start decides). It
+    guarantees -tol only for the block it probes (the density W or the
+    damped excited map); the full-space output of its witness, which it
+    reports, can lie above -tol. A lifted witness's full-space eigenvalue is
+    at most that of its output's 2x2 compression. Only a witness is a
     certificate; absence of one proves nothing. ``rule`` names the
     criterion of :func:`is_positive_ed_dg1` that found the witness
     (``omega_density``, ``stray_B`` or ``witness``); it is None without a
@@ -466,16 +461,18 @@ def _rank_one_images(mat: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
 def _screened(m: LinearMap, samples: int, tol: float, seed: int):
     """The seeded stream of ``samples`` Haar states, _BATCH at a time.
 
-    Yields (states screened so far, the batch, the smallest eigenvalue of
-    each state's image). The first step raises ``ValueError`` unless ``m`` is
-    hermiticity-preserving within max(tol, 1e-8).
+    Returns an iterator of (states screened so far, the batch, the smallest
+    eigenvalue of each state's image), which draws each batch as it is read.
+    Raises ``ValueError`` at once unless ``m`` is hermiticity-preserving
+    within max(tol, 1e-8).
     """
     if not is_hermiticity_preserving(m, max(tol, 1e-8)):
         raise ValueError("positivity probe requires a hermiticity-preserving map")
     rng = np.random.default_rng(seed)
-    for seen in range(0, samples, _BATCH):
-        xi = haar_states(rng, min(_BATCH, samples - seen), m.d_in)
-        yield seen + len(xi), xi, np.linalg.eigvalsh(_rank_one_images(m.mat, xi, m.d_out))[:, 0]
+    draws = ((seen, haar_states(rng, min(_BATCH, samples - seen), m.d_in))
+             for seen in range(0, samples, _BATCH))
+    return ((seen + len(xi), xi, np.linalg.eigvalsh(_rank_one_images(m.mat, xi, m.d_out))[:, 0])
+            for seen, xi in draws)
 
 
 def is_positive_sampled(m: LinearMap, samples: int = 1000,
@@ -504,28 +501,40 @@ _ROUNDS = 40  # most seesaw rounds per refined state
 def _seesaw(m: LinearMap, samples: int, tol: float, seed: int) -> PositivityVerdict:
     """Seeded search for a rank-one input that ``m`` maps to a non-PSD operator.
 
-    Screens ``samples`` Haar states, drawn in the batches and from the stream
-    of :func:`is_positive_sampled` with the same seed, and stops screening
+    It starts from the lowest eigenvector of the hermitian part of m's Choi
+    matrix, reshaped d_out x d_in (row-major, out ⊗ in): its leading
+    singular pair (eta, conj(xi)) is the nearest product vector, and xi is
+    the start. A start whose image has an eigenvalue below -tol is the
+    witness, and no Haar state is drawn. Otherwise it screens ``samples``
+    Haar states, drawn in the batches and from the stream of
+    :func:`is_positive_sampled` with the same seed, and stops screening
     after the first batch holding a state below -tol, so every witness the
-    sampler finds is found here too. The ``_STARTS`` lowest states then go
-    through at most ``_ROUNDS`` seesaw rounds, each setting eta to the lowest
-    eigenvector of m(xi xi†) and xi to the lowest eigenvector of
-    m†(eta eta†), which never raises <eta|m(xi xi†)|eta>. The rounds stop on
-    a witness below -tol or when no state improves. The map must be
-    hermiticity-preserving within max(tol, 1e-8); otherwise ``ValueError``.
+    sampler finds is found here too. The start and the ``_STARTS`` lowest
+    states then go through at most ``_ROUNDS`` seesaw rounds, each setting
+    eta to the lowest eigenvector of m(xi xi†) and xi to the lowest
+    eigenvector of m†(eta eta†), which never raises <eta|m(xi xi†)|eta>.
+    The rounds stop on a witness below -tol or when no state improves. The
+    map must be hermiticity-preserving within max(tol, 1e-8); otherwise
+    ``ValueError``.
     """
     d_in, d_out = m.d_in, m.d_out
+    screen = _screened(m, samples, tol, seed)
+    lowest = np.linalg.eigh(hermitian_part(choi(m).mat))[1][:, 0]
+    start = np.linalg.svd(lowest.reshape(d_out, d_in))[2][:1].conj()
+    low = np.linalg.eigvalsh(_rank_one_images(m.mat, start, d_out))[:, 0]
+    if low[0] < -tol:
+        return PositivityVerdict(witness=start[0], min_eigenvalue=float(low[0]), samples_used=0)
     xs, lows = np.empty((0, d_in), dtype=complex), np.empty(0)
     seen = 0
-    for seen, batch, mins in _screened(m, samples, tol, seed):
+    for seen, batch, mins in screen:
         xs, lows = np.concatenate([xs, batch]), np.concatenate([lows, mins])
         keep = np.argsort(lows, kind="stable")[:_STARTS]
         xs, lows = xs[keep], lows[keep]
         if lows[0] < -tol:
             break
-    if not seen:
-        return PositivityVerdict(witness=None, min_eigenvalue=np.inf, samples_used=0)
-    best, best_xi = float(lows[0]), xs[0]
+    xs, lows = np.concatenate([start, xs]), np.concatenate([low, lows])
+    k = int(np.argmin(lows))
+    best, best_xi = float(lows[k]), xs[k]
     adjoint = m.mat.conj().T
     _, vecs = np.linalg.eigh(_rank_one_images(m.mat, xs, d_out))
     rounds = 0
@@ -542,52 +551,57 @@ def _seesaw(m: LinearMap, samples: int, tol: float, seed: int) -> PositivityVerd
                              samples_used=seen + rounds * len(xs))
 
 
+def _damped_choi(m: EDMap, t: float) -> tuple:
+    """The damped block's Choi matrix S over r², and r, read off the blocks of M1.
+
+    In the gamma_positive branch (gamma > t), S = C_phi - beta beta† / gamma
+    is M1's Schur complement at its last entry, the Choi matrix of
+    phi - gamma^-1 B(.)B†; in the gamma_zero branch S = C_phi. r is the
+    power of two at or below the largest of 1, the root of C_phi's largest
+    entry and beta's largest entry, taken before any product, so
+    S / r² = C_phi / r² - (beta / r)(beta / r)† / gamma is formed without
+    overflow and is S scaled exactly.
+    """
+    C_phi, M1 = _coupled_blocks(EDStack.of([m]))
+    beta, g = M1[0, :-1, -1], M1[0, -1, -1].real
+    if not m.gamma > t:
+        beta, g = 0 * beta, 1.0
+    r = float(np.exp2(np.floor(np.log2(max(1.0, np.abs(C_phi).max() ** 0.5, np.abs(beta).max())))))
+    # conj(beta) on the left, as in from_kraus's kron(conj(B), B): at d_g = 1, S r² is then
+    # the Choi matrix of damped_excited_map bit for bit
+    return C_phi[0] / r / r - (beta / r).conj()[None, :] * (beta / r)[:, None] * (1 / g), r
+
+
 def _min_output_eigenvalue(m: EDMap, chi: np.ndarray) -> float:
     X = BlockOperator.from_full(np.outer(chi, chi.conj()), m.d_e, m.d_g)
     return float(np.linalg.eigvalsh(hermitian_part(apply(m, X).full()))[0])
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2
+_LIFTS = 10  # alternations of the two 2x2 eigenproblems of the lift
 
 
-def _escalated_witness(m: EDMap, xi: np.ndarray):
-    """Full-space witness (xi, c) / |(xi, c)| from an excited-sector direction.
+def _lifted(m: EDMap, xi: np.ndarray, eta: np.ndarray):
+    """Full-space witness (cos θ xi, sin θ) for excited-sector input xi and output eta.
 
-    With X = xi xi†, the output is [[phi(X), c B xi], [c xi†B†,
-    omega(X) + gamma c^2]] / (1 + c^2), so for a fixed xi its smallest
-    eigenvalue is a function of the ground amplitude c >= 0 alone. When the
-    damped excited block fails positivity on xi (or the gamma = 0 block
-    couples a nonzero B), the Schur complement against the ground entry turns
-    negative at large enough c, and with it that eigenvalue. It is minimised
-    over log2 c in [-30, 30]: on a grid of step 1/2, then by golden section
-    between the best grid point's neighbours.
+    With X = xi xi†, a = eta† phi(X) eta, b = |eta† B xi| and w = omega(X),
+    the output on (c xi, s) (c = cos θ, s = sin θ) compresses on (eta, e_g),
+    up to a phase of eta, to [[a c², b c s], [b c s, w c² + gamma s²]]; for
+    an output vector (p eta, q e_g) the quadratic form in the input (c, s) is
+    [[a p² + w q², b p q], [b p q, gamma q²]]. Where the damped block is
+    negative along (xi, eta) (a gamma < b²), or gamma = 0 and b > 0, the
+    compression turns negative at large enough tan θ. The lift alternates
+    ``_LIFTS`` times between the two lowest eigenvectors, from c = s, and
+    returns the state and its full-space output's smallest eigenvalue, which
+    is at most the compression's.
     """
-    d = m.d_e
     X = np.outer(xi, xi.conj())
-    top = np.zeros((d + 1, d + 1), dtype=complex)
-    top[:d, :d] = hermitian_part(m.phi(X))
-    b = m.B @ xi
-    w = float(m.omega(X).real[0, 0])
-
-    def lowest(log_c):
-        c = np.exp2(np.asarray(log_c, dtype=float))
-        out = np.repeat(top[None], c.size, axis=0)
-        out[:, :d, d] = c[:, None] * b
-        out[:, d, :d] = c[:, None] * b.conj()
-        out[:, d, d] = w + m.gamma * c * c
-        return np.linalg.eigvalsh(out)[:, 0] / (1 + c * c)
-
-    grid = np.arange(-60, 61) / 2
-    k = int(np.argmin(lowest(grid)))
-    lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
-    for _ in range(40):
-        left, right = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-        f_left, f_right = lowest([left, right])
-        lo, hi = (lo, right) if f_left < f_right else (left, hi)
-    picks = [grid[k], (lo + hi) / 2]
-    c = np.exp2(picks[int(np.argmin(lowest(picks)))])
-    chi = np.concatenate([xi, [c]]).astype(complex)
-    chi = chi / np.linalg.norm(chi)
+    a, b = (eta.conj() @ m.phi(X) @ eta).real, abs(eta.conj() @ m.B @ xi)
+    w, g, c, s = m.omega(X)[0, 0].real, m.gamma, np.sqrt(0.5), np.sqrt(0.5)
+    for _ in range(_LIFTS):
+        p, q = np.linalg.eigh([[a * c * c, b * c * s], [b * c * s, w * c * c + g * s * s]])[1][:, 0]
+        c, s = abs(np.linalg.eigh([[a * p * p + w * q * q, b * p * q],
+                                   [b * p * q, g * q * q]])[1][:, 0])
+    chi = np.append(c * xi, s)
     return chi, _min_output_eigenvalue(m, chi)
 
 
@@ -598,11 +612,18 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     The functional omega is decided exactly: omega(X) = tr(WX) for the
     density W[j, l] = omega(E_lj), and omega is positive iff W is PSD. At
     gamma <= tol, a B with an entry above tol that M1 rejects is decided
-    exactly too (``stray_B``). The remaining condition (positivity of
-    phi - gamma^-1 B(.)B† for gamma > tol, of phi otherwise) is probed with
-    the seeded seesaw search from ``samples`` Haar states. The returned
-    witness, when found, is a full-space state vector and ``min_eigenvalue``
-    is the smallest eigenvalue of its full-space output.
+    exactly too (``stray_B``), along B's leading right singular vector xi
+    and eta = B xi / |B xi|. The remaining condition (positivity of
+    phi - gamma^-1 B(.)B† for gamma > tol, of phi otherwise) is probed on
+    its Choi matrix S, the Schur complement of M1 (:func:`_damped_choi`),
+    by the seeded search :func:`_seesaw`: from the lowest eigenvector of S,
+    then, only if that start is no witness, from ``samples`` Haar states and
+    seesaw rounds. A found witness xi, with eta the lowest eigenvector of its
+    damped image, is lifted to the full space by the 2x2 alternation of
+    :func:`_lifted`; the returned witness is a full-space state vector and
+    ``min_eigenvalue`` the smallest eigenvalue of its full-space output.
+    Without a witness ``min_eigenvalue`` is the smallest damped-block
+    eigenvalue seen, in the block's own scale.
     """
     if m.d_g != 1:
         raise ValueError(f"exact omega criterion requires d_g = 1, got d_g = {m.d_g}")
@@ -613,12 +634,17 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     if m.gamma <= tol and np.abs(m.B).max(initial=0) > tol and not is_cp_ed(m, tol).damped_phi_cp:
         # any direction not annihilated by B blows up against the frozen gg block
         xi, used, rule = np.linalg.svd(m.B)[2][0].conj(), 0, "stray_B"
+        eta = m.B @ xi / np.linalg.norm(m.B @ xi)
     else:
-        found = _seesaw(LinearMap(_damped_stack(EDStack.of([m]), tol)[0]), samples, tol, seed)
+        S, r = _damped_choi(m, tol)
+        # the superoperator S reshuffles to: Choi entry (a k, b l) is entry (b a, l k)
+        damped = LinearMap(S.reshape((m.d_e,) * 4).transpose(2, 0, 3, 1).reshape(S.shape))
+        found = _seesaw(damped, samples, tol / r / r, seed)
         if not found.not_positive:
-            return found
+            return PositivityVerdict(None, found.min_eigenvalue * r * r, found.samples_used)
         xi, used, rule = found.witness, found.samples_used, "witness"
-    return PositivityVerdict(*_escalated_witness(m, xi), used, rule)
+        eta = np.linalg.eigh(_rank_one_images(damped.mat, xi[None], m.d_e))[1][0, :, 0]
+    return PositivityVerdict(*_lifted(m, xi, eta), used, rule)
 
 
 @dataclass(frozen=True, eq=False)

@@ -245,18 +245,31 @@ def test_kraus_rejects_noncp(tmp_path):
 
 
 def test_kraus_decides_huge_B_before_forming_the_damped_block(tmp_path, capsys):
-    """B = -1e200 i would overflow the damped block; the verdict from M1 comes first."""
-    from edchan import EDMap, cli, demos
+    """B = -1e200 i: kraus decides from M1, and verify searches the damped block scaled
+    down before any product, so neither overflows. verify's witness is certified on
+    the blocks, since the full-space superoperator itself overflows."""
+    from edchan import BlockOperator, EDMap, apply, cli, demos
     from edchan.jsonio import edmap_to_dict
+    from edchan.matcore import hermitian_part
 
     ad = demos.amplitude_damping_qubit()
+    m = EDMap(ad.phi, ad.omega, [[-1e200j]], ad.gamma)
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(edmap_to_dict(EDMap(ad.phi, ad.omega, [[-1e200j]], ad.gamma))))
+    path.write_text(json.dumps(edmap_to_dict(m)))
     assert cli.main(["kraus", "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"type": "kraus_report", "cp": False,
                                         "omega_cp": True, "damped_phi_cp": False}
     assert captured.err == ""
+
+    assert cli.main(["verify", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.err == ""
+    assert (report["cp"], report["positive"], len(report["witnesses"])) == (False, False, 1)
+    chi = np.array(report["witnesses"][0]) @ [1.0, 1j]
+    out = apply(m, BlockOperator.from_full(np.outer(chi, chi.conj()), 1, 1)).full()
+    assert np.linalg.eigvalsh(hermitian_part(out))[0] < -1e199
 
 
 @pytest.mark.parametrize("name", ["a_id_gamma_1.0", "a_id_gamma_0.01", "a_id_gamma_0.0001",
@@ -388,11 +401,10 @@ def test_kraus_builds_no_full_space_superoperator(tmp_path, monkeypatch, capsys)
 @pytest.mark.parametrize("name, code", [("amplitude_damping", 0), ("noncp_qubit", 1)])
 def test_kraus_forms_no_damped_map(name, code, tmp_path, monkeypatch):
     """The verdict is is_cp_ed's (C_omega and M1); a CP map's family then takes its
-    operators from one more eigensolve of each, and no damped map is formed."""
-    from edchan import cli, cpcheck
+    operators from one more eigensolve of each, and nothing else is solved."""
+    from edchan import cli
 
-    calls = {"damped": 0, "eig": 0}
-    damped_stack = cpcheck._damped_stack
+    calls = {"eig": 0}
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
     def counted(key, fn):
@@ -401,12 +413,11 @@ def test_kraus_forms_no_damped_map(name, code, tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(cpcheck, "_damped_stack", counted("damped", damped_stack))
     monkeypatch.setattr(np.linalg, "eigh", counted("eig", eigh))
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eig", eigvalsh))
     path = dump_demo(name, tmp_path / "map.json")
     assert cli.main(["kraus", "--input", str(path), "--output", str(tmp_path / "k.json")]) == code
-    assert calls == ({"damped": 0, "eig": 4} if code == 0 else {"damped": 0, "eig": 2})
+    assert calls == {"eig": 4 if code == 0 else 2}
 
 
 def test_verify_eigensolves_phi_choi_once(tmp_path, monkeypatch):
@@ -596,6 +607,24 @@ def test_verify_seed_does_not_reach_a_cp_dg1_map(tmp_path):
         verdict = is_positive_ed_dg1(demos.noncp_qubit(), samples=cli.VERIFY_SAMPLES, seed=seed)
         assert status == 1
         assert json.loads(text)["witnesses"] == [matrix_to_json(verdict.witness)]
+
+
+@pytest.mark.parametrize("d_e", [2, 4, 8])
+def test_verify_dg1_witness_from_the_start_does_not_read_the_seed(d_e, tmp_path):
+    """On planted d_g = 1 maps the lowest eigenvector of the damped Choi matrix is the
+    witness, so verify's bytes are the same at --seed 0 and 99: no Haar state decides."""
+    from conftest import dg1_planted_noncp
+    from edchan import cli, is_positive_ed_dg1
+    from edchan.jsonio import edmap_to_dict
+
+    for k in range(3):
+        m = dg1_planted_noncp(np.random.default_rng(100 * d_e + k), d_e, 1e-3)
+        path = tmp_path / f"planted_{k}.json"
+        path.write_text(json.dumps(edmap_to_dict(m)))
+        (status, text), (_, other) = (verify_bytes(path, seed, tmp_path) for seed in (0, 99))
+        assert status == 1 and text == other, k
+        assert json.loads(text)["positive"] is False
+        assert is_positive_ed_dg1(m, samples=cli.VERIFY_SAMPLES, seed=0).samples_used == 0
 
 
 def test_evolve_scalar_decay_matches_closed_form(scalar_decay_spec, tmp_path):

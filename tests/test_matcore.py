@@ -7,10 +7,12 @@ from edchan.matcore import (
     _expm,
     devectorize,
     hermitian_part,
+    hermiticity_deviation,
     integral_of_exp,
     is_hermitian,
     is_psd,
     matexp,
+    require_hermitian,
     vectorize,
 )
 from conftest import rc, random_hermitian, random_psd, random_semigroup_spec
@@ -64,6 +66,32 @@ def test_is_psd_rank_one():
 def test_is_psd_rejects_nonhermitian():
     with pytest.raises(ValueError):
         is_psd(np.array([[0, 1], [0, 0]]), 1e-12)
+
+
+TOL = 1e-9
+
+
+@pytest.mark.parametrize("lowest, psd", [
+    (-TOL, True), (float(np.nextafter(-TOL, 0.0)), True), (float(np.nextafter(-TOL, -1.0)), False),
+], ids=["at_tol", "ulp_above", "ulp_below"])
+def test_is_psd_boundary(lowest, psd):
+    """PSD at a smallest eigenvalue of exactly -tol, planted on a diagonal; one ulp below is not."""
+    assert is_psd(np.diag([lowest, 1.0]), TOL) == (psd, lowest)
+
+
+@pytest.mark.parametrize("deviation, hermitian", [
+    (TOL, True), (float(np.nextafter(TOL, 0.0)), True), (float(np.nextafter(TOL, 1.0)), False),
+], ids=["at_tol", "ulp_below", "ulp_above"])
+def test_hermiticity_boundary(deviation, hermitian):
+    """Hermitian at a max-entry deviation of exactly tol; one ulp more is not, and raises."""
+    A = np.array([[1.0, deviation], [0.0, 1.0]])
+    assert hermiticity_deviation(A) == deviation
+    assert is_hermitian(A, TOL) is hermitian
+    if hermitian:
+        require_hermitian(A, TOL)
+    else:
+        with pytest.raises(ValueError, match="not hermitian"):
+            require_hermitian(A, TOL)
 
 
 def test_is_psd_monotone_under_shift():
