@@ -498,11 +498,11 @@ _STARTS = 8  # lowest screened states the seesaw refines
 _ROUNDS = 40  # most seesaw rounds per refined state
 
 
-def _seesaw(m: LinearMap, samples: int, tol: float, seed: int) -> PositivityVerdict:
+def _seesaw(m: LinearMap, S: np.ndarray, samples: int, tol: float, seed: int) -> PositivityVerdict:
     """Seeded search for a rank-one input that ``m`` maps to a non-PSD operator.
 
-    It starts from the lowest eigenvector of the hermitian part of m's Choi
-    matrix, reshaped d_out x d_in (row-major, out ⊗ in): its leading
+    It starts from the lowest eigenvector of the hermitian part of S, m's
+    Choi matrix, reshaped d_out x d_in (row-major, out ⊗ in): its leading
     singular pair (eta, conj(xi)) is the nearest product vector, and xi is
     the start. A start whose image has an eigenvalue below -tol is the
     witness, and no Haar state is drawn. Otherwise it screens ``samples``
@@ -519,7 +519,7 @@ def _seesaw(m: LinearMap, samples: int, tol: float, seed: int) -> PositivityVerd
     """
     d_in, d_out = m.d_in, m.d_out
     screen = _screened(m, samples, tol, seed)
-    lowest = np.linalg.eigh(hermitian_part(choi(m).mat))[1][:, 0]
+    lowest = np.linalg.eigh(hermitian_part(S))[1][:, 0]
     start = np.linalg.svd(lowest.reshape(d_out, d_in))[2][:1].conj()
     low = np.linalg.eigvalsh(_rank_one_images(m.mat, start, d_out))[:, 0]
     if low[0] < -tol:
@@ -560,7 +560,10 @@ def _damped_choi(m: EDMap, t: float) -> tuple:
     power of two at or below the largest of 1, the root of C_phi's largest
     entry and beta's largest entry, taken before any product, so
     S / r² = C_phi / r² - (beta / r)(beta / r)† / gamma is formed without
-    overflow and is S scaled exactly.
+    overflow and is S scaled exactly. A test of S / r² against tol / r² is
+    then the test of S against tol while tol / r² is a normal float (r below
+    about 1e149); beyond, tol / r² rounds on the subnormal grid, to 0 past
+    r of about 2e157, where any negative S / r² is below -tol on S.
     """
     C_phi, M1 = _coupled_blocks(EDStack.of([m]))
     beta, g = M1[0, :-1, -1], M1[0, -1, -1].real
@@ -589,14 +592,21 @@ def _lifted(m: EDMap, xi: np.ndarray, eta: np.ndarray):
     an output vector (p eta, q e_g) the quadratic form in the input (c, s) is
     [[a p² + w q², b p q], [b p q, gamma q²]]. Where the damped block is
     negative along (xi, eta) (a gamma < b²), or gamma = 0 and b > 0, the
-    compression turns negative at large enough tan θ. The lift alternates
-    ``_LIFTS`` times between the two lowest eigenvectors, from c = s, and
-    returns the state and its full-space output's smallest eigenvalue, which
-    is at most the compression's.
+    compression turns negative at large enough tan θ: its determinant is
+    c⁴ (a w - (b² - a gamma) tan²θ). Where b² > a gamma the lift starts at
+    tan²θ = max(1, 2 a w / (b² - a gamma)), where the compression is
+    negative (its determinant is, or its corner a c² if a < 0), and
+    elsewhere at tan θ = 1. It alternates ``_LIFTS`` times between the two
+    lowest eigenvectors, no step raising the compression's smallest
+    eigenvalue, and returns the state and its full-space output's smallest
+    eigenvalue, which is at most the compression's.
     """
     X = np.outer(xi, xi.conj())
-    a, b = (eta.conj() @ m.phi(X) @ eta).real, abs(eta.conj() @ m.B @ xi)
-    w, g, c, s = m.omega(X)[0, 0].real, m.gamma, np.sqrt(0.5), np.sqrt(0.5)
+    a, b = float((eta.conj() @ m.phi(X) @ eta).real), float(abs(eta.conj() @ m.B @ xi))
+    w, g = float(m.omega(X)[0, 0].real), m.gamma
+    # plain floats: a b past 1e154 squares to inf without a warning, giving tan θ = 1
+    t2 = max(1.0, 2 * a * w / (b * b - a * g)) if b * b > a * g else 1.0
+    c, s = np.array([1.0, np.sqrt(t2)]) / np.sqrt(1 + t2)
     for _ in range(_LIFTS):
         p, q = np.linalg.eigh([[a * c * c, b * c * s], [b * c * s, w * c * c + g * s * s]])[1][:, 0]
         c, s = abs(np.linalg.eigh([[a * p * p + w * q * q, b * p * q],
@@ -623,7 +633,7 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     :func:`_lifted`; the returned witness is a full-space state vector and
     ``min_eigenvalue`` the smallest eigenvalue of its full-space output.
     Without a witness ``min_eigenvalue`` is the smallest damped-block
-    eigenvalue seen, in the block's own scale.
+    eigenvalue seen, in the block's own scale, capped at the largest float.
     """
     if m.d_g != 1:
         raise ValueError(f"exact omega criterion requires d_g = 1, got d_g = {m.d_g}")
@@ -639,9 +649,10 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
         S, r = _damped_choi(m, tol)
         # the superoperator S reshuffles to: Choi entry (a k, b l) is entry (b a, l k)
         damped = LinearMap(S.reshape((m.d_e,) * 4).transpose(2, 0, 3, 1).reshape(S.shape))
-        found = _seesaw(damped, samples, tol / r / r, seed)
-        if not found.not_positive:
-            return PositivityVerdict(None, found.min_eigenvalue * r * r, found.samples_used)
+        found = _seesaw(damped, S, samples, tol / r / r, seed)
+        if not found.not_positive:  # S can pass the float range: cap its rescaled minimum
+            return PositivityVerdict(None, min(found.min_eigenvalue * r * r, np.finfo(float).max),
+                                     found.samples_used)
         xi, used, rule = found.witness, found.samples_used, "witness"
         eta = np.linalg.eigh(_rank_one_images(damped.mat, xi[None], m.d_e))[1][0, :, 0]
     return PositivityVerdict(*_lifted(m, xi, eta), used, rule)

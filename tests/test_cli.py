@@ -272,6 +272,28 @@ def test_kraus_decides_huge_B_before_forming_the_damped_block(tmp_path, capsys):
     assert np.linalg.eigvalsh(hermitian_part(out))[0] < -1e199
 
 
+@pytest.mark.parametrize("B", [1.01, 1.001])
+def test_verify_lifts_a_shallow_violation_past_its_threshold(B, tmp_path, capsys):
+    """phi = omega = gamma = 1 at d_e = 1: the damped block 1 - B² is barely negative, and
+    the output on (cos θ, sin θ) turns negative only past tan²θ = 1 / (B² - 1), about 50
+    at B = 1.01; both the probe and verify report a witness below -tol."""
+    from edchan import EDMap, LinearMap, cli, is_positive_ed_dg1
+    from edchan.jsonio import edmap_to_dict
+
+    tol = 1e-9
+    m = EDMap(LinearMap.identity(1), LinearMap.identity(1), [[B]], 1.0)
+    verdict = is_positive_ed_dg1(m, samples=1000, tol=tol, seed=0)
+    assert verdict.rule == "witness" and verdict.min_eigenvalue < -tol
+    path = tmp_path / "shallow.json"
+    path.write_text(json.dumps(edmap_to_dict(m)))
+    assert cli.main(["verify", "--input", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["positive"], len(report["witnesses"])) == (False, 1)
+    chi = np.array(report["witnesses"][0]) @ [1.0, 1j]
+    out = m.to_linear_map()(np.outer(chi, chi.conj()))
+    assert np.linalg.eigvalsh((out + out.conj().T) / 2)[0] < -tol
+
+
 @pytest.mark.parametrize("name", ["a_id_gamma_1.0", "a_id_gamma_0.01", "a_id_gamma_0.0001",
                                   "stray_B", "gamma_zero_phi_zero"])
 def test_verify_and_kraus_read_the_full_choi_oracle(name, tmp_path, capsys):
