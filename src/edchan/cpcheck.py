@@ -43,19 +43,23 @@ every d_g (``hermiticity``); beyond d_g = 1 nothing else is decided. At
 d_g = 1 the probe :func:`is_positive_ed_dg1` follows. The functional omega
 is positive iff its density W (with omega(X) = tr(WX)) is PSD
 (``omega_density``); in the gamma_zero branch, a B above tol that M1
-rejects has a witness (``stray_B``); and the damped map condition reduces
+rejects has a witness (``stray_B``) at gamma = 0, and at 0 < gamma <= tol
+where its lift reaches below -tol; and the damped map condition reduces
 positivity to rank-one inputs of phi - gamma^-1 B(.)B†. Its Choi matrix is
 M1's Schur complement S = C_phi - beta beta† / gamma, and a map is positive
 iff its Choi matrix is non-negative on product vectors (Jamiołkowski, Rep.
 Math. Phys. 3, 275 (1972)): <eta|map(xi xi†)|eta> is S read on
-eta ⊗ conj(xi). A seeded search probes this one-sidedly (``witness``). It
+eta ⊗ conj(xi). A seeded search probes this one-sidedly on S alone
+(``witness``); no superoperator or second Choi matrix is built for it. It
 starts from the lowest eigenvector of S, reshaped d_e x d_e, and its leading
 singular pair; only when that start is no witness does it screen a batch of
 Haar states and refine the start and the lowest of them by seesaw,
-alternating between the eigenproblems in eta and in xi. A witness xi is
-lifted to the full space by alternating between two 2x2 eigenproblems in
-its ground amplitude. Only a found witness is a certificate; a search that
-finds none leaves the verdict positive with no rule.
+alternating between the eigenproblems in eta (S contracted with xi) and in
+xi (the adjoint's Choi matrix, conj(S) with its tensor factors swapped,
+contracted with eta). A witness xi is lifted to the full space by
+alternating between two 2x2 eigenproblems in its ground amplitude. Only a
+found witness is a certificate; a search that finds none leaves the verdict
+positive with no rule.
 """
 
 from __future__ import annotations
@@ -331,11 +335,16 @@ def ball_decompose(B, kraus: KrausSet, gamma: float,
 
     For canonical (Choi-eigenvector) families the operators are linearly
     independent, so the coefficients are unique. Non-membership is reported in
-    the verdict, never as an error. A ``norm_sq`` past the float range is
-    inf, and not a member.
+    the verdict, never as an error. B / s is expanded, with s the power of
+    two at or below max|B|, which is exact and keeps every product finite;
+    ``beta``, ``residual`` and ``norm_sq`` are scaled back by s and s². A
+    ``norm_sq`` past the float range is inf, and not a member.
     """
     Bm = as_complex_matrix(B, "B")
-    target = vectorize(Bm)
+    # B over a power of two at or below max|B| expands exactly, and V @ beta stays finite
+    top = np.abs(Bm).max()
+    s = float(np.exp2(np.floor(np.log2(top)))) if top else 1.0
+    target = vectorize(Bm) / s
     if kraus.count and kraus.operators[0].shape != Bm.shape:
         raise ValueError(
             f"B shape {Bm.shape} does not match Kraus shape {kraus.operators[0].shape}"
@@ -346,9 +355,10 @@ def ball_decompose(B, kraus: KrausSet, gamma: float,
     V = np.ascontiguousarray(np.array([vectorize(A) for A in kraus.operators], dtype=complex)
                              .reshape(kraus.count, target.size).T)
     beta, *_ = np.linalg.lstsq(V, target, rcond=None)
-    residual = float(np.linalg.norm(V @ beta - target))
+    residual = float(np.linalg.norm(V @ beta - target)) * s
     with np.errstate(over="ignore"):
-        norm_sq = float(np.sum(np.abs(beta) ** 2))
+        norm_sq = float(np.sum(np.abs(beta) ** 2)) * s * s
+        beta = beta * s
     member = (residual <= tol) and (norm_sq <= gamma + tol)
     return BallDecomposition(beta=beta, residual=residual, norm_sq=norm_sq, member=member)
 
@@ -410,9 +420,10 @@ class PositivityVerdict:
     witness, ``min_eigenvalue`` is that operator's smallest eigenvalue;
     without one, the smallest eigenvalue seen. :func:`is_positive_sampled`
     returns only witnesses below -tol, and ``samples_used`` counts the states
-    it drew. :func:`is_positive_ed_dg1` probes from the lowest eigenvector of
-    the damped block's Choi matrix, then with the seeded screen and seesaw,
-    then lifts a witness by its 2x2 alternation; its ``samples_used`` counts
+    it drew. :func:`is_positive_ed_dg1` searches the damped block's Choi
+    matrix S for a product vector on which it reads below -tol, from S's
+    lowest eigenvector, then with the seeded screen and seesaw, and lifts a
+    witness by its 2x2 alternation; its ``samples_used`` counts
     the screened Haar states plus the refinement rounds, one per refined
     state and round (0 when an exact rule or the start decides). It
     guarantees -tol only for the block it probes (the density W or the
@@ -448,9 +459,14 @@ def haar_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 _BATCH = 20000
 
 
-def _rank_one_images(mat: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
-    """Hermitian parts of map(x x†) for the rows x of ``xs``, one per row."""
+def _rank_one_images(C: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
+    """Hermitian parts of map(x x†) for the rows x of ``xs``, one per row, where ``C``
+    is the map's Choi matrix (out ⊗ in): <eta|map(x x†)|eta> is C read on
+    eta ⊗ conj(x). The contraction runs as one GEMM on the superoperator that C
+    reshuffles to; that operand order fixes how it rounds."""
     n, d_in = xs.shape
+    # Choi entry (a k, b l) is superoperator entry (b a, l k)
+    mat = C.reshape(d_out, d_in, d_out, d_in).transpose(2, 0, 3, 1).reshape(d_out**2, d_in**2)
     # column-stacked projectors
     proj = xs[:, :, None] * xs.conj()[:, None, :]
     vecs = proj.transpose(0, 2, 1).reshape(n, d_in * d_in)
@@ -458,20 +474,21 @@ def _rank_one_images(mat: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
     return (out + out.conj().transpose(0, 2, 1)) / 2
 
 
-def _screened(m: LinearMap, samples: int, tol: float, seed: int):
-    """The seeded stream of ``samples`` Haar states, _BATCH at a time.
+def _screened(C: np.ndarray, d_in: int, d_out: int, samples: int, tol: float, seed: int):
+    """The seeded stream of ``samples`` Haar states in C^d_in, _BATCH at a time, read on
+    the Choi matrix ``C`` (out ⊗ in) of a map to d_out-square matrices.
 
     Returns an iterator of (states screened so far, the batch, the smallest
     eigenvalue of each state's image), which draws each batch as it is read.
-    Raises ``ValueError`` at once unless ``m`` is hermiticity-preserving
-    within max(tol, 1e-8).
+    Raises ``ValueError`` at once unless ``C`` is hermitian within
+    max(tol, 1e-8), that is, unless the map preserves hermiticity.
     """
-    if not is_hermiticity_preserving(m, max(tol, 1e-8)):
+    if hermiticity_deviation(C) > max(tol, 1e-8):
         raise ValueError("positivity probe requires a hermiticity-preserving map")
     rng = np.random.default_rng(seed)
-    draws = ((seen, haar_states(rng, min(_BATCH, samples - seen), m.d_in))
+    draws = ((seen, haar_states(rng, min(_BATCH, samples - seen), d_in))
              for seen in range(0, samples, _BATCH))
-    return ((seen + len(xi), xi, np.linalg.eigvalsh(_rank_one_images(m.mat, xi, m.d_out))[:, 0])
+    return ((seen + len(xi), xi, np.linalg.eigvalsh(_rank_one_images(C, xi, d_out))[:, 0])
             for seen, xi in draws)
 
 
@@ -484,7 +501,7 @@ def is_positive_sampled(m: LinearMap, samples: int = 1000,
     hermiticity-preserving within max(tol, 1e-8); otherwise ``ValueError``.
     """
     seen, worst = 0, np.inf
-    for seen, xi, mins in _screened(m, samples, tol, seed):
+    for seen, xi, mins in _screened(choi(m).mat, m.d_in, m.d_out, samples, tol, seed):
         worst = min(worst, float(mins.min()))
         bad = np.nonzero(mins < -tol)[0]
         if bad.size:
@@ -498,30 +515,33 @@ _STARTS = 8  # lowest screened states the seesaw refines
 _ROUNDS = 40  # most seesaw rounds per refined state
 
 
-def _seesaw(m: LinearMap, S: np.ndarray, samples: int, tol: float, seed: int) -> PositivityVerdict:
-    """Seeded search for a rank-one input that ``m`` maps to a non-PSD operator.
+def _seesaw(S: np.ndarray, d_in: int, d_out: int, samples: int, tol: float,
+            seed: int) -> PositivityVerdict:
+    """Seeded search for a product vector eta ⊗ conj(xi) on which the Choi matrix ``S``
+    (out ⊗ in) of a map reads below -tol: a rank-one input xi xi† that the map sends
+    to a non-PSD operator.
 
-    It starts from the lowest eigenvector of the hermitian part of S, m's
-    Choi matrix, reshaped d_out x d_in (row-major, out ⊗ in): its leading
-    singular pair (eta, conj(xi)) is the nearest product vector, and xi is
-    the start. A start whose image has an eigenvalue below -tol is the
-    witness, and no Haar state is drawn. Otherwise it screens ``samples``
-    Haar states, drawn in the batches and from the stream of
-    :func:`is_positive_sampled` with the same seed, and stops screening
-    after the first batch holding a state below -tol, so every witness the
-    sampler finds is found here too. The start and the ``_STARTS`` lowest
-    states then go through at most ``_ROUNDS`` seesaw rounds, each setting
-    eta to the lowest eigenvector of m(xi xi†) and xi to the lowest
-    eigenvector of m†(eta eta†), which never raises <eta|m(xi xi†)|eta>.
-    The rounds stop on a witness below -tol or when no state improves. The
-    map must be hermiticity-preserving within max(tol, 1e-8); otherwise
+    It starts from the lowest eigenvector of the hermitian part of S,
+    reshaped d_out x d_in (row-major, out ⊗ in): its leading singular pair
+    (eta, conj(xi)) is the nearest product vector, and xi is the start. A
+    start whose image has an eigenvalue below -tol is the witness, and no
+    Haar state is drawn. Otherwise it screens ``samples`` Haar states, drawn
+    in the batches and from the stream of :func:`is_positive_sampled` with
+    the same seed, and stops screening after the first batch holding a state
+    below -tol, so every witness the sampler finds is found here too. The
+    start and the ``_STARTS`` lowest states then go through at most
+    ``_ROUNDS`` seesaw rounds. Each sets eta to the lowest eigenvector of S
+    contracted with xi (the image of xi xi†), then xi to the lowest
+    eigenvector of the adjoint map's Choi matrix, conj(S) with its two
+    tensor factors swapped, contracted with eta; no round raises
+    <eta|map(xi xi†)|eta>. The rounds stop on a witness below -tol or when
+    no state improves. S must be hermitian within max(tol, 1e-8); otherwise
     ``ValueError``.
     """
-    d_in, d_out = m.d_in, m.d_out
-    screen = _screened(m, samples, tol, seed)
+    screen = _screened(S, d_in, d_out, samples, tol, seed)
     lowest = np.linalg.eigh(hermitian_part(S))[1][:, 0]
     start = np.linalg.svd(lowest.reshape(d_out, d_in))[2][:1].conj()
-    low = np.linalg.eigvalsh(_rank_one_images(m.mat, start, d_out))[:, 0]
+    low = np.linalg.eigvalsh(_rank_one_images(S, start, d_out))[:, 0]
     if low[0] < -tol:
         return PositivityVerdict(witness=start[0], min_eigenvalue=float(low[0]), samples_used=0)
     xs, lows = np.empty((0, d_in), dtype=complex), np.empty(0)
@@ -535,12 +555,12 @@ def _seesaw(m: LinearMap, S: np.ndarray, samples: int, tol: float, seed: int) ->
     xs, lows = np.concatenate([start, xs]), np.concatenate([low, lows])
     k = int(np.argmin(lows))
     best, best_xi = float(lows[k]), xs[k]
-    adjoint = m.mat.conj().T
-    _, vecs = np.linalg.eigh(_rank_one_images(m.mat, xs, d_out))
+    adjoint = S.conj().reshape(d_out, d_in, d_out, d_in).transpose(1, 0, 3, 2).reshape(S.shape)
+    _, vecs = np.linalg.eigh(_rank_one_images(S, xs, d_out))
     rounds = 0
     for rounds in range(1, _ROUNDS + 1):
         xs = np.linalg.eigh(_rank_one_images(adjoint, vecs[:, :, 0], d_in))[1][:, :, 0]
-        vals, vecs = np.linalg.eigh(_rank_one_images(m.mat, xs, d_out))
+        vals, vecs = np.linalg.eigh(_rank_one_images(S, xs, d_out))
         k = int(np.argmin(vals[:, 0]))
         if vals[k, 0] < best:
             best, best_xi = float(vals[k, 0]), xs[k]
@@ -621,16 +641,19 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
 
     The functional omega is decided exactly: omega(X) = tr(WX) for the
     density W[j, l] = omega(E_lj), and omega is positive iff W is PSD. At
-    gamma <= tol, a B with an entry above tol that M1 rejects is decided
-    exactly too (``stray_B``), along B's leading right singular vector xi
-    and eta = B xi / |B xi|. The remaining condition (positivity of
+    gamma <= tol, a B with an entry above tol that M1 rejects is lifted
+    along B's leading right singular vector xi and eta = B xi / |B xi|
+    (``stray_B``): at gamma = 0, where the ground block is frozen, that
+    decides exactly; at 0 < gamma <= tol only a lift below -tol decides, and
+    otherwise the search below runs. The remaining condition (positivity of
     phi - gamma^-1 B(.)B† for gamma > tol, of phi otherwise) is probed on
     its Choi matrix S, the Schur complement of M1 (:func:`_damped_choi`),
-    by the seeded search :func:`_seesaw`: from the lowest eigenvector of S,
-    then, only if that start is no witness, from ``samples`` Haar states and
-    seesaw rounds. A found witness xi, with eta the lowest eigenvector of its
-    damped image, is lifted to the full space by the 2x2 alternation of
-    :func:`_lifted`; the returned witness is a full-space state vector and
+    and on S alone, by the seeded search :func:`_seesaw`: from the lowest
+    eigenvector of S, then, only if that start is no witness, from
+    ``samples`` Haar states and seesaw rounds. A found witness xi, with eta
+    the lowest eigenvector of S contracted with xi (its damped image), is
+    lifted to the full space by the 2x2 alternation of :func:`_lifted`;
+    the returned witness is a full-space state vector and
     ``min_eigenvalue`` the smallest eigenvalue of its full-space output.
     Without a witness ``min_eigenvalue`` is the smallest damped-block
     eigenvalue seen, in the block's own scale, capped at the largest float.
@@ -642,20 +665,19 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
         chi = np.append(np.linalg.eigh(hermitian_part(W))[1][:, 0], 0.0)
         return PositivityVerdict(chi, _min_output_eigenvalue(m, chi), 0, "omega_density")
     if m.gamma <= tol and np.abs(m.B).max(initial=0) > tol and not is_cp_ed(m, tol).damped_phi_cp:
-        # any direction not annihilated by B blows up against the frozen gg block
-        xi, used, rule = np.linalg.svd(m.B)[2][0].conj(), 0, "stray_B"
-        eta = m.B @ xi / np.linalg.norm(m.B @ xi)
-    else:
-        S, r = _damped_choi(m, tol)
-        # the superoperator S reshuffles to: Choi entry (a k, b l) is entry (b a, l k)
-        damped = LinearMap(S.reshape((m.d_e,) * 4).transpose(2, 0, 3, 1).reshape(S.shape))
-        found = _seesaw(damped, S, samples, tol / r / r, seed)
-        if not found.not_positive:  # S can pass the float range: cap its rescaled minimum
-            return PositivityVerdict(None, min(found.min_eigenvalue * r * r, np.finfo(float).max),
-                                     found.samples_used)
-        xi, used, rule = found.witness, found.samples_used, "witness"
-        eta = np.linalg.eigh(_rank_one_images(damped.mat, xi[None], m.d_e))[1][0, :, 0]
-    return PositivityVerdict(*_lifted(m, xi, eta), used, rule)
+        # any direction not annihilated by B blows up against the gg block; it is frozen
+        # only at gamma = 0, so above that the lift must itself reach below -tol
+        xi = np.linalg.svd(m.B)[2][0].conj()
+        chi, low = _lifted(m, xi, m.B @ xi / np.linalg.norm(m.B @ xi))
+        if m.gamma == 0 or low < -tol:
+            return PositivityVerdict(chi, low, 0, "stray_B")
+    S, r = _damped_choi(m, tol)
+    found = _seesaw(S, m.d_e, m.d_e, samples, tol / r / r, seed)
+    if not found.not_positive:  # S can pass the float range: cap its rescaled minimum
+        return PositivityVerdict(None, min(found.min_eigenvalue * r * r, np.finfo(float).max),
+                                 found.samples_used)
+    eta = np.linalg.eigh(_rank_one_images(S, found.witness[None], m.d_e))[1][0, :, 0]
+    return PositivityVerdict(*_lifted(m, found.witness, eta), found.samples_used, "witness")
 
 
 @dataclass(frozen=True, eq=False)

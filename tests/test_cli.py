@@ -272,6 +272,28 @@ def test_kraus_decides_huge_B_before_forming_the_damped_block(tmp_path, capsys):
     assert np.linalg.eigvalsh(hermitian_part(out))[0] < -1e199
 
 
+def test_verify_ball_near_the_float_limit_warns_nothing(tmp_path, capsys):
+    """B = 1.7e308 at gamma = 2e-9: the ball expands B over a power of two at or below
+    max|B|, so its residual stays finite and only norm_sq passes the float range; with
+    every warning an error, verify exits 1 with an empty stderr, ball null and one
+    witness."""
+    import warnings
+
+    from edchan import EDMap, cli, demos
+    from edchan.jsonio import edmap_to_dict
+
+    ad = demos.amplitude_damping_qubit()
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(edmap_to_dict(EDMap(ad.phi, ad.omega, [[1.7e308]], 2e-9))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.err == ""
+    assert (report["ball"], report["positive"], len(report["witnesses"])) == (None, False, 1)
+
+
 @pytest.mark.parametrize("B", [1.01, 1.001])
 def test_verify_lifts_a_shallow_violation_past_its_threshold(B, tmp_path, capsys):
     """phi = omega = gamma = 1 at d_e = 1: the damped block 1 - B² is barely negative, and

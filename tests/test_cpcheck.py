@@ -308,9 +308,20 @@ def test_gamma_split_on_both_sides_of_the_tolerance():
         if m.d_g == 1:
             verdict = is_positive_ed_dg1(m, samples=200, tol=TOL, seed=0)
             stray = not positive and b_max > TOL and not report.damped_phi_cp
-            assert (verdict.rule == "stray_B") == stray
-            if stray:
+            # at 0 < gamma <= tol the gg block is not frozen: on the three maps with
+            # max|B| = 2 tol, (d_e, gamma) = (2, tol), (4, tol/2), (4, tol), the lift stays
+            # above -tol (a 3000-state sampler on the full space reads +6.2e-6, -1.0e-15
+            # and -5.2e-16 there), so the search decides, on phi, and finds no witness
+            shallow = stray and m.gamma > 0 and b_max == 2 * TOL
+            assert (verdict.rule == "stray_B") == (stray and not shallow)
+            if shallow:
+                assert not verdict.not_positive
+            elif stray:
                 assert verdict.not_positive and verdict.samples_used == 0
+            if verdict.rule == "stray_B" and m.gamma > 0:  # the full-space oracle
+                chi = verdict.witness
+                out = m.to_linear_map()(np.outer(chi, chi.conj()))
+                assert np.linalg.eigvalsh(hermitian_part(out))[0] < -TOL
 
 
 def planted_choi(rng, n, lowest):
@@ -502,6 +513,100 @@ def test_probe_scales_the_damped_block_before_any_product():
     assert lowest == verdict.min_eigenvalue < -1e304
 
 
+def test_stray_B_at_positive_gamma_leaves_a_shallow_lift_to_the_search():
+    """d_e = 2, phi = reduction + B(.)B†/gamma, omega = tr, gamma = 5e-10 and
+    B = 2e-9 [[1, .3], [.2, .7]]: M1 rejects B, but the damped map is the reduction
+    map, so the map is positive. The gg block is not frozen at gamma > 0, and the lift
+    along B's leading singular pair reads -8.6e-41, so the stray rule stays out and
+    the search on phi finds no witness; nor does the sampler on the full space."""
+    gamma, B = 5e-10, 2e-9 * np.array([[1.0, 0.3], [0.2, 0.7]])
+    vec_I = np.eye(2).reshape(-1)
+    reduction = LinearMap(np.outer(vec_I, vec_I) - np.eye(4))
+    m = EDMap(reduction + LinearMap.from_kraus([B]) * (1 / gamma), LinearMap(vec_I[None]),
+              B, gamma)
+    assert m.gamma <= TOL < np.abs(B).max() and not is_cp_ed(m, TOL).damped_phi_cp
+    report = cpcheck.positivity_ed(m, TOL, samples=1000, seed=0)
+    assert (report.positive, report.rule, report.witness) == (True, None, None)
+    assert not is_positive_sampled(m.to_linear_map(), samples=3000, tol=TOL, seed=0).not_positive
+
+
+@pytest.mark.parametrize("ulp_below, rule", [(False, None), (True, "stray_B")],
+                         ids=["at_tol", "ulp_below"])
+def test_stray_B_lift_boundary_at_positive_gamma(ulp_below, rule):
+    """d_e = d_g = 1, phi = 1, gamma = 5e-10, B = 2e-4: with tol the depth of the stray
+    lift itself (3.76e-8, still above gamma, below |B| and short of M1's minimum), the
+    rule leaves the map to the search, which finds nothing in phi = 1; with tol one ulp
+    less, the lift is below -tol and the rule decides."""
+    stray = oracle_boundary_maps(TOL)["stray_B"]
+    m = EDMap(stray.phi, stray.omega, [[2e-4]], stray.gamma)
+    lift = is_positive_ed_dg1(m, samples=0, tol=TOL, seed=0)
+    assert lift.rule == "stray_B"
+    tol = -lift.min_eigenvalue
+    if ulp_below:
+        tol = float(np.nextafter(tol, 0.0))
+    assert m.gamma <= tol < 2e-4 and not is_cp_ed(m, tol).damped_phi_cp
+    verdict = is_positive_ed_dg1(m, samples=200, tol=tol, seed=0)
+    assert (verdict.rule, verdict.not_positive) == (rule, rule is not None)
+    if rule:
+        assert (verdict.samples_used, verdict.min_eigenvalue) == (0, lift.min_eigenvalue)
+
+
+@pytest.mark.parametrize("lowest, witness", [(-TOL, False), (BELOW, True)],
+                         ids=["at_tol", "ulp_below"])
+def test_search_start_boundary(lowest, witness):
+    """S = diag(lowest, 1, 1, 1) (B = 0): its lowest eigenvector e_0 ⊗ e_0 is a product
+    vector, so the start's image reads exactly ``lowest``, and every image is
+    diag(|x_1|² - ... , 1) with no product vector lower. At -tol nothing is a witness:
+    one seesaw round brings every screened state to e_0 and the next improves none.
+    One ulp below, the start is the witness and no Haar state is drawn."""
+    verdict = is_positive_ed_dg1(diagonal_choi_map(phi_lowest=lowest), samples=200, tol=TOL,
+                                 seed=0)
+    assert verdict.not_positive is witness
+    if witness:
+        assert (verdict.rule, verdict.samples_used) == ("witness", 0)
+    else:
+        assert (verdict.rule, verdict.min_eigenvalue) == (None, -TOL)
+        assert verdict.samples_used == 200 + 2 * (1 + cpcheck._STARTS)
+
+
+@pytest.mark.parametrize("lowest, witness", [(-TOL, False), (BELOW, True)],
+                         ids=["at_tol", "ulp_below"])
+def test_screen_boundary_on_basis_states(lowest, witness, monkeypatch):
+    """With e_0 and e_1 in turn for Haar states, the sampler's image of e_0 under the map with
+    Choi matrix diag(lowest, 1, 1, 1) reads exactly ``lowest``: a witness one ulp below
+    -tol, none at it. The search screens every batch when no state is below -tol (it
+    stops after the first that holds one), so at -tol it draws all three batches."""
+    draws = []
+    monkeypatch.setattr(cpcheck, "haar_states",
+                        lambda rng, n, d: draws.append(n) or np.eye(d)[np.arange(n) % d])
+    monkeypatch.setattr(cpcheck, "_BATCH", 2)
+    sampled = is_positive_sampled(map_from_choi(np.diag([lowest, 1.0, 1.0, 1.0]), 2, 2),
+                                  samples=6, tol=TOL, seed=0)
+    assert sampled.not_positive is witness
+    assert (sampled.min_eigenvalue, sampled.samples_used) == (lowest, 1 if witness else 6)
+    draws.clear()
+    searched = is_positive_ed_dg1(diagonal_choi_map(phi_lowest=lowest), samples=6, tol=TOL)
+    assert searched.not_positive is witness
+    assert draws == ([] if witness else [2, 2, 2])
+
+
+@pytest.mark.parametrize("dev, accepted", [(1e-8, True), (float(np.nextafter(1e-8, 1.0)), False)],
+                         ids=["at_floor", "ulp_above"])
+def test_probe_hermiticity_floor_boundary(dev, accepted):
+    """Both probes accept a Choi matrix whose hermiticity deviation is exactly the 1e-8
+    floor (above tol = 1e-9) and raise one ulp above it."""
+    C = np.eye(4, dtype=complex)
+    C[0, 1] = dev
+    probes = (lambda: is_positive_sampled(map_from_choi(C, 2, 2), samples=10, tol=TOL),
+              lambda: is_positive_ed_dg1(diagonal_choi_map(phi_dev=dev), samples=10, tol=TOL))
+    for probe in probes:
+        if accepted:
+            assert not probe().not_positive
+        else:
+            with pytest.raises(ValueError, match="hermiticity-preserving"):
+                probe()
+
+
 @pytest.mark.parametrize("d_e, d_g", [(2, 1), (3, 2), (4, 3)])
 def test_damped_choi_is_the_schur_complement_of_m1(d_e, d_g):
     """S r², read off M1, is the hermitian part of the damped map's Choi matrix, relative
@@ -607,6 +712,25 @@ def test_ball_decompose_residual_rounds_as_stacked_columns():
         bd = ball_decompose(B, KrausSet(ops), gamma=1.0)
         V = np.stack([A.T.reshape(-1) for A in ops], axis=1)
         assert bd.residual == float(np.linalg.norm(V @ bd.beta - B.T.reshape(-1)))
+
+
+@pytest.mark.parametrize("ulp_inside, member", [(False, True), (True, False)],
+                         ids=["at_bound", "ulp_inside"])
+def test_ball_decompose_member_boundaries(ulp_inside, member):
+    """A residual exactly tol, and a norm_sq exactly gamma at tol = 0, are members; one
+    ulp less tol or gamma is not. I over the one operator E_00 leaves a residual of
+    exactly 1; 3 over the operator 1 expands exactly, to norm_sq 9 and residual 0."""
+    def less(x):
+        return float(np.nextafter(x, 0.0)) if ulp_inside else x
+
+    family = KrausSet([np.diag([1.0, 0.0])])
+    residual = ball_decompose(np.eye(2), family, gamma=10.0).residual
+    assert residual == 1.0
+    assert ball_decompose(np.eye(2), family, 10.0, less(residual)).member is member
+    family = KrausSet([np.eye(1)])
+    bd = ball_decompose([[3.0]], family, gamma=10.0, tol=0.0)
+    assert (bd.residual, bd.norm_sq) == (0.0, 9.0)
+    assert ball_decompose([[3.0]], family, less(bd.norm_sq), 0.0).member is member
 
 
 def test_ball_decompose_empty_family():
