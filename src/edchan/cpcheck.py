@@ -44,19 +44,21 @@ d_g = 1 the probe :func:`is_positive_ed_dg1` follows. The functional omega
 is positive iff its density W (with omega(X) = tr(WX)) is PSD
 (``omega_density``); in the gamma_zero branch, a B above tol that M1
 rejects has a witness (``stray_B``) at gamma = 0, and at 0 < gamma <= tol
-where its lift reaches below -tol; and the damped map condition reduces
+where its lift reaches below -tol (else the search below reads the damped
+block at that gamma); and the damped map condition reduces
 positivity to rank-one inputs of phi - gamma^-1 B(.)B†. Its Choi matrix is
 M1's Schur complement S = C_phi - beta beta† / gamma, and a map is positive
 iff its Choi matrix is non-negative on product vectors (Jamiołkowski, Rep.
 Math. Phys. 3, 275 (1972)): <eta|map(xi xi†)|eta> is S read on
 eta ⊗ conj(xi). A seeded search probes this one-sidedly on S alone
-(``witness``); no superoperator or second Choi matrix is built for it. It
-starts from the lowest eigenvector of S, reshaped d_e x d_e, and its leading
-singular pair; only when that start is no witness does it screen a batch of
+(``witness``); no map object is built for it, and the screen and the
+seesaw each reshuffle S once into the superoperator layout their matrix
+products read. It starts from the lowest eigenvector of S, reshaped
+d_e x d_e, and its leading singular pair; only when that start is no witness does it screen a batch of
 Haar states and refine the start and the lowest of them by seesaw,
-alternating between the eigenproblems in eta (S contracted with xi) and in
-xi (the adjoint's Choi matrix, conj(S) with its tensor factors swapped,
-contracted with eta). A witness xi is lifted to the full space by
+alternating between the eigenproblems in eta (the image of xi xi†) and in
+xi (the adjoint's image of eta eta†, read off the conjugate transpose of
+that superoperator). A witness xi is lifted to the full space by
 alternating between two 2x2 eigenproblems in its ground amplitude. Only a
 found witness is a certificate; a search that finds none leaves the verdict
 positive with no rule.
@@ -459,14 +461,19 @@ def haar_states(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 _BATCH = 20000
 
 
-def _rank_one_images(C: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
-    """Hermitian parts of map(x x†) for the rows x of ``xs``, one per row, where ``C``
-    is the map's Choi matrix (out ⊗ in): <eta|map(x x†)|eta> is C read on
-    eta ⊗ conj(x). The contraction runs as one GEMM on the superoperator that C
-    reshuffles to; that operand order fixes how it rounds."""
-    n, d_in = xs.shape
+def _superoperator(C: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """The (d_out², d_in²) superoperator, on column-stacked matrices, of the map whose
+    Choi matrix (out ⊗ in) is ``C``: the layout the search's one GEMM reads, so that
+    operand order fixes how it rounds."""
     # Choi entry (a k, b l) is superoperator entry (b a, l k)
-    mat = C.reshape(d_out, d_in, d_out, d_in).transpose(2, 0, 3, 1).reshape(d_out**2, d_in**2)
+    return C.reshape(d_out, d_in, d_out, d_in).transpose(2, 0, 3, 1).reshape(d_out**2, d_in**2)
+
+
+def _rank_one_images(mat: np.ndarray, xs: np.ndarray, d_out: int) -> np.ndarray:
+    """Hermitian parts of map(x x†) for the rows x of ``xs``, one per row, where ``mat``
+    is the map's :func:`_superoperator`: <eta|map(x x†)|eta> is its Choi matrix read
+    on eta ⊗ conj(x)."""
+    n, d_in = xs.shape
     # column-stacked projectors
     proj = xs[:, :, None] * xs.conj()[:, None, :]
     vecs = proj.transpose(0, 2, 1).reshape(n, d_in * d_in)
@@ -485,10 +492,10 @@ def _screened(C: np.ndarray, d_in: int, d_out: int, samples: int, tol: float, se
     """
     if hermiticity_deviation(C) > max(tol, 1e-8):
         raise ValueError("positivity probe requires a hermiticity-preserving map")
-    rng = np.random.default_rng(seed)
+    mat, rng = _superoperator(C, d_in, d_out), np.random.default_rng(seed)
     draws = ((seen, haar_states(rng, min(_BATCH, samples - seen), d_in))
              for seen in range(0, samples, _BATCH))
-    return ((seen + len(xi), xi, np.linalg.eigvalsh(_rank_one_images(C, xi, d_out))[:, 0])
+    return ((seen + len(xi), xi, np.linalg.eigvalsh(_rank_one_images(mat, xi, d_out))[:, 0])
             for seen, xi in draws)
 
 
@@ -530,18 +537,18 @@ def _seesaw(S: np.ndarray, d_in: int, d_out: int, samples: int, tol: float,
     the same seed, and stops screening after the first batch holding a state
     below -tol, so every witness the sampler finds is found here too. The
     start and the ``_STARTS`` lowest states then go through at most
-    ``_ROUNDS`` seesaw rounds. Each sets eta to the lowest eigenvector of S
-    contracted with xi (the image of xi xi†), then xi to the lowest
-    eigenvector of the adjoint map's Choi matrix, conj(S) with its two
-    tensor factors swapped, contracted with eta; no round raises
-    <eta|map(xi xi†)|eta>. The rounds stop on a witness below -tol or when
+    ``_ROUNDS`` seesaw rounds. Each sets eta to the lowest eigenvector of the
+    image of xi xi†, then xi to the lowest eigenvector of the adjoint's image
+    of eta eta†; no round raises <eta|map(xi xi†)|eta>. Both images are read
+    off the :func:`_superoperator` of S, built once, the adjoint's off its
+    conjugate transpose. The rounds stop on a witness below -tol or when
     no state improves. S must be hermitian within max(tol, 1e-8); otherwise
     ``ValueError``.
     """
-    screen = _screened(S, d_in, d_out, samples, tol, seed)
+    screen, mat = _screened(S, d_in, d_out, samples, tol, seed), _superoperator(S, d_in, d_out)
     lowest = np.linalg.eigh(hermitian_part(S))[1][:, 0]
     start = np.linalg.svd(lowest.reshape(d_out, d_in))[2][:1].conj()
-    low = np.linalg.eigvalsh(_rank_one_images(S, start, d_out))[:, 0]
+    low = np.linalg.eigvalsh(_rank_one_images(mat, start, d_out))[:, 0]
     if low[0] < -tol:
         return PositivityVerdict(witness=start[0], min_eigenvalue=float(low[0]), samples_used=0)
     xs, lows = np.empty((0, d_in), dtype=complex), np.empty(0)
@@ -555,12 +562,12 @@ def _seesaw(S: np.ndarray, d_in: int, d_out: int, samples: int, tol: float,
     xs, lows = np.concatenate([start, xs]), np.concatenate([low, lows])
     k = int(np.argmin(lows))
     best, best_xi = float(lows[k]), xs[k]
-    adjoint = S.conj().reshape(d_out, d_in, d_out, d_in).transpose(1, 0, 3, 2).reshape(S.shape)
-    _, vecs = np.linalg.eigh(_rank_one_images(S, xs, d_out))
+    adjoint = mat.conj().T
+    _, vecs = np.linalg.eigh(_rank_one_images(mat, xs, d_out))
     rounds = 0
     for rounds in range(1, _ROUNDS + 1):
         xs = np.linalg.eigh(_rank_one_images(adjoint, vecs[:, :, 0], d_in))[1][:, :, 0]
-        vals, vecs = np.linalg.eigh(_rank_one_images(S, xs, d_out))
+        vals, vecs = np.linalg.eigh(_rank_one_images(mat, xs, d_out))
         k = int(np.argmin(vals[:, 0]))
         if vals[k, 0] < best:
             best, best_xi = float(vals[k, 0]), xs[k]
@@ -583,10 +590,13 @@ def _damped_choi(m: EDMap, t: float) -> tuple:
     overflow and is S scaled exactly. A test of S / r² against tol / r² is
     then the test of S against tol while tol / r² is a normal float (r below
     about 1e149); beyond, tol / r² rounds on the subnormal grid, to 0 past
-    r of about 2e157, where any negative S / r² is below -tol on S.
+    r of about 2e157, where any negative S / r² is below -tol on S. A gamma
+    below the smallest normal float (only with t = 0) is read as that float,
+    so 1 / gamma stays finite: S grows with gamma, so a product vector on
+    which that S reads below -tol is a witness for the true S too.
     """
     C_phi, M1 = _coupled_blocks(EDStack.of([m]))
-    beta, g = M1[0, :-1, -1], M1[0, -1, -1].real
+    beta, g = M1[0, :-1, -1], max(M1[0, -1, -1].real, np.finfo(float).tiny)
     if not m.gamma > t:
         beta, g = 0 * beta, 1.0
     r = float(np.exp2(np.floor(np.log2(max(1.0, np.abs(C_phi).max() ** 0.5, np.abs(beta).max())))))
@@ -645,8 +655,10 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     along B's leading right singular vector xi and eta = B xi / |B xi|
     (``stray_B``): at gamma = 0, where the ground block is frozen, that
     decides exactly; at 0 < gamma <= tol only a lift below -tol decides, and
-    otherwise the search below runs. The remaining condition (positivity of
-    phi - gamma^-1 B(.)B† for gamma > tol, of phi otherwise) is probed on
+    otherwise the search below runs on the damped map at that gamma, where
+    the violation may lie off B's leading pair. The remaining condition
+    (positivity of phi - gamma^-1 B(.)B† for gamma > tol and for such a
+    stray B, of phi otherwise) is probed on
     its Choi matrix S, the Schur complement of M1 (:func:`_damped_choi`),
     and on S alone, by the seeded search :func:`_seesaw`: from the lowest
     eigenvector of S, then, only if that start is no witness, from
@@ -660,7 +672,7 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     """
     if m.d_g != 1:
         raise ValueError(f"exact omega criterion requires d_g = 1, got d_g = {m.d_g}")
-    W = m.omega.trace_functional()
+    W, t = m.omega.trace_functional(), tol
     if not is_psd(W, tol).is_psd:
         chi = np.append(np.linalg.eigh(hermitian_part(W))[1][:, 0], 0.0)
         return PositivityVerdict(chi, _min_output_eigenvalue(m, chi), 0, "omega_density")
@@ -671,12 +683,14 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
         chi, low = _lifted(m, xi, m.B @ xi / np.linalg.norm(m.B @ xi))
         if m.gamma == 0 or low < -tol:
             return PositivityVerdict(chi, low, 0, "stray_B")
-    S, r = _damped_choi(m, tol)
+        t = 0.0  # the search then reads the damped block at this gamma, not phi
+    S, r = _damped_choi(m, t)
     found = _seesaw(S, m.d_e, m.d_e, samples, tol / r / r, seed)
     if not found.not_positive:  # S can pass the float range: cap its rescaled minimum
         return PositivityVerdict(None, min(found.min_eigenvalue * r * r, np.finfo(float).max),
                                  found.samples_used)
-    eta = np.linalg.eigh(_rank_one_images(S, found.witness[None], m.d_e))[1][0, :, 0]
+    mat = _superoperator(S, m.d_e, m.d_e)
+    eta = np.linalg.eigh(_rank_one_images(mat, found.witness[None], m.d_e))[1][0, :, 0]
     return PositivityVerdict(*_lifted(m, found.witness, eta), found.samples_used, "witness")
 
 

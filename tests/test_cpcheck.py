@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -310,12 +312,17 @@ def test_gamma_split_on_both_sides_of_the_tolerance():
             stray = not positive and b_max > TOL and not report.damped_phi_cp
             # at 0 < gamma <= tol the gg block is not frozen: on the three maps with
             # max|B| = 2 tol, (d_e, gamma) = (2, tol), (4, tol/2), (4, tol), the lift stays
-            # above -tol (a 3000-state sampler on the full space reads +6.2e-6, -1.0e-15
-            # and -5.2e-16 there), so the search decides, on phi, and finds no witness
+            # above -tol, so the search decides, on the damped map phi - gamma^-1 B(.)B†,
+            # and finds a witness below -tol there; its full-space output reads about
+            # -1e-17, a depth tol does not resolve (a 3000-state sampler on the full
+            # space reads +6.2e-6, -1.0e-15 and -5.2e-16 there)
             shallow = stray and m.gamma > 0 and b_max == 2 * TOL
             assert (verdict.rule == "stray_B") == (stray and not shallow)
             if shallow:
-                assert not verdict.not_positive
+                xi = verdict.witness[:-1] / np.linalg.norm(verdict.witness[:-1])
+                image = damped_excited_map(m)(np.outer(xi, xi.conj()))
+                assert verdict.rule == "witness" and verdict.min_eigenvalue < 0
+                assert np.linalg.eigvalsh(hermitian_part(image))[0] < -TOL
             elif stray:
                 assert verdict.not_positive and verdict.samples_used == 0
             if verdict.rule == "stray_B" and m.gamma > 0:  # the full-space oracle
@@ -518,7 +525,8 @@ def test_stray_B_at_positive_gamma_leaves_a_shallow_lift_to_the_search():
     B = 2e-9 [[1, .3], [.2, .7]]: M1 rejects B, but the damped map is the reduction
     map, so the map is positive. The gg block is not frozen at gamma > 0, and the lift
     along B's leading singular pair reads -8.6e-41, so the stray rule stays out and
-    the search on phi finds no witness; nor does the sampler on the full space."""
+    the search on the damped map finds no witness; nor does the sampler on the full
+    space."""
     gamma, B = 5e-10, 2e-9 * np.array([[1.0, 0.3], [0.2, 0.7]])
     vec_I = np.eye(2).reshape(-1)
     reduction = LinearMap(np.outer(vec_I, vec_I) - np.eye(4))
@@ -530,13 +538,14 @@ def test_stray_B_at_positive_gamma_leaves_a_shallow_lift_to_the_search():
     assert not is_positive_sampled(m.to_linear_map(), samples=3000, tol=TOL, seed=0).not_positive
 
 
-@pytest.mark.parametrize("ulp_below, rule", [(False, None), (True, "stray_B")],
+@pytest.mark.parametrize("ulp_below, rule", [(False, "witness"), (True, "stray_B")],
                          ids=["at_tol", "ulp_below"])
 def test_stray_B_lift_boundary_at_positive_gamma(ulp_below, rule):
     """d_e = d_g = 1, phi = 1, gamma = 5e-10, B = 2e-4: with tol the depth of the stray
     lift itself (3.76e-8, still above gamma, below |B| and short of M1's minimum), the
-    rule leaves the map to the search, which finds nothing in phi = 1; with tol one ulp
-    less, the lift is below -tol and the rule decides."""
+    rule leaves the map to the search, whose start reads the damped block
+    1 - |B|^2 / gamma = -79 and lifts to the same state; with tol one ulp less, the
+    lift is below -tol and the rule decides."""
     stray = oracle_boundary_maps(TOL)["stray_B"]
     m = EDMap(stray.phi, stray.omega, [[2e-4]], stray.gamma)
     lift = is_positive_ed_dg1(m, samples=0, tol=TOL, seed=0)
@@ -546,9 +555,47 @@ def test_stray_B_lift_boundary_at_positive_gamma(ulp_below, rule):
         tol = float(np.nextafter(tol, 0.0))
     assert m.gamma <= tol < 2e-4 and not is_cp_ed(m, tol).damped_phi_cp
     verdict = is_positive_ed_dg1(m, samples=200, tol=tol, seed=0)
-    assert (verdict.rule, verdict.not_positive) == (rule, rule is not None)
-    if rule:
-        assert (verdict.samples_used, verdict.min_eigenvalue) == (0, lift.min_eigenvalue)
+    assert (verdict.rule, verdict.samples_used, verdict.min_eigenvalue) == (
+        rule, 0, lift.min_eigenvalue)
+    assert np.array_equal(verdict.witness, lift.witness)
+
+
+def test_stray_B_at_positive_gamma_searches_the_damped_map():
+    """d_e = 2, phi = K(.)K†/gamma with K = diag(1, 0), omega = tr, gamma = 5e-10 and
+    B = diag(1, .5): M1 rejects B, but along B's leading pair (e_1, e_1) the damped
+    block reads 1/gamma - 1/gamma = 0, so the stray lift stays above -tol. The
+    violation lies along e_2, where phi is 0 and the damped block -|.5|^2 / gamma: the
+    search on the damped map finds it, not a search on phi, which is CP. The input
+    (e_2 / sqrt 2, 1 / sqrt 2) maps to [[0, .25], [.25, .5]] on (e_2, g), so the
+    full-space output reads at most (1 - sqrt 2) / 4 there."""
+    gamma = 5e-10
+    K = np.diag([1.0, 0.0])
+    m = EDMap(LinearMap.from_kraus([K]) * (1 / gamma), LinearMap(np.eye(2).reshape(1, -1)),
+              np.diag([1.0, 0.5]), gamma)
+    assert m.gamma <= TOL < np.abs(m.B).max() and not is_cp_ed(m, TOL).damped_phi_cp
+    report = cpcheck.positivity_ed(m, TOL, samples=1000, seed=0)
+    assert (report.positive, report.rule) == (False, "witness")
+    chi = report.witness
+    out = m.to_linear_map()(np.outer(chi, chi.conj()))  # the full-space oracle
+    lowest = np.linalg.eigvalsh(hermitian_part(out))[0]
+    assert lowest == pytest.approx(report.probe.min_eigenvalue, abs=1e-12)
+    assert lowest < (1 - np.sqrt(2)) / 4 + 1e-12
+
+
+def test_stray_B_fall_through_below_the_smallest_normal_gamma():
+    """d_e = d_g = 1, phi = omega = 1, B = sqrt(2 tol), gamma = 1e-310: M1 rejects B, the
+    stray lift reads -5e-10, above -tol, and 1 / gamma passes the float range. The
+    search reads the damped block at the smallest normal gamma instead, which finds
+    the same witness, and nothing warns."""
+    m = EDMap(LinearMap(np.eye(1)), LinearMap(np.eye(1)), [[np.sqrt(2 * TOL)]], 1e-310)
+    assert not is_cp_ed(m, TOL).damped_phi_cp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = cpcheck.positivity_ed(m, TOL, samples=100, seed=0)
+    assert (report.positive, report.rule, report.probe.samples_used) == (False, "witness", 0)
+    chi = report.witness
+    out = m.to_linear_map()(np.outer(chi, chi.conj()))  # the full-space oracle
+    assert np.linalg.eigvalsh(hermitian_part(out))[0] < 0
 
 
 @pytest.mark.parametrize("lowest, witness", [(-TOL, False), (BELOW, True)],
