@@ -19,12 +19,12 @@ import numpy as np
 from . import demos, jsonio
 from .channel import BlockOperator, EDMap, is_trace_preserving
 from .cpcheck import (
-    KrausSet,
     NotCompletelyPositiveError,
-    _cp_with_kraus,
     ball_decompose,
+    choi,
     explicit_kraus_ed,
     is_trace_nonincreasing,
+    kraus_from_choi,
     positivity_ed,
 )
 from .dynamics import (_check_grid, _midpoint_trajectory, is_cp_divisible,
@@ -63,10 +63,13 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
     verdict = positivity_ed(m, tol, VERIFY_SAMPLES, seed)
     report = verdict.cp
 
+    try:  # phi's canonical Kraus family, which exists only if phi is CP within tol
+        phi_kraus = kraus_from_choi(choi(m.phi), tol)
+    except ValueError:
+        phi_kraus = None
     ball = None
-    phi_verdict, phi_ops = _cp_with_kraus(m.phi, tol)
-    if phi_verdict.is_cp:
-        bd = ball_decompose(m.B, KrausSet(phi_ops), m.gamma, tol)
+    if phi_kraus is not None:
+        bd = ball_decompose(m.B, phi_kraus, m.gamma, tol)
         if np.isfinite([bd.norm_sq, bd.residual]).all():  # JSON holds no inf
             ball = {"member": bd.member, "norm_sq": bd.norm_sq, "residual": bd.residual}
 
@@ -91,15 +94,15 @@ def _verify_report(m: EDMap, tol: float, seed: int) -> dict:
 def _reconstruction_error(m: EDMap, operators) -> float:
     """Max-entry deviation of the Kraus family's superoperator from the map's.
 
-    Compares, block by block, the family's action on the matrix units,
+    ``operators`` is the family as one (count, d, d) array. Compares, block by
+    block, the family's action on the matrix units,
     ``T[a, b, i, j] = sum_mu A_mu[a, i] conj(A_mu[b, j])`` (the coefficient of
     ``X[i, j]`` in the image's entry ``[a, b]``), with the action the blocks
     give: phi on ee -> ee, omega on ee -> gg, ``B X`` on eg, ``X B†`` on ge,
     ``gamma X`` on gg, and zero between every other pair of blocks.
     """
-    e, d = m.d_e, m.d_e + m.d_g
-    A = np.asarray(operators, dtype=complex).reshape(len(operators), d, d)
-    T = np.einsum("mai,mbj->abij", A, A.conj(), optimize=True)
+    e = m.d_e
+    T = np.einsum("mai,mbj->abij", operators, operators.conj(), optimize=True)
     # column-stacked superoperators: row a + n b, column i + n j
     T[:e, :e, :e, :e] -= m.phi.mat.reshape(e, e, e, e).transpose(1, 0, 3, 2)
     T[e:, e:, :e, :e] -= m.omega.mat.reshape(m.d_g, m.d_g, e, e).transpose(1, 0, 3, 2)
@@ -130,16 +133,14 @@ def cmd_kraus(args) -> int:
         }
         _emit(canonical_dumps(payload) + "\n", args.output)
         return 1
-    d = m.d_e + m.d_g
-    operators = np.reshape(kraus.operators, (kraus.count, d, d))
     payload = {
         "type": "kraus_report",
         "cp": True,
         "d_e": m.d_e,
         "d_g": m.d_g,
         "count": kraus.count,
-        "operators": jsonio.matrix_to_json(operators),
-        "reconstruction_error": _reconstruction_error(m, operators),
+        "operators": jsonio.matrix_to_json(kraus.operators),
+        "reconstruction_error": _reconstruction_error(m, kraus.operators),
     }
     _emit(canonical_dumps(payload) + "\n", args.output)
     return 0

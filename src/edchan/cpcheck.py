@@ -80,6 +80,7 @@ from .matcore import (
     hermitian_part,
     hermitian_parts,
     is_psd,
+    require_finite,
     require_hermitian,
     vectorize,
 )
@@ -127,17 +128,23 @@ def choi(m: LinearMap) -> ChoiMatrix:
 
 @dataclass(frozen=True, eq=False)
 class KrausSet:
-    """A family of Kraus operators, all of the same (d_out, d_in) shape."""
+    """A family of Kraus operators, all of the same (d_out, d_in) shape.
 
-    operators: tuple
+    ``operators`` is one read-only complex array of shape (count, d_out, d_in),
+    converted and checked once, as a stack; ``KrausSet(())`` is the empty family,
+    of shape (0, 0, 0). A ragged, non-finite or not 3-dimensional stack raises
+    ``ValueError``.
+    """
+
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(as_complex_matrix(A, "Kraus operator") for A in self.operators)
-        if ops:
-            shape = ops[0].shape
-            if any(A.shape != shape for A in ops):
-                raise ValueError("Kraus operators must share one shape")
-        freeze(self, "operators", ops)
+        ops = np.asarray(self.operators, dtype=complex)  # a ragged family raises ValueError
+        if ops.shape == (0,):
+            ops = ops.reshape(0, 0, 0)
+        if ops.ndim != 3:
+            raise ValueError(f"Kraus operators must stack to 3 dimensions, got shape {ops.shape}")
+        freeze(self, "operators", require_finite(ops, "Kraus operator"))
 
     @property
     def count(self) -> int:
@@ -212,15 +219,6 @@ def is_cp(m: LinearMap, tol: float = DEFAULT_TOL) -> CPVerdict:
     reported as not CP, with the smallest eigenvalue of the hermitian part.
     """
     return is_cp_stack(m.mat[None], m.d_in, m.d_out, tol)[0]
-
-
-def _cp_with_kraus(m: LinearMap, tol: float = DEFAULT_TOL) -> tuple[CPVerdict, np.ndarray]:
-    """``is_cp(m, tol)`` and the canonical Kraus operators of its Choi eigenvalues above
-    ``tol``, from one ``eigh``; the operators are a CP map's Kraus family."""
-    C = choi_stack(m.mat[None], m.d_in, m.d_out)
-    w, V = np.linalg.eigh(hermitian_parts(C))
-    verdict = _cp_verdicts(C, tol, w[:, 0] if w.size else np.zeros(1))[0]
-    return verdict, _canonical_vectors(w[0], V[0], tol).reshape(-1, m.d_out, m.d_in)
 
 
 def is_hermiticity_preserving(m: LinearMap, tol: float = DEFAULT_TOL) -> bool:
@@ -314,6 +312,12 @@ def min_full_choi_eigenvalue(m: EDMap) -> float:
     return min_full_choi_eigenvalue_stack(EDStack.of([m]))[0]
 
 
+def _pow2_at_or_below(x: float) -> float:
+    """The power of two at or below ``x`` > 0. Dividing by it is exact (short of the
+    subnormal range) and brings the largest of several entries into [1, 2)."""
+    return float(np.exp2(np.floor(np.log2(x))))
+
+
 @dataclass(frozen=True, eq=False)
 class BallDecomposition:
     """Least-squares expansion B = sum_mu beta_mu A_mu over a Kraus family.
@@ -337,25 +341,26 @@ def ball_decompose(B, kraus: KrausSet, gamma: float,
 
     For canonical (Choi-eigenvector) families the operators are linearly
     independent, so the coefficients are unique. Non-membership is reported in
-    the verdict, never as an error. B / s is expanded, with s the power of
-    two at or below max|B|, which is exact and keeps every product finite;
-    ``beta``, ``residual`` and ``norm_sq`` are scaled back by s and s². A
-    ``norm_sq`` past the float range is inf, and not a member.
+    the verdict, never as an error. The family's stack, reshaped once, gives
+    the matrix V whose column mu is operator mu column-stacked, as
+    :func:`~edchan.matcore.vectorize` stacks it. B / s is expanded, with s
+    the power of two at or below max|B|, which is exact and keeps every
+    product finite; ``beta``, ``residual`` and ``norm_sq`` are scaled back by
+    s and s². A ``norm_sq`` past the float range is inf, and not a member.
     """
     Bm = as_complex_matrix(B, "B")
     # B over a power of two at or below max|B| expands exactly, and V @ beta stays finite
     top = np.abs(Bm).max()
-    s = float(np.exp2(np.floor(np.log2(top)))) if top else 1.0
+    s = _pow2_at_or_below(top) if top else 1.0
     target = vectorize(Bm) / s
-    if kraus.count and kraus.operators[0].shape != Bm.shape:
+    if kraus.count and kraus.operators.shape[1:] != Bm.shape:
         raise ValueError(
-            f"B shape {Bm.shape} does not match Kraus shape {kraus.operators[0].shape}"
+            f"B shape {Bm.shape} does not match Kraus shape {kraus.operators.shape[1:]}"
         )
-    # one column per operator, C-ordered: the layout decides how V @ beta rounds,
-    # and verify reports the residual; an empty family gives an (n, 0) V, an
-    # empty beta and the residual |B|
-    V = np.ascontiguousarray(np.array([vectorize(A) for A in kraus.operators], dtype=complex)
-                             .reshape(kraus.count, target.size).T)
+    # column mu is operator mu column-stacked, and V is C-ordered: the layout decides
+    # how V @ beta rounds, and verify reports the residual; an empty family gives an
+    # (n, 0) V, an empty beta and the residual |B|
+    V = kraus.operators.transpose(2, 1, 0).reshape(target.size, kraus.count)
     beta, *_ = np.linalg.lstsq(V, target, rcond=None)
     residual = float(np.linalg.norm(V @ beta - target)) * s
     with np.errstate(over="ignore"):
@@ -375,11 +380,13 @@ def explicit_kraus_ed(m: EDMap, tol: float = DEFAULT_TOL) -> KrausSet:
         sqrt(lambda) diag(mat(v), c / sqrt(d_g) I_g),
 
     with v read row-major, so that the operators rebuild phi from C_phi, B
-    from sqrt(d_g) beta and gamma from gamma d_g; each canonical Kraus
-    operator Q_nu of omega gives the lower-left operator Q_nu. M1's
-    eigenvectors follow the order and phase rule of :func:`kraus_from_choi`.
-    That is at most d_e^2 + 1 + d_e d_g operators, returned as full-space
-    matrices, and the family rebuilds the map to within ``tol`` (plus half
+    from sqrt(d_g) beta and gamma from gamma d_g. Each eigenpair of C_omega
+    with eigenvalue above ``tol`` gives omega's canonical Kraus operator
+    Q_nu, which is the lower-left operator. Both eigensolves follow the order
+    and phase rule of :func:`kraus_from_choi`, so the Q_nu are its family of
+    omega. That is at most d_e^2 + 1 + d_e d_g operators, returned as one
+    (count, d_e + d_g, d_e + d_g) stack of full-space matrices, and the
+    family rebuilds the map to within ``tol`` (plus half
     the hermiticity deviation of C_phi and C_omega), at every gamma. The
     verdict is :func:`is_cp_ed`'s, and a non-CP map's error carries that
     report.
@@ -389,14 +396,15 @@ def explicit_kraus_ed(m: EDMap, tol: float = DEFAULT_TOL) -> KrausSet:
         raise NotCompletelyPositiveError(
             f"map is not completely positive (omega_cp={report.omega_cp}, "
             f"damped_phi_cp={report.damped_phi_cp})", report)
+    C_omega = hermitian_parts(choi_stack(m.omega.mat, m.d_e, m.d_g))
     coupled = _canonical_vectors(*np.linalg.eigh(_coupled_blocks(EDStack.of([m]))[1][0]), tol)
-    omega_ops = _cp_with_kraus(m.omega, tol)[1]
+    omega = _canonical_vectors(*np.linalg.eigh(C_omega), tol)
     d_e, r = m.d_e, len(coupled)
-    ops = np.zeros((r + len(omega_ops), d_e + m.d_g, d_e + m.d_g), dtype=complex)
+    ops = np.zeros((r + len(omega), d_e + m.d_g, d_e + m.d_g), dtype=complex)
     ops[:r, :d_e, :d_e] = coupled[:, :-1].reshape(r, d_e, d_e)
     ops[:r, d_e:, d_e:] = coupled[:, -1, None, None] / np.sqrt(m.d_g) * np.eye(m.d_g)
-    ops[r:, d_e:, :d_e] = omega_ops
-    return KrausSet(tuple(ops))
+    ops[r:, d_e:, :d_e] = omega.reshape(-1, m.d_g, d_e)
+    return KrausSet(ops)
 
 
 def is_trace_nonincreasing(phi: LinearMap, tol: float = DEFAULT_TOL) -> bool:
@@ -599,7 +607,7 @@ def _damped_choi(m: EDMap, t: float) -> tuple:
     beta, g = M1[0, :-1, -1], max(M1[0, -1, -1].real, np.finfo(float).tiny)
     if not m.gamma > t:
         beta, g = 0 * beta, 1.0
-    r = float(np.exp2(np.floor(np.log2(max(1.0, np.abs(C_phi).max() ** 0.5, np.abs(beta).max())))))
+    r = _pow2_at_or_below(max(1.0, np.abs(C_phi).max() ** 0.5, np.abs(beta).max()))
     # conj(beta) on the left, as in from_kraus's kron(conj(B), B): at d_g = 1, S r² is then
     # the Choi matrix of damped_excited_map bit for bit
     return C_phi[0] / r / r - (beta / r).conj()[None, :] * (beta / r)[:, None] * (1 / g), r
@@ -653,7 +661,10 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
     density W[j, l] = omega(E_lj), and omega is positive iff W is PSD. At
     gamma <= tol, a B with an entry above tol that M1 rejects is lifted
     along B's leading right singular vector xi and eta = B xi / |B xi|
-    (``stray_B``): at gamma = 0, where the ground block is frozen, that
+    (``stray_B``), with B xi formed from B over the power of two at or below
+    max|B|: that leaves eta exact and |B xi|² finite (the lift itself still
+    overflows where σ_max(B) passes the float range); at gamma = 0, where
+    the ground block is frozen, that
     decides exactly; at 0 < gamma <= tol only a lift below -tol decides, and
     otherwise the search below runs on the damped map at that gamma, where
     the violation may lie off B's leading pair. The remaining condition
@@ -680,7 +691,8 @@ def is_positive_ed_dg1(m: EDMap, samples: int = 100000,
         # any direction not annihilated by B blows up against the gg block; it is frozen
         # only at gamma = 0, so above that the lift must itself reach below -tol
         xi = np.linalg.svd(m.B)[2][0].conj()
-        chi, low = _lifted(m, xi, m.B @ xi / np.linalg.norm(m.B @ xi))
+        Bxi = (m.B / _pow2_at_or_below(np.abs(m.B).max())) @ xi  # its norm squared stays finite
+        chi, low = _lifted(m, xi, Bxi / np.linalg.norm(Bxi))
         if m.gamma == 0 or low < -tol:
             return PositivityVerdict(chi, low, 0, "stray_B")
         t = 0.0  # the search then reads the damped block at this gamma, not phi

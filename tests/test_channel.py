@@ -183,6 +183,57 @@ def test_tp_fails_for_scaled_ground_block():
     assert not is_trace_preserving(m)
 
 
+def _ulp_below(x):
+    return float(np.nextafter(x, 0.0))
+
+
+@pytest.mark.parametrize("ulp_below, tp", [(False, True), (True, False)],
+                         ids=["at_tol", "ulp_below"])
+def test_tp_gamma_boundary(ulp_below, tp):
+    """TP when |gamma - 1| is exactly tol, the trace functional being exact; not one ulp
+    below."""
+    gamma = 1.0 + 2.0 ** -30
+    m = EDMap(LinearMap.identity(2), LinearMap.zero(2, 1), np.zeros((2, 2)), gamma)
+    tol = abs(m.gamma - 1.0)
+    assert is_trace_preserving(m, _ulp_below(tol) if ulp_below else tol) is tp
+
+
+@pytest.mark.parametrize("ulp_below, tp", [(False, True), (True, False)],
+                         ids=["at_tol", "ulp_below"])
+def test_tp_trace_functional_boundary(ulp_below, tp):
+    """TP when the trace functional deviates from the identity by exactly tol, at
+    gamma = 1; not one ulp below."""
+    phi = LinearMap.identity(2) * (1.0 - 2.0 ** -30)
+    m = EDMap(phi, LinearMap.zero(2, 1), np.zeros((2, 2)), 1.0)
+    tol = float(np.abs(phi.trace_functional() - np.eye(2)).max())
+    assert tol > 0
+    assert is_trace_preserving(m, _ulp_below(tol) if ulp_below else tol) is tp
+
+
+@pytest.mark.parametrize("ulp_below", [False, True], ids=["at_tol", "ulp_below"])
+def test_build_tp_omega_trace_boundary(ulp_below):
+    """Omega is a state when its trace is exactly tol away from 1; not one ulp below."""
+    Omega = np.diag([0.5, 0.5 + 2.0 ** -30])
+    tol = abs(complex(np.trace(Omega)) - 1.0)
+    if ulp_below:
+        with pytest.raises(ValueError, match="trace"):
+            build_tp_omega(LinearMap.identity(2), Omega, _ulp_below(tol))
+    else:
+        build_tp_omega(LinearMap.identity(2), Omega, tol)
+
+
+@pytest.mark.parametrize("ulp_below, hermitian", [(False, True), (True, False)],
+                         ids=["at_tol", "ulp_below"])
+def test_block_operator_hermiticity_boundary(ulp_below, hermitian):
+    """A block operator is hermitian within a tol equal to its max-entry deviation from
+    its adjoint; not within one ulp less."""
+    X = BlockOperator([[1.0, 0.25 + 2.0 ** -30], [0.25, 1.0]], np.zeros((2, 1)),
+                      np.zeros((1, 2)), [[1.0]])
+    tol = float(np.abs(X.full() - X.full().conj().T).max())
+    assert tol > 0
+    assert X.is_hermitian(_ulp_below(tol) if ulp_below else tol) is hermitian
+
+
 # ---------------------------------------------------------------------------
 # invert
 # ---------------------------------------------------------------------------

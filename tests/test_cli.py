@@ -294,6 +294,29 @@ def test_verify_ball_near_the_float_limit_warns_nothing(tmp_path, capsys):
     assert (report["ball"], report["positive"], len(report["witnesses"])) == (None, False, 1)
 
 
+def test_verify_stray_B_at_gamma_zero_near_the_float_limit_warns_nothing(tmp_path, capsys):
+    """d_e = 2, phi = id, omega = tr, gamma = 0, B = diag(1e300, 1e299): |B xi|^2 passes
+    the float range, yet with every warning an error verify exits 1 with an empty
+    stderr and one witness, whose ground amplitude is nonzero."""
+    import warnings
+
+    from edchan import EDMap, LinearMap, cli
+    from edchan.jsonio import edmap_to_dict
+
+    m = EDMap(LinearMap.identity(2), LinearMap(np.eye(2).reshape(1, -1)),
+              np.diag([1e300, 1e299]), 0.0)
+    path = tmp_path / "stray.json"
+    path.write_text(json.dumps(edmap_to_dict(m)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.err == ""
+    assert (report["positive"], len(report["witnesses"])) == (False, 1)
+    assert report["witnesses"][0][-1] != [0.0, 0.0]
+
+
 @pytest.mark.parametrize("B", [1.01, 1.001])
 def test_verify_lifts_a_shallow_violation_past_its_threshold(B, tmp_path, capsys):
     """phi = omega = gamma = 1 at d_e = 1: the damped block 1 - B² is barely negative, and

@@ -165,6 +165,41 @@ def test_kraus_freedom_reordered_eigenbasis_same_map():
         assert maxdiff(back.mat, m.mat) < 1e-10
 
 
+def test_kraus_set_is_one_read_only_stack():
+    """A family is one read-only complex (count, d_out, d_in) array, its own copy of the
+    input; an empty family has count 0 and rebuilds the zero map."""
+    rng = np.random.default_rng(47)
+    stack = rc(rng, 4, 3, 2)
+    for family in (stack, list(stack), tuple(stack)):
+        ks = KrausSet(family)
+        assert type(ks.operators) is np.ndarray and ks.operators.dtype == complex
+        assert (ks.operators.shape, ks.count) == ((4, 3, 2), 4)
+        assert not ks.operators.flags.writeable and not np.shares_memory(ks.operators, stack)
+        assert ks.operators.tobytes() == stack.tobytes()
+    with pytest.raises(ValueError):
+        ks.operators[0, 0, 0] = 1.0
+    assert KrausSet(stack.real).operators.dtype == complex
+    for ks in (kraus_from_choi(choi(random_cp_map(rng, 2, 3, 2))),
+               explicit_kraus_ed(cp_edmap(rng, 2, 2))):
+        assert ks.operators.ndim == 3 and not ks.operators.flags.writeable
+    empty = KrausSet(())
+    assert (empty.count, empty.operators.shape) == (0, (0, 0, 0))
+    assert np.array_equal(empty.to_linear_map(d_in=2, d_out=3).mat, np.zeros((9, 4)))
+
+
+@pytest.mark.parametrize("family", [
+    [np.eye(2), np.eye(3)],
+    [np.eye(2), np.ones((2, 3))],
+    [np.eye(2), np.diag([1.0, np.nan])],
+    [np.diag([np.inf, 1.0])],
+    [np.ones(2)],
+    np.ones((1, 2, 2, 1)),
+], ids=["ragged_square", "ragged_columns", "nan", "inf", "vector", "four_dimensional"])
+def test_kraus_set_rejects_ragged_or_non_finite(family):
+    with pytest.raises(ValueError):
+        KrausSet(family)
+
+
 # ---------------------------------------------------------------------------
 # is_cp
 # ---------------------------------------------------------------------------
@@ -582,6 +617,32 @@ def test_stray_B_at_positive_gamma_searches_the_damped_map():
     assert lowest < (1 - np.sqrt(2)) / 4 + 1e-12
 
 
+@pytest.mark.parametrize("d_e, B", [
+    (2, np.diag([1e300, 1e299])), (2, [[1e308, 1e308], [0.0, 0.0]]), (1, [[-1e308j]]),
+], ids=["diag", "row", "amplitude_damping"])
+def test_stray_B_at_gamma_zero_near_the_float_limit(d_e, B):
+    """At gamma = 0, with |B xi|^2 past the float range: B xi is formed from B over a
+    power of two, so eta = B xi / |B xi| is B's leading left singular vector, not 0, and
+    nothing warns. The lift then reads -sigma_max(B) / 2 in the full space (phi = id,
+    omega = tr at d_e = 2; the amplitude-damping blocks at d_e = 1), certified through
+    apply on the blocks, since the full-space superoperator overflows."""
+    if d_e == 1:
+        ad = qubit_map(0.8, 0.8, 0.6, 1.0)
+        phi, omega = ad.phi, ad.omega
+    else:
+        phi, omega = LinearMap.identity(2), LinearMap(np.eye(2).reshape(1, -1))
+    m = EDMap(phi, omega, B, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        verdict = is_positive_ed_dg1(m, samples=0, tol=TOL, seed=0)
+    chi = verdict.witness
+    assert (verdict.rule, verdict.samples_used) == ("stray_B", 0) and abs(chi[-1]) > 0.5
+    X = BlockOperator.from_full(np.outer(chi, chi.conj()), d_e, 1)
+    lowest = np.linalg.eigvalsh(hermitian_part(cpcheck.apply(m, X).full()))[0]
+    assert lowest == verdict.min_eigenvalue
+    assert lowest == pytest.approx(-np.linalg.norm(m.B / 2 ** 1000, 2) / 2 * 2 ** 1000, rel=1e-12)
+
+
 def test_stray_B_fall_through_below_the_smallest_normal_gamma():
     """d_e = d_g = 1, phi = omega = 1, B = sqrt(2 tol), gamma = 1e-310: M1 rejects B, the
     stray lift reads -5e-10, above -tol, and 1 / gamma passes the float range. The
@@ -761,6 +822,40 @@ def test_ball_decompose_residual_rounds_as_stacked_columns():
         assert bd.residual == float(np.linalg.norm(V @ bd.beta - B.T.reshape(-1)))
 
 
+def test_ball_decompose_matches_the_per_operator_loop_bit_for_bit(monkeypatch):
+    """V, one column per operator, C-ordered, is the stacked per-operator vectorize loop
+    byte for byte, and so are beta, residual, norm_sq and member, on seeded families:
+    random (square and not) and canonical, with B at several scales."""
+    from edchan.matcore import vectorize
+
+    lstsq, seen = np.linalg.lstsq, []
+
+    def recording(V, *args, **kwargs):
+        seen.append(V)
+        return lstsq(V, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", recording)
+    rng = np.random.default_rng(48)
+    families = [rc(rng, n, d_out, d_in) for d_out, d_in, n in
+                ((1, 1, 1), (2, 2, 1), (2, 2, 3), (3, 2, 4), (2, 3, 5), (4, 4, 9), (8, 8, 12))]
+    families += [kraus_from_choi(choi(random_cp_map(rng, d, d, k))).operators
+                 for d, k in ((2, 2), (3, 4), (4, 3))]
+    for ops in families:
+        for scale in (1e-3, 1.0, 3e5):
+            B = scale * rc(rng, *ops.shape[1:])
+            got = ball_decompose(B, KrausSet(ops), gamma=1.0)
+            V = np.ascontiguousarray(
+                np.array([vectorize(A) for A in ops]).reshape(len(ops), B.size).T)
+            assert seen[-1].flags.c_contiguous and seen[-1].tobytes() == V.tobytes()
+            s = float(np.exp2(np.floor(np.log2(np.abs(B).max()))))
+            beta = lstsq(V, vectorize(B) / s, rcond=None)[0]
+            residual = float(np.linalg.norm(V @ beta - vectorize(B) / s)) * s
+            norm_sq = float(np.sum(np.abs(beta) ** 2)) * s * s
+            assert got.beta.tobytes() == (beta * s).tobytes()
+            assert (got.residual, got.norm_sq) == (residual, norm_sq)
+            assert got.member is ((residual <= TOL) and (norm_sq <= 1.0 + TOL))
+
+
 @pytest.mark.parametrize("ulp_inside, member", [(False, True), (True, False)],
                          ids=["at_bound", "ulp_inside"])
 def test_ball_decompose_member_boundaries(ulp_inside, member):
@@ -845,6 +940,19 @@ def test_explicit_kraus_reconstructs_block_cp_maps(make):
     assert ks.count == r + s + (m.gamma > 0)
 
 
+@pytest.mark.parametrize("d_e, d_g", [(1, 1), (2, 1), (2, 3), (4, 2)])
+def test_explicit_kraus_omega_operators_are_the_canonical_family(d_e, d_g):
+    """The lower-left operators are omega's canonical family, byte for byte, and every
+    other block of them is zero."""
+    m = cp_edmap(np.random.default_rng(49 + d_e + d_g), d_e, d_g)
+    omega = kraus_from_choi(choi(m.omega), TOL).operators
+    ops = explicit_kraus_ed(m, TOL).operators[-len(omega):]
+    assert ops[:, d_e:, :d_e].tobytes() == omega.tobytes()
+    ops = ops.copy()
+    ops[:, d_e:, :d_e] = 0
+    assert not ops.any()
+
+
 def test_explicit_kraus_block_structure():
     rng = np.random.default_rng(12)
     m = cp_edmap(rng, 2, 3, fill=0.5)
@@ -898,6 +1006,19 @@ def test_tni_matches_kraus_operator_inequality():
     # scale up until the operator inequality breaks
     m = 1.5 * random_tni_cp_map(rng, 3, slack=0.95)
     assert not is_trace_nonincreasing(m)
+
+
+@pytest.mark.parametrize("ulp_below, tni", [(False, True), (True, False)],
+                         ids=["at_tol", "ulp_below"])
+def test_tni_hermiticity_boundary(ulp_below, tni):
+    """phi(X) = tr(WX) E_00 with W = [[.5, .25 + 2^-30], [.25, .5]]: I - W^T is PSD and
+    deviates from its adjoint by exactly tol, so phi is trace non-increasing at that tol;
+    one ulp below, phi does not preserve hermiticity within tol, and is not."""
+    W = np.array([[0.5, 0.25 + 2.0 ** -30], [0.25, 0.5]])
+    phi = LinearMap(np.outer(np.eye(4)[0], W.reshape(-1)))
+    tol = hermiticity_deviation(np.eye(2) - phi.trace_functional().T)
+    assert tol > 0
+    assert is_trace_nonincreasing(phi, float(np.nextafter(tol, 0.0)) if ulp_below else tol) is tni
 
 
 # ---------------------------------------------------------------------------
